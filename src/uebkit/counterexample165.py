@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import Cyclotomic, PhasedScalar
+from .cyclo import Cyclotomic, PhasedScalar, _reduce
 from .exactmat import (ExactMatrix, MonomialityReport, matrix_to_json,
                        monomiality_report)
 from .fastcyc import CycMatrix, from_exact, to_exact
@@ -89,8 +89,9 @@ def conjugation_automorphism(group: HeisenbergGroup, u: ExactMatrix,
 
     Generator images come from exact Weyl decompositions; the extension
     uses the normal form (x, y, z) = b^y a^x c^z.  The result is
-    confirmed by a full pair sweep of is_automorphism, and the defining
-    property is re-checked on a seeded element sample."""
+    confirmed exactly by is_automorphism, which checks the homomorphism
+    property on the group's generators (and that they generate), and
+    the defining property is re-checked on a seeded element sample."""
     p = group.d
     s = u.is_scaled_unitary()
     if s is None:
@@ -245,7 +246,7 @@ def build_conjugators(p: int, e: int = 3, seed: int = 0) -> ConjugatorSet:
         "r_cubed_scalar": str(r_cubed),
         "action_is_alpha_beta":
             action == sl2.compose(alpha_action, beta_action),
-        "automorphisms_full_pair_checked": True,
+        "automorphisms_checked": True,
     }
     return ConjugatorSet(p=p, e=e, F=F, D=D, B=B, R=R, r_cubed=r_cubed,
                          action=action, action_order=order, alpha=alpha,
@@ -311,12 +312,11 @@ class TensorTriple:
     that are the shared identity objects pass through products
     untouched, which keeps the generator sweeps cheap."""
 
-    __slots__ = ("slots", "_unitary", "_exact")
+    __slots__ = ("slots", "_unitary")
 
     def __init__(self, slots, unitary: Fraction | None = None):
         self.slots = tuple(slots)
         self._unitary = unitary
-        self._exact = None
 
     @property
     def dim(self) -> int:
@@ -417,12 +417,6 @@ class TensorTriple:
             return PhasedScalar.one(1)
         return _phase_product(phases)
 
-    def materialize(self) -> ExactMatrix:
-        if self._exact is None:
-            e3, e5, e11 = (to_exact(a) for a in self.slots)
-            self._exact = e3.tensor(e5).tensor(e11)
-        return self._exact
-
     def __repr__(self):
         return ("TensorTriple(" +
                 " x ".join(str(a.d) for a in self.slots) + ")")
@@ -433,10 +427,14 @@ def _mask_monomial(a: CycMatrix) -> bool:
     return bool((mask.sum(axis=0) == 1).all() and (mask.sum(axis=1) == 1).all())
 
 
-def _nonzero_cyc(m: ExactMatrix):
-    """(i, j, coefficient) for each nonzero entry, or None when any
-    entry is not a plain symbol-free cyclotomic."""
-    out = []
+def _slot_values(m: ExactMatrix):
+    """(nonzero, values) for a symbol-free slot matrix, or None when any
+    entry is not a plain symbol-free cyclotomic.
+
+    nonzero lists (i, j, t) per nonzero entry, t indexing values, which
+    holds each distinct entry once in integer form: its (exponent lifted
+    to conductor 165, numerator) pairs and its common denominator."""
+    nonzero, values, index = [], [], {}
     for i in range(m.rows):
         for j in range(m.cols):
             e = m.entry(i, j)
@@ -447,45 +445,61 @@ def _nonzero_cyc(m: ExactMatrix):
             c = e.terms.get(())
             if c is None:
                 return None
-            out.append((i, j, c))
-    return out
+            key = c.key()
+            t = index.get(key)
+            if t is None:
+                t = index[key] = len(values)
+                s = 165 // c.order
+                values.append(([(k * s, v) for k, v in c._num.items()],
+                               c._den))
+            nonzero.append((i, j, t))
+    return nonzero, values
+
+
+def _entry165(v3, v5, v11, offset: int) -> PhasedScalar:
+    """The product of three slot values times zeta_165^offset: one
+    integer coefficient convolution, reduced mod Phi_165."""
+    (t3, d3), (t5, d5), (t11, d11) = v3, v5, v11
+    t35 = [(a + b + offset, na * nb) for a, na in t3 for b, nb in t5]
+    raw: dict = {}
+    get = raw.get
+    for ab, nab in t35:
+        for c, nc in t11:
+            k = ab + c
+            raw[k] = get(k, 0) + nab * nc
+    return PhasedScalar(165, {(): _reduce(165, raw, d3 * d5 * d11)},
+                        _canonical=True)
 
 
 def _tensor165(e3: ExactMatrix, e5: ExactMatrix, e11: ExactMatrix,
                offset: int = 0) -> ExactMatrix:
     """e3 (x) e5 (x) e11 times zeta_165^offset.
 
-    Entries are assembled directly at conductor 165, one coefficient
-    convolution per position, which avoids the chain of conductor
-    promotions the generic tensor route would pay per entry."""
-    nz = (_nonzero_cyc(e3), _nonzero_cyc(e5), _nonzero_cyc(e11))
-    if any(v is None for v in nz):
+    Entries are assembled directly at conductor 165 on the integer form,
+    which avoids the chain of conductor promotions the generic tensor
+    route would pay per entry.  Each slot has few distinct entries, so
+    each distinct value triple is convolved once and its entry shared."""
+    parts = (_slot_values(e3), _slot_values(e5), _slot_values(e11))
+    if any(v is None for v in parts):
         m = e3.tensor(e5).tensor(e11)
         if offset:
             m = m.scalar_mul(PhasedScalar.of(Cyclotomic.zeta(165) ** offset))
         return m
-    nz3, nz5, nz11 = nz
+    (nz3, v3), (nz5, v5), (nz11, v11) = parts
     zero = PhasedScalar.zero(1)
     ents = [zero] * (165 * 165)
-    for i3, j3, c3 in nz3:
-        s3 = 165 // c3.order
-        t3 = [(exp * s3 + offset, q) for exp, q in c3.coeffs.items()]
-        for i5, j5, c5 in nz5:
-            s5 = 165 // c5.order
-            t35 = [(a + exp * s5, qa * qb)
-                   for a, qa in t3 for exp, qb in c5.coeffs.items()]
+    memo: dict = {}
+    for i3, j3, t3 in nz3:
+        for i5, j5, t5 in nz5:
             row35 = (i3 * 5 + i5) * 11
             col35 = (j3 * 5 + j5) * 11
-            for i11, j11, c11 in nz11:
-                s11 = 165 // c11.order
-                coeffs: dict = {}
-                for ab, qab in t35:
-                    for exp, qc in c11.coeffs.items():
-                        e = (ab + exp * s11) % 165
-                        q = coeffs.get(e)
-                        coeffs[e] = qab * qc if q is None else q + qab * qc
-                ents[(row35 + i11) * 165 + col35 + j11] = \
-                    PhasedScalar.of(Cyclotomic(165, coeffs))
+            for i11, j11, t11 in nz11:
+                key = (t3, t5, t11)
+                z = memo.get(key)
+                if z is None:
+                    z = memo[key] = _entry165(v3[t3], v5[t5], v11[t11],
+                                              offset)
+                ents[(row35 + i11) * 165 + col35 + j11] = z
     return ExactMatrix(165, 165, ents, e3.scale * e5.scale * e11.scale)
 
 
@@ -875,13 +889,21 @@ def verify_counterexample(g: G165, seed: int = DEFAULT_SEED,
     witness = next((t for t in g.group.generators if not fm.slot_monomial(t)),
                    None)
 
-    gen_mats = [fm.exact_matrix(t) for t in g.group.generators]
-    generator_monomiality = monomiality_report(gen_mats)
+    generator_monomiality = monomiality_report(
+        fm.exact_matrix(t) for t in g.group.generators)
     sample = rng.sample(carrier, min(monomial_samples, len(carrier)))
-    sample_mats = [fm.exact_matrix(el) for el in sample]
-    sampled_monomiality = monomiality_report(sample_mats)
-    cross_ok = all(m.is_monomial() == fm.slot_monomial(el)
-                   for el, m in zip(sample, sample_mats))
+    agree = []
+
+    def sampled_members():
+        # members are not kept: each is compared with the factor-level
+        # answer as the report reads it
+        for el in sample:
+            m = fm.exact_matrix(el)
+            agree.append(m.is_monomial() == fm.slot_monomial(el))
+            yield m
+
+    sampled_monomiality = monomiality_report(sampled_members())
+    cross_ok = all(agree)
 
     # dual-route agreement: packed slot algebra against the dense layer
     cross = 0

@@ -380,14 +380,20 @@ class MonomialityReport:
 
 
 def monomiality_report(matrices) -> MonomialityReport:
-    mats = list(matrices)
-    counts = tuple(m.nonzero_count() for m in mats)
-    total = sum(m.rows * m.cols for m in mats)
+    """Reads any iterable one matrix at a time, so a generator of large
+    matrices never holds more than one of them here."""
+    counts = []
+    total = 0
+    monomial = True
+    for m in matrices:
+        counts.append(m.nonzero_count())
+        total += m.rows * m.cols
+        monomial = monomial and m.is_monomial()
     zeros = total - sum(counts)
     return MonomialityReport(
-        is_monomial=all(m.is_monomial() for m in mats),
+        is_monomial=monomial,
         zero_fraction=Fraction(zeros, total) if total else Fraction(0),
-        per_matrix_nonzero=counts,
+        per_matrix_nonzero=tuple(counts),
     )
 
 

@@ -22,7 +22,7 @@ from math import lcm
 
 import numpy as np
 
-from .cyclo import Cyclotomic, PhasedScalar
+from .cyclo import Cyclotomic, PhasedScalar, _reduce
 from .exactmat import ExactMatrix
 
 _I64_MAX = np.iinfo(np.int64).max
@@ -105,13 +105,10 @@ class CycMatrix:
         return CycMatrix(self.p, b.copy(), self.scale)
 
     def trace(self) -> Cyclotomic:
-        vec = self.a.trace(axis1=0, axis2=1)
-        return Cyclotomic(self.p, {e: Fraction(int(v)) * self.scale
-                                   for e, v in enumerate(vec) if v})
+        return _vec_cyc(self.p, self.a.trace(axis1=0, axis2=1), self.scale)
 
     def entry(self, i: int, j: int) -> Cyclotomic:
-        return Cyclotomic(self.p, {e: Fraction(int(v)) * self.scale
-                                   for e, v in enumerate(self.a[i, j]) if v})
+        return _vec_cyc(self.p, self.a[i, j], self.scale)
 
     def is_zero_matrix(self) -> bool:
         return not self.canon_array().any()
@@ -176,7 +173,9 @@ def _scaled_match(ca: np.ndarray, cb: np.ndarray, r: Fraction) -> bool:
 
 def from_exact(m: ExactMatrix, p: int) -> CycMatrix:
     """Dense exact matrix with symbol-free entries of conductor dividing
-    p into packed form; coefficient denominators fold into the scale."""
+    p into packed form; coefficient denominators fold into the scale.
+    Reads the integer form of each entry, numerators over a common
+    denominator."""
     if m.rows != m.cols:
         raise ValueError("square matrices only")
     d = m.rows
@@ -187,17 +186,17 @@ def from_exact(m: ExactMatrix, p: int) -> CycMatrix:
                 raise ValueError("symbolic entries cannot be packed")
             if p % c.order:
                 raise ValueError(f"conductor {c.order} does not divide {p}")
-            for q in c.coeffs.values():
-                den = lcm(den, q.denominator)
+            den = lcm(den, c._den)
     triples = []
     big = 0
     for i in range(d):
         for j in range(d):
             e = m.entries[i * d + j]
-            for key, c in e.terms.items():
+            for c in e.terms.values():
                 step = p // c.order
-                for exp, q in c.coeffs.items():
-                    v = int(q * den)
+                mult = den // c._den
+                for exp, num in c._num.items():
+                    v = num * mult
                     triples.append((i, j, exp * step, v))
                     big = max(big, abs(v))
     dtype = np.int64 if big <= _I64_MAX // 2 else object
@@ -212,8 +211,11 @@ def to_exact(cm: CycMatrix) -> ExactMatrix:
     ents = []
     for i in range(d):
         for j in range(d):
-            vec = cm.a[i, j]
-            c = Cyclotomic(p, {e: Fraction(int(v))
-                               for e, v in enumerate(vec) if v})
-            ents.append(PhasedScalar.of(c))
+            ents.append(PhasedScalar.of(_vec_cyc(p, cm.a[i, j])))
     return ExactMatrix(d, d, ents, cm.scale)
+
+
+def _vec_cyc(p: int, vec, scale: Fraction = Fraction(1)) -> Cyclotomic:
+    """scale * sum_e vec[e] zeta_p^e, reduced from the integer form."""
+    return _reduce(p, {e: int(v) * scale.numerator
+                       for e, v in enumerate(vec) if v}, scale.denominator)

@@ -58,7 +58,12 @@ def element_order(G: FiniteGroup, g) -> int:
 
 def center(G: FiniteGroup) -> list:
     """Elements commuting with the generators (hence with everything,
-    provided the declared generators generate)."""
+    provided the declared generators generate).
+
+    A direct product returns Z(A x B) = Z(A) x Z(B), built from the
+    factors' centers in the same order as filtering its elements."""
+    if isinstance(G, DirectProduct):
+        return list(itertools.product(*(center(f) for f in G.factors)))
     gens = list(G.generators) or list(G.elements())
     return [g for g in G.elements()
             if all(G.compose(g, h) == G.compose(h, g) for h in gens)]
@@ -81,22 +86,45 @@ def transversal(G: FiniteGroup, subgroup: list) -> list:
 
 
 def is_automorphism(G: FiniteGroup, f, pair_limit: int = 4_500_000) -> bool:
-    """Full |G|^2 homomorphism check plus bijectivity."""
-    if G.order * G.order > pair_limit:
-        raise ValueError("group too large for the full pair check")
+    """Exact automorphism check on the declared generators S.
+
+    f must be a bijection with f(e) = e and f(g s) = f(g) f(s) for every
+    g in G and s in S.  That covers every pair, by induction on the word
+    length of h: f(g e) = f(g) f(e) because f(e) = e, and if
+    f(g h) = f(g) f(h) for all g, then
+    f(g h s) = f(g h) f(s) = f(g) f(h) f(s) = f(g) f(h s).  Every h is
+    such a word provided S generates G.  That premise is checked exactly
+    by closing {e} under right multiplication by S; a smaller closure
+    raises ValueError.  Groups declaring no generators use S = G, the
+    full pair sweep.  Costs |G| |S| compositions, which pair_limit
+    bounds."""
+    gens = list(G.generators)
+    if G.order * (len(gens) or G.order) > pair_limit:
+        raise ValueError("group too large for the generator check")
     elems = list(G.elements())
+    gens = gens or elems
     images = {g: f(g) for g in elems}
-    if set(images.values()) != set(elems):
-        return False
-    if images[G.identity] != G.identity:
-        return False
+    hom = (set(images.values()) == set(elems)
+           and images[G.identity] == G.identity)
     comp = G.compose
-    for g in elems:
-        fg = images[g]
-        for h in elems:
-            if images[comp(g, h)] != comp(fg, images[h]):
-                return False
-    return True
+    gen_images = [(s, images[s]) for s in gens]
+    reached = {G.identity}
+    frontier = [G.identity]
+    while frontier:
+        grown = []
+        for g in frontier:
+            fg = images[g]
+            for s, fs in gen_images:
+                gs = comp(g, s)
+                if hom and images[gs] != comp(fg, fs):
+                    hom = False
+                if gs not in reached:
+                    reached.add(gs)
+                    grown.append(gs)
+        frontier = grown
+    if len(reached) != G.order:
+        raise ValueError("declared generators do not generate the group")
+    return hom
 
 
 # ---------------------------------------------------------------------------

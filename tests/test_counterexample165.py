@@ -6,13 +6,14 @@ from uebkit.counterexample165 import (
     ConjugatorError,
     TensorTriple,
     _ident_cyc,
+    _tensor165,
     build_conjugators,
     conjugation_automorphism,
     export_bundle,
     weyl_decompose,
 )
 from uebkit.cyclo import Cyclotomic, PhasedScalar
-from uebkit.exactmat import ExactMatrix
+from uebkit.exactmat import ExactMatrix, monomiality_report
 from uebkit.fastcyc import CycMatrix
 from uebkit.groups import (
     HeisenbergElement,
@@ -192,6 +193,31 @@ def test_report_ok_and_summary(report):
     assert s["ok"] and s["dim"] == 165
     assert s["group_order"] == 4_492_125
     assert s["caveat"]
+
+
+def test_dense_members_match_generic_tensor(built):
+    # the integer-form assembly against the generic tensor route, with
+    # twisted R slots at both primes and nonzero central offsets
+    fm = built.factors
+    zeta = PhasedScalar.zeta(165)
+    for k3, k5, k11, offset in (((1, 0), (1, 2, 1), (4, 5, 0), 1),
+                                ((0, 1), (3, 0, 0), (2, 9, 2), 56),
+                                ((2, 2), (4, 4, 2), (0, 0, 0), 164),
+                                ((1, 1), (0, 3, 0), (6, 1, 1), 33)):
+        e3, e5, e11 = fm.exact3[k3], fm.exact5[k5], fm.exact11[k11]
+        want = e3.tensor(e5).tensor(e11).scalar_mul(zeta ** offset)
+        assert _tensor165(e3, e5, e11, offset) == want
+
+
+def test_monomiality_report_reads_generators(built):
+    fm = built.factors
+    members = list(built.group.generators) + [built.quotient.identity]
+    as_list = monomiality_report([fm.exact_matrix(t) for t in members])
+    streamed = monomiality_report(fm.exact_matrix(t) for t in members)
+    assert streamed == as_list
+    assert not streamed.is_monomial
+    assert streamed.per_matrix_nonzero == (165,) * 4 + (825, 1815, 165)
+    assert monomiality_report(iter([])) == monomiality_report([])
 
 
 def test_export_bundle_factor_form(built):

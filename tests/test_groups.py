@@ -82,6 +82,87 @@ def test_automorphisms_small():
         beta_aut(HeisenbergElement(9, 1, 0, 0))
 
 
+def _full_pair_sweep(G, f) -> bool:
+    """The |G|^2 reference: bijection, identity fixed, every pair."""
+    elems = list(G.elements())
+    images = {g: f(g) for g in elems}
+    if set(images.values()) != set(elems) or images[G.identity] != G.identity:
+        return False
+    return all(images[G.compose(g, h)] == G.compose(images[g], images[h])
+               for g in elems for h in elems)
+
+
+def test_generator_check_matches_full_pair_sweep():
+    rng = random.Random(165)
+    for d in (3, 5, 7):
+        h = HeisenbergGroup(d)
+        for aut in (alpha_aut, beta_aut, gamma_aut):
+            assert _full_pair_sweep(h, aut)
+            assert is_automorphism(h, aut)
+    # seeded random bijections fixing the identity: the generator check
+    # must agree with the reference, and none of them is a homomorphism
+    for k in range(60):
+        h = HeisenbergGroup((3, 5, 7)[k % 3])
+        rest = [g for g in h.elements() if g != h.identity]
+        shuffled = rest[:]
+        rng.shuffle(shuffled)
+        table = dict(zip(rest, shuffled))
+        table[h.identity] = h.identity
+        f = table.__getitem__
+        assert is_automorphism(h, f) == _full_pair_sweep(h, f)
+        assert not is_automorphism(h, f)
+    h3 = HeisenbergGroup(3)
+    swap = {g: g for g in h3.elements()}
+    a, b = h3.generators
+    swap[a], swap[b] = swap[b], swap[a]
+    assert not _full_pair_sweep(h3, swap.__getitem__)
+    assert not is_automorphism(h3, swap.__getitem__)
+
+
+def test_generator_check_accepts_random_automorphism_words():
+    rng = random.Random(11)
+    for d in (5, 7):
+        h = HeisenbergGroup(d)
+        for _ in range(4):
+            word = [rng.choice((alpha_aut, beta_aut)) for _ in range(5)]
+
+            def f(g, word=word):
+                for aut in word:
+                    g = aut(g)
+                return g
+
+            assert is_automorphism(h, f) and _full_pair_sweep(h, f)
+
+
+def test_generator_check_needs_generating_set():
+    c6 = CyclicGroup(6)
+    c6.generators = (2,)
+    with pytest.raises(ValueError):
+        is_automorphism(c6, lambda x: x)
+    h5 = HeisenbergGroup(5)
+    h5.generators = h5.generators[:1]
+    with pytest.raises(ValueError):
+        is_automorphism(h5, alpha_aut)
+    # no declared generators: the full sweep over all elements
+    z = SubgroupView(HeisenbergGroup(3), center(HeisenbergGroup(3)))
+    assert is_automorphism(z, lambda g: z.compose(g, g))
+    with pytest.raises(ValueError):
+        is_automorphism(HeisenbergGroup(5), alpha_aut, pair_limit=100)
+
+
+def _filtered_center(G):
+    return [g for g in G.elements()
+            if all(G.compose(g, t) == G.compose(t, g) for t in G.generators)]
+
+
+def test_direct_product_center_matches_filter():
+    for g in (DirectProduct(HeisenbergGroup(3), HeisenbergGroup(5)),
+              DirectProduct(CyclicGroup(4), HeisenbergGroup(3))):
+        z = center(g)
+        assert z == _filtered_center(g)
+        assert len(z) == len(center(g.factors[0])) * len(center(g.factors[1]))
+
+
 def test_sl2_basics():
     for p, n in [(3, 24), (5, 120), (7, 336), (11, 1320)]:
         g = SL2Group(p)
