@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclo import Cyclotomic, PhasedScalar, declare_phase_symbol
-from .exactmat import ExactMatrix, matrix_from_json, matrix_to_json
+from .exactmat import ExactMatrix, matrix_from_json
 
 
 @dataclass(frozen=True)
@@ -128,10 +128,6 @@ def latin_to_json(sq: LatinSquare) -> list:
 def latin_from_json(obj) -> LatinSquare:
     rows = [tuple(int(v) for v in r) for r in obj]
     return LatinSquare(len(rows), tuple(rows))
-
-
-def hadamard_seq_to_json(seq) -> list:
-    return [matrix_to_json(m) for m in seq]
 
 
 def hadamard_seq_from_json(obj) -> list[ExactMatrix]:

@@ -28,8 +28,6 @@ from functools import lru_cache
 from math import gcd
 from types import MappingProxyType
 
-Rational = Fraction
-
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
@@ -530,16 +528,6 @@ class PhasedScalar:
     def is_symbol_free(self) -> bool:
         return all(not k for k in self.terms)
 
-    def is_single_term(self) -> bool:
-        return len(self.terms) == 1
-
-    def as_cyclotomic(self) -> Cyclotomic:
-        if not self.terms:
-            return Cyclotomic.zero(self.order)
-        if not self.is_symbol_free():
-            raise ValueError("scalar carries formal symbols")
-        return self.terms[()]
-
     def rational_value(self):
         if not self.terms:
             return _F0
@@ -701,10 +689,6 @@ class PhasedScalar:
             mono = "*".join(f"{s}^{e}" for s, e in key)
             bits.append(f"({c!r})*{mono}" if mono else repr(c))
         return f"Scalar({self.order}; " + " + ".join(bits) + ")"
-
-
-def as_scalar(value, order: int = 1) -> PhasedScalar:
-    return PhasedScalar.of(value, order)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import Cyclotomic, PhasedScalar, lcm, scalar_from_json, scalar_to_json
+from .cyclo import PhasedScalar, scalar_from_json, scalar_to_json
 
 _ZERO = PhasedScalar.zero(1)
 _F1 = Fraction(1)
@@ -90,9 +90,6 @@ class ExactMatrix:
 
     def entry(self, i: int, j: int) -> PhasedScalar:
         return self.entries[i * self.cols + j]
-
-    def row_list(self, i: int):
-        return list(self.entries[i * self.cols:(i + 1) * self.cols])
 
     # -- arithmetic --------------------------------------------------------
 
@@ -237,11 +234,6 @@ class ExactMatrix:
             if not (lhs == c * y):
                 return None
         return c
-
-    def value_key(self, order: int):
-        """Hashable fingerprint of the value (scale folded in), at a fixed
-        ambient order that every entry must promote into."""
-        return tuple((e * self.scale).promote(order).key() for e in self.entries)
 
     # -- structure ---------------------------------------------------------
 
@@ -395,14 +387,6 @@ def monomiality_report(matrices) -> MonomialityReport:
         zero_fraction=Fraction(zeros, total) if total else Fraction(0),
         per_matrix_nonzero=tuple(counts),
     )
-
-
-def common_order(matrices) -> int:
-    n = 1
-    for m in matrices:
-        for e in m.entries:
-            n = lcm(n, e.order)
-    return n
 
 
 # ---------------------------------------------------------------------------

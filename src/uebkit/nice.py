@@ -12,7 +12,8 @@ check in the ueb module confirms independently at small dimension.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import lcm
 from typing import Callable
 
 from .cyclo import Cyclotomic, PhasedScalar
@@ -99,16 +100,78 @@ def heisenberg_rep(d: int) -> ProjectiveRep:
     return ProjectiveRep(group, d, rho, label=f"heisenberg:{d}")
 
 
-def extract_cocycle(rep: ProjectiveRep, g, h) -> PhasedScalar:
+def extract_cocycle(rep: ProjectiveRep, g, h, phase=None) -> PhasedScalar:
     """omega(g, h) with rho(g) rho(h) = omega(g, h) rho(gh); raises
-    CocycleError when the product is not a unit multiple of rho(gh)."""
-    prod = rep.matrix(g) @ rep.matrix(h)
-    target = rep.matrix(rep.group.compose(g, h))
-    c = prod.equal_up_to_phase(target)
+    CocycleError when the product is not a unit multiple of rho(gh).
+    Given phase = _phase_form(...), no dense product is formed."""
+    gh = rep.group.compose(g, h)
+    if phase is None:
+        c = (rep.matrix(g) @ rep.matrix(h)).equal_up_to_phase(rep.matrix(gh))
+    else:
+        forms, zetas = phase
+        sg, eg, pg, qg = forms[g]
+        sh, eh, ph, qh = forms[h]
+        sgh, egh, pgh, qgh = forms[gh]
+        c = None
+        # lists: tuple(map(...)) would fill the interpreter's free list of
+        # d-tuples, which peak RSS showed as about 1 MiB over d = 2..12
+        if (pg * ph * qgh == pgh * qg * qh
+                and [sg[k] for k in sh] == sgh):
+            n = len(zetas)
+            shifts = {(eg[s] + e - f) % n for s, e, f in zip(sh, eh, egh)}
+            if len(shifts) == 1:
+                c = zetas[shifts.pop()]
     if c is None:
         raise CocycleError(f"rho({g}) rho({h}) is not a unit multiple of the "
                            f"composed member")
     return c
+
+
+def _phase_form(rep: ProjectiveRep, elems: list):
+    """(forms, zetas) when every member is monomial over roots of unity,
+    else None.
+
+    Such a member is a d x d ExactMatrix, symbol-free, one nonzero entry
+    per row and column, each a root of unity: +-zeta_n^k in Q(zeta_n),
+    so zeta_N^j for N = lcm(2, entry orders), as -1 = zeta_N^(N/2).
+    Then rho(g) = a sum_k zeta_N^e[k] |sigma[k]><k| with a = |scale| =
+    p/q and the sign of the scale folded into e; forms[g] is
+    (sigma, e, p, q) and zetas[j] is zeta_N^j.
+
+    The pair check of extract_cocycle is exact.  A_g A_h |k> =
+    zeta^(e_g[sigma_h[k]] + e_h[k]) |sigma_g(sigma_h(k))> for the
+    monomial parts, so rho(g) rho(h) = c rho(gh) for some c (nonzero, as
+    the product is) exactly when sigma_g o sigma_h = sigma_gh and
+    c = (a_g a_h / a_gh) zeta^(e_g[sigma_h[k]] + e_h[k] - e_gh[k]) for
+    every k, that is, when this exponent is one value mod N for all k
+    (zeta^x = zeta^y iff x = y mod N).  c has unit modulus exactly when
+    a_g a_h = a_gh.  Every test compares ints, so nothing is rounded.
+    """
+    data, n = [], 2
+    for g in elems:
+        m = rep.matrix(g)
+        if not isinstance(m, ExactMatrix):
+            return None
+        mono = m.monomial_data()
+        if mono is None or len(mono[0]) != rep.dim:
+            return None
+        sigma, values = mono
+        if not all(v.is_symbol_free() for v in values):
+            return None
+        n = lcm(n, *(v.order for v in values))
+        data.append((g, sigma, values, m.scale))
+    zetas = [Cyclotomic.zeta(n, j) for j in range(n)]
+    power = {z.key(): j for j, z in enumerate(zetas)}
+    half = n // 2
+    forms = {}
+    for g, sigma, values, scale in data:
+        exps = [power.get(v.terms[()].promote(n).key()) for v in values]
+        if None in exps:
+            return None
+        if scale < 0:
+            exps = [(e + half) % n for e in exps]
+        forms[g] = (sigma, exps, abs(scale.numerator), scale.denominator)
+    return forms, [PhasedScalar.of(z) for z in zetas]
 
 
 @dataclass
@@ -156,6 +219,7 @@ class NicenessReport:
     trace_ok: bool
     cocycle_ok: bool
     pair_mode: str
+    pair_route: str
     pairs_checked: int
     elements_checked: int
     seed: int | None = None
@@ -171,7 +235,8 @@ class NicenessReport:
             "label": self.label, "dim": self.dim, "group_order": self.group_order,
             "identity_ok": self.identity_ok, "unitary_ok": self.unitary_ok,
             "trace_ok": self.trace_ok, "cocycle_ok": self.cocycle_ok,
-            "pair_mode": self.pair_mode, "pairs_checked": self.pairs_checked,
+            "pair_mode": self.pair_mode, "pair_route": self.pair_route,
+            "pairs_checked": self.pairs_checked,
             "elements_checked": self.elements_checked, "seed": self.seed,
             "ok": self.ok, "failures": [str(f) for f in self.failures[:8]],
         }
@@ -185,6 +250,9 @@ def verify_nice(rep: ProjectiveRep, pair_mode: str = "all", seed: int | None = N
     pair_mode "all" sweeps every (g, h); "sampled" sweeps generator
     pairs in both orders plus sample_size seeded random pairs.  The
     identity, unitarity and trace conditions are always swept in full.
+    pair_route "phase": every member is monomial over roots of unity and
+    each pair was checked on permutations and exponents (_phase_form);
+    "matrix": dense products, also re-run when the phase route fails.
     """
     G = rep.group
     elems = list(G.elements())
@@ -209,89 +277,49 @@ def verify_nice(rep: ProjectiveRep, pair_mode: str = "all", seed: int | None = N
         trace_ok = False
         failures.append(("trace", G.identity))
 
-    if pair_mode == "all":
-        if len(elems) ** 2 > max_full_pairs:
-            raise ValueError("full pair sweep too large; use pair_mode='sampled'")
-        pairs = ((g, h) for g in elems for h in elems)
-    elif pair_mode == "sampled":
-        rng = random.Random(seed)
-        gens = list(G.generators)
-        fixed = [(g, h) for g in gens for h in elems]
-        fixed += [(h, g) for g in gens for h in elems]
-        rand = ((rng.choice(elems), rng.choice(elems)) for _ in range(sample_size))
-        pairs = iter(fixed + list(rand))
-    else:
-        raise ValueError(f"unknown pair_mode {pair_mode!r}")
+    pairs = _pair_source(G, elems, pair_mode, seed, sample_size,
+                         max_full_pairs)
 
-    cocycle_ok = True
-    pairs_checked = 0
-    for g, h in pairs:
-        pairs_checked += 1
-        try:
-            extract_cocycle(rep, g, h)
-        except CocycleError:
-            cocycle_ok = False
-            failures.append(("cocycle", g, h))
-            if len(failures) > 32:
-                break
+    def sweep(phase):
+        # None when the phase route meets a bad pair: the matrix route
+        # then re-runs the sweep, so one code path collects the failures
+        ok, checked = True, 0
+        for g, h in pairs():
+            checked += 1
+            try:
+                extract_cocycle(rep, g, h, phase)
+            except CocycleError:
+                if phase is not None:
+                    return None
+                ok = False
+                failures.append(("cocycle", g, h))
+                if len(failures) > 32:
+                    break
+        return ok, checked
+
+    phase = _phase_form(rep, elems)
+    result = None if phase is None else sweep(phase)
+    pair_route = "matrix" if result is None else "phase"
+    cocycle_ok, pairs_checked = result or sweep(None)
 
     return NicenessReport(
         label=rep.label, dim=rep.dim, group_order=G.order,
         identity_ok=identity_ok, unitary_ok=unitary_ok, trace_ok=trace_ok,
-        cocycle_ok=cocycle_ok, pair_mode=pair_mode, pairs_checked=pairs_checked,
-        elements_checked=len(elems), seed=seed, failures=tuple(failures))
+        cocycle_ok=cocycle_ok, pair_mode=pair_mode, pair_route=pair_route,
+        pairs_checked=pairs_checked, elements_checked=len(elems), seed=seed,
+        failures=tuple(failures))
 
 
-def det_normalize(rep: ProjectiveRep) -> tuple[ProjectiveRep, dict]:
-    """Rescale each member by a root of unity to determinant one.
-
-    Returns the rescaled representation and the scalar table.  Member
-    determinants must be roots of unity (true for any nice basis)."""
-    d = rep.dim
-    scalars = {}
-    table = {}
-    for g in rep.group.elements():
-        m = rep.matrix(g)
-        det = m.determinant()
-        order = det.root_of_unity_order()
-        if order is None:
-            raise ValueError(f"member {g} has determinant that is not a root "
-                             f"of unity")
-        j = next(k for k in range(order)
-                 if det == PhasedScalar.of(Cyclotomic.zeta(order) ** k))
-        c = PhasedScalar.of(Cyclotomic.zeta(order * d) ** ((-j) % (order * d)))
-        scalars[g] = c
-        table[g] = m.scalar_mul(c)
-    out = ProjectiveRep(rep.group, d, table.__getitem__,
-                        label=rep.label + "+det1")
-    return out, scalars
-
-
-def generated_group_order(matrices, limit: int = 20_000) -> int:
-    """Order of the matrix group generated by the given unitaries."""
-    from .exactmat import common_order
-    mats = list(matrices)
-    order = common_order(mats)
-    seen = {}
-    frontier = []
-    for m in mats:
-        k = m.value_key(order)
-        if k not in seen:
-            seen[k] = m
-            frontier.append(m)
-    ident = ExactMatrix.identity(mats[0].rows)
-    k = ident.value_key(order)
-    if k not in seen:
-        seen[k] = ident
-        frontier.append(ident)
-    while frontier:
-        g = frontier.pop()
-        for m in mats:
-            p = g @ m
-            k = p.value_key(order)
-            if k not in seen:
-                if len(seen) >= limit:
-                    raise ValueError("generated group exceeds limit")
-                seen[k] = p
-                frontier.append(p)
-    return len(seen)
+def _pair_source(G, elems, pair_mode, seed, sample_size, max_full_pairs):
+    """A function giving a fresh iterator over the same pairs each call."""
+    if pair_mode == "all":
+        if len(elems) ** 2 > max_full_pairs:
+            raise ValueError("full pair sweep too large; use pair_mode='sampled'")
+        return lambda: ((g, h) for g in elems for h in elems)
+    if pair_mode != "sampled":
+        raise ValueError(f"unknown pair_mode {pair_mode!r}")
+    rng = random.Random(seed)
+    pairs = [(g, h) for g in G.generators for h in elems]
+    pairs += [(h, g) for g in G.generators for h in elems]
+    pairs += [(rng.choice(elems), rng.choice(elems)) for _ in range(sample_size)]
+    return lambda: iter(pairs)

@@ -116,11 +116,14 @@ def test_construct_nice_heisenberg_is_nice_and_verifiable(capsys, tmp_path):
     named = checks_by_name(lines)
     assert named["niceness"]["ok"]
     assert named["niceness"]["details"]["pair_mode"] == "all"
+    assert named["niceness"]["details"]["pair_route"] == "phase"
     assert named["construct"]["details"]["members"] == 9
 
     rc, lines, _ = run(capsys, ["verify", "nice", f])
     assert rc == 0
-    assert checks_by_name(lines)["niceness"]["details"]["trace_ok"]
+    details = checks_by_name(lines)["niceness"]["details"]
+    assert details["trace_ok"]
+    assert details["pair_route"] == "phase"
 
 
 def test_verify_latin_distinguishes_failure_from_parse_error(capsys, tmp_path):

@@ -169,6 +169,8 @@ def test_niceness_report(report):
     assert n.identity_ok and n.unitary_ok and n.trace_ok and n.cocycle_ok
     assert n.elements_checked == 27_225
     assert n.pairs_checked == 336_700
+    # TensorTriple members: the sweep stays on the matrix route
+    assert n.pair_route == "matrix"
 
 
 def test_monomial_split(built, report):

@@ -5,15 +5,15 @@ import pytest
 
 from uebkit.cyclo import Cyclotomic, PhasedScalar
 from uebkit.exactmat import ExactMatrix
-from uebkit.groups import HeisenbergElement
+from uebkit.combinat import cyclic_latin, fourier_hadamard, h_alpha
+from uebkit.groups import CyclicGroup, DirectProduct, HeisenbergElement
+from uebkit import nice
 from uebkit.nice import (
     CocycleError,
     ProjectiveRep,
     clock_matrix,
     cocycle_table,
-    det_normalize,
     extract_cocycle,
-    generated_group_order,
     heisenberg_rep,
     pauli_rep,
     quadratic_diag,
@@ -126,26 +126,6 @@ def test_verify_nice_sampled_mode():
     assert report.pairs_checked == 2 * len(rep.group.generators) * 25 + 500
 
 
-def test_det_normalize_d2_closure():
-    rep = pauli_rep(2)
-    fixed, scalars = det_normalize(rep)
-    for g in fixed.group.elements():
-        assert fixed.matrix(g).determinant().is_one()
-    # the rescaled members generate the order-8 abstract error group
-    assert generated_group_order(fixed.members()) == 8
-    # before rescaling, X and Z have determinant -1
-    assert rep.matrix((1, 0)).determinant() == PhasedScalar.of(-1)
-
-
-def test_det_normalize_d3_closure():
-    rep = pauli_rep(3)
-    fixed, scalars = det_normalize(rep)
-    for g in fixed.group.elements():
-        assert fixed.matrix(g).determinant().is_one()
-    assert all(c.is_one() for c in scalars.values())
-    assert generated_group_order(fixed.members()) == 27
-
-
 def test_extract_cocycle_error():
     rep = pauli_rep(2)
     table = {g: rep.matrix(g) for g in rep.group.elements()}
@@ -153,3 +133,149 @@ def test_extract_cocycle_error():
     broken = ProjectiveRep(rep.group, 2, table.__getitem__)
     with pytest.raises(CocycleError):
         extract_cocycle(broken, (1, 0), (0, 1))
+
+
+# -- the phase route of the pair sweep ---------------------------------------
+
+
+def _replace(rep, g, member):
+    table = {k: rep.matrix(k) for k in rep.group.elements()}
+    table[g] = member
+    return ProjectiveRep(rep.group, rep.dim, table.__getitem__, label="mutant")
+
+
+def _swap_columns(m, a, b):
+    ents = list(m.entries)
+    for i in range(m.rows):
+        ents[i * m.cols + a], ents[i * m.cols + b] = \
+            ents[i * m.cols + b], ents[i * m.cols + a]
+    return ExactMatrix(m.rows, m.cols, ents, m.scale)
+
+
+def _set_first_nonzero(m, f):
+    ents = list(m.entries)
+    idx = next(i for i, e in enumerate(ents) if e.terms)
+    ents[idx] = f(ents[idx])
+    return ExactMatrix(m.rows, m.cols, ents, m.scale)
+
+
+def _sam_rep(latin, hadamard):
+    from uebkit.ueb import shift_and_multiply
+    basis = shift_and_multiply(latin, hadamard)
+    d = basis.d
+    table = dict(zip(basis.labels, basis.members))
+    return ProjectiveRep(DirectProduct(CyclicGroup(d), CyclicGroup(d)), d,
+                         table.__getitem__, label="sam")
+
+
+def _route_cases():
+    """(name, rep, route verify_nice should report)."""
+    cases = [(f"pauli:{d}", pauli_rep(d), "phase") for d in range(1, 7)]
+    cases.append(("heisenberg:3", heisenberg_rep(3), "phase"))
+    cases.append(("sam:cyclic:5,fourier:5",
+                  _sam_rep(cyclic_latin(5), fourier_hadamard(5)), "phase"))
+    p3, p5 = pauli_rep(3), pauli_rep(5)
+    x, z = p3.matrix((1, 0)), p3.matrix((1, 1))
+    cases += [
+        # bad pairs send the sweep back to the matrix route
+        ("swapped columns", _replace(p3, (1, 0), _swap_columns(x, 0, 1)),
+         "matrix"),
+        ("entry times zeta", _replace(p3, (1, 0), _set_first_nonzero(
+            x, lambda e: e * PhasedScalar.zeta(3))), "matrix"),
+        ("scale 2", _replace(p3, (1, 1), z.scalar_mul(2)), "matrix"),
+        # a sign is a unit phase: still nice, still the phase route
+        ("scale -1", _replace(p3, (1, 1), z.scalar_mul(-1)), "phase"),
+        # not a root of unity, or a formal symbol: not eligible
+        ("entry 1+zeta_5", _replace(p5, (1, 0), _set_first_nonzero(
+            p5.matrix((1, 0)),
+            lambda e: PhasedScalar.of(Cyclotomic.one(5) + Cyclotomic.zeta(5)))),
+         "matrix"),
+        ("sam:cyclic:4,alpha", _sam_rep(cyclic_latin(4), h_alpha()), "matrix"),
+    ]
+    return cases
+
+
+def _matrix_route(monkeypatch):
+    monkeypatch.setattr(nice, "_phase_form", lambda rep, elems: None)
+
+
+def test_phase_and_matrix_routes_give_the_same_report(monkeypatch):
+    cases = _route_cases()
+    fast = {}
+    for name, rep, route in cases:
+        report = verify_nice(rep, pair_mode="all")
+        assert report.pair_route == route, name
+        fast[name] = report.summary()
+    _matrix_route(monkeypatch)
+    for name, rep, _ in cases:
+        slow = verify_nice(rep, pair_mode="all").summary()
+        assert slow.pop("pair_route") == "matrix"
+        fast[name].pop("pair_route")
+        assert fast[name] == slow, name
+
+
+def test_phase_route_agrees_with_dense_products_pair_by_pair():
+    # each pair on its own, so a check the phase route dropped shows even
+    # where another pair of the same rep would still fail
+    checked = 0
+    for name, rep, _ in _route_cases():
+        elems = list(rep.group.elements())
+        phase = nice._phase_form(rep, elems)
+        if phase is None:
+            continue
+        for g in elems:
+            for h in elems:
+                try:
+                    want = extract_cocycle(rep, g, h)
+                except CocycleError:
+                    want = None
+                try:
+                    got = extract_cocycle(rep, g, h, phase)
+                except CocycleError:
+                    got = None
+                assert (got is None) == (want is None), (name, g, h)
+                assert got is None or got == want, (name, g, h)
+                checked += 1
+    assert checked > 2000
+
+
+def test_phase_form_eligibility():
+    rep = pauli_rep(4)
+    elems = list(rep.group.elements())
+    forms, zetas = nice._phase_form(rep, elems)
+    assert len(zetas) == 4 and zetas[1] == PhasedScalar.zeta(4)
+    # Z = diag(1, i, -1, -i): identity permutation, exponents 0..3
+    assert forms[(0, 1)] == ([0, 1, 2, 3], [0, 1, 2, 3], 1, 1)
+    # odd conductor: -1 needs N = 2 * 3
+    p3 = pauli_rep(3)
+    assert len(nice._phase_form(p3, list(p3.group.elements()))[1]) == 6
+    dense = _replace(rep, (1, 1), fourier_hadamard(4))
+    assert nice._phase_form(dense, elems) is None
+
+
+def test_failures_match_the_matrix_route(monkeypatch):
+    # more than 32 bad pairs: the sweep stops at the same pair either way
+    rep = pauli_rep(4)
+    bad = _replace(rep, (1, 0), _swap_columns(rep.matrix((1, 0)), 0, 2))
+    fast = verify_nice(bad, pair_mode="all")
+    _matrix_route(monkeypatch)
+    slow = verify_nice(bad, pair_mode="all")
+    assert fast.pair_route == slow.pair_route == "matrix"
+    assert len(fast.failures) == 33 and fast.pairs_checked < 4 ** 4
+    assert fast.failures == slow.failures
+    assert fast.pairs_checked == slow.pairs_checked
+
+
+def test_sampled_pairs_replay_identically():
+    rep = pauli_rep(3)
+    G = rep.group
+    elems = list(G.elements())
+    for seed in (None, 5):
+        pairs = nice._pair_source(G, elems, "sampled", seed, 40, 0)
+        first = list(pairs())
+        assert first == list(pairs())
+        assert len(first) == 2 * len(G.generators) * 9 + 40
+    rng = random.Random(5)
+    tail = [(rng.choice(elems), rng.choice(elems)) for _ in range(40)]
+    assert list(nice._pair_source(G, elems, "sampled", 5, 40, 0)())[-40:] == tail
+
