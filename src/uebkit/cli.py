@@ -31,7 +31,12 @@ from .combinat import (
     latin_from_json,
     validate_latin,
 )
-from .counterexample165 import build_g165, export_bundle, verify_counterexample
+from .counterexample165 import (
+    DEFAULT_SEED,
+    build_g165,
+    export_bundle,
+    verify_counterexample,
+)
 from .cyclo import PhasedScalar
 from .exactmat import matrix_from_json
 from .groups import (
@@ -66,8 +71,6 @@ from .ueb import (
     verify_ueb,
     wickedness_witness,
 )
-
-DEFAULT_SEED = 1650
 
 
 class InputError(Exception):

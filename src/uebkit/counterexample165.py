@@ -255,171 +255,60 @@ def build_conjugators(p: int, e: int = 3, seed: int = 0) -> ConjugatorSet:
 
 
 # ---------------------------------------------------------------------------
-# lazy tensor triples
-
-_IDENT: dict = {}
-_PHASE_MEMO: dict = {}
-
-# identity-keyed memos for slot products and slot phase comparisons;
-# only long-lived pool objects participate, and every stored entry
-# keeps references to its operands, so a hit is validated with `is`
-# before use and id reuse can never alias to a wrong result
-_POOL_IDS: set = set()
-_PROD_MEMO: dict = {}
-_EQ_MEMO: dict = {}
-_PROD_CAP = 8_192
-_EQ_CAP = 65_536
+# tensor triples
 
 
-def _reset_slot_memos():
-    _POOL_IDS.clear()
-    _PROD_MEMO.clear()
-    _EQ_MEMO.clear()
-
-
-def _register_slots(mats):
-    for m in mats:
-        _POOL_IDS.add(id(m))
-
-
-def _ident_cyc(d: int, p: int) -> CycMatrix:
-    m = _IDENT.get((d, p))
-    if m is None:
-        m = CycMatrix.identity(d, p)
-        _IDENT[(d, p)] = m
-    return m
-
-
-def _phase_product(parts) -> PhasedScalar:
-    ps = [PhasedScalar.of(c) for c in parts]
-    key = tuple(c.key() for c in ps)
-    v = _PHASE_MEMO.get(key)
-    if v is None:
-        v = PhasedScalar.one(1)
-        for c in ps:
-            v = v * c
-        _PHASE_MEMO[key] = v
-    return v
+_PRIMES = (3, 5, 11)
 
 
 class TensorTriple:
-    """A unitary on the 165-dimensional space held as three factors.
+    """A unitary on the 165-dimensional space held as three words of
+    pool keys and one central exponent.
 
-    Implements the slice of the matrix interface that the niceness
-    verifier consumes (identity and unitarity tests, trace, product,
-    comparison up to a unit phase), each delegated to the 3x3, 5x5 and
-    11x11 slots, so the index-group sweeps run at factor cost.  Slots
-    that are the shared identity objects pass through products
-    untouched, which keeps the generator sweeps cheap."""
+    words[0], words[1] and words[2] are tuples of 3-, 5- and 11-slot
+    pool keys of the owning FactorMap, () being the identity; the member
+    is zeta_165^z times the tensor product of the multiplied-out words.
+    A product concatenates the words slot by slot and adds the
+    exponents, with no arithmetic.  The slice of the matrix interface
+    that the niceness verifier consumes (identity and unitarity tests,
+    trace, comparison up to a unit phase) is answered by the FactorMap
+    at factor cost."""
 
-    __slots__ = ("slots", "_unitary")
+    __slots__ = ("fm", "words", "z")
+    dim = 165
 
-    def __init__(self, slots, unitary: Fraction | None = None):
-        self.slots = tuple(slots)
-        self._unitary = unitary
-
-    @property
-    def dim(self) -> int:
-        n = 1
-        for s in self.slots:
-            n *= s.d
-        return n
+    def __init__(self, fm: "FactorMap", words: tuple, z: int = 0):
+        self.fm = fm
+        self.words = words
+        self.z = z % 165
 
     def __matmul__(self, other: "TensorTriple") -> "TensorTriple":
-        out = []
-        for a, b in zip(self.slots, other.slots):
-            ia = _IDENT.get((a.d, a.p))
-            if a is ia:
-                out.append(b)
-                continue
-            if b is ia:
-                out.append(a)
-                continue
-            key = None
-            if id(a) in _POOL_IDS and id(b) in _POOL_IDS:
-                key = (id(a), id(b))
-                hit = _PROD_MEMO.get(key)
-                if hit is not None and hit[0] is a and hit[1] is b:
-                    out.append(hit[2])
-                    continue
-            r = a @ b
-            if key is not None and len(_PROD_MEMO) < _PROD_CAP:
-                _PROD_MEMO[key] = (a, b, r)
-                _POOL_IDS.add(id(r))
-            out.append(r)
-        u = None
-        if self._unitary is not None and other._unitary is not None:
-            u = self._unitary * other._unitary
-        return TensorTriple(out, u)
+        a3, a5, a11 = self.words
+        b3, b5, b11 = other.words
+        return TensorTriple(self.fm, (a3 + b3, a5 + b5, a11 + b11),
+                            self.z + other.z)
 
     def is_identity(self) -> bool:
         # slotwise identity up to phase, with the phases cancelling;
         # plain slotwise identity would miss sign flips like
         # (-I) (x) (-I) (x) I, which is the identity of the product
-        phases = []
-        for a in self.slots:
-            ia = _ident_cyc(a.d, a.p)
-            if a is ia:
-                continue
-            c = a.equal_up_to_phase(ia)
-            if c is None:
-                return False
-            phases.append(c)
-        return not phases or _phase_product(phases).is_one()
+        return self.fm.phase_exponent(
+            self, TensorTriple(self.fm, ((), (), ()))) == 0
 
     def is_scaled_unitary(self):
-        if self._unitary is None:
-            s = Fraction(1)
-            for a in self.slots:
-                si = to_exact(a).is_scaled_unitary()
-                if si is None:
-                    return None
-                s *= si
-            self._unitary = s
-        return self._unitary
+        # every key is a pool entry, verified unitary when the FactorMap
+        # was built, so every word is a unitary
+        return Fraction(1)
 
     def trace(self) -> PhasedScalar:
-        t = PhasedScalar.one(1)
-        for a in self.slots:
-            ta = a.trace()
-            if ta.is_zero():
-                return PhasedScalar.zero(1)
-            t = t * PhasedScalar.of(ta)
-        return t
+        return self.fm.trace(self)
 
     def equal_up_to_phase(self, other: "TensorTriple"):
-        phases = []
-        for a, b in zip(self.slots, other.slots):
-            if a is b:
-                continue
-            key = None
-            if id(a) in _POOL_IDS and id(b) in _POOL_IDS:
-                key = (id(a), id(b))
-                hit = _EQ_MEMO.get(key)
-                if hit is not None and hit[0] is a and hit[1] is b:
-                    c = hit[2]
-                    if c is None:
-                        return None
-                    if not c.is_one():
-                        phases.append(c)
-                    continue
-            c = a.equal_up_to_phase(b)
-            if c is None:
-                # general route for phases outside +-zeta_p^k
-                c = to_exact(a).equal_up_to_phase(to_exact(b))
-            if key is not None and len(_EQ_MEMO) < _EQ_CAP:
-                _EQ_MEMO[key] = (a, b, c)
-            if c is None:
-                return None
-            if not c.is_one():
-                phases.append(c)
-        if not phases:
-            return PhasedScalar.one(1)
-        return _phase_product(phases)
+        j = self.fm.phase_exponent(self, other)
+        return None if j is None else self.fm.zetas[j]
 
     def __repr__(self):
-        return ("TensorTriple(" +
-                " x ".join(str(a.d) for a in self.slots) + ")")
+        return f"TensorTriple({self.words!r}, z={self.z})"
 
 
 def _mask_monomial(a: CycMatrix) -> bool:
@@ -512,35 +401,39 @@ class FactorMap:
 
     Pool keys: the 3-slot by (x3, y3), the 5-slot by (x5, y5, x3), the
     11-slot by (x11, y11, y3); the stored values are Z^y X^x R^k
-    products.  A group element ((n5, n11), h) maps to pooled slots
-    phase-shifted by the three central exponents, so quotient
-    representatives (central exponents zero) hit the pools directly.
+    products.  A group element ((n5, n11), h) maps to the three pool
+    keys and the central exponent 55 h.z + 33 n5.z + 15 n11.z mod 165,
+    so quotient representatives (central exponents zero) hit the pools
+    directly.
 
     Every pool entry is verified unitary at build time (packed integer
     route for all entries, dense exact route on a seeded sample), which
-    is what entitles the triples to carry a cached unitarity scale 1."""
+    is what entitles every word of pool keys to unitarity scale 1.
+
+    Slot comparisons are memoized on the instance by value: _phases maps
+    (p, word_a, word_b) to the exponent j with word_a == zeta_330^j
+    word_b in the p-slot, or to None.  Slot phases are +-zeta_p^k and
+    the central phase is zeta_165^z, so every phase is a power of
+    zeta_330 and a comparison of triples adds exponents.  Only phases
+    are stored, never products, so the table is bounded by the slot
+    pairs a run compares."""
 
     def __init__(self, conj5: ConjugatorSet, conj11: ConjugatorSet,
                  seed: int = 0):
         self.conj5, self.conj11 = conj5, conj11
         rng = random.Random(seed)
-        self.exact3, self.fast3 = self._pool(3, None)
-        self.exact5, self.fast5 = self._pool(5, conj5.R)
-        self.exact11, self.fast11 = self._pool(11, conj11.R)
-        self.rearm_memos()
-        self.tr3 = {k: m.trace() for k, m in self.fast3.items()}
-        self.tr5 = {k: m.trace() for k, m in self.fast5.items()}
-        self.tr11 = {k: m.trace() for k, m in self.fast11.items()}
-        self.mono3 = {k: _mask_monomial(m) for k, m in self.fast3.items()}
-        self.mono5 = {k: _mask_monomial(m) for k, m in self.fast5.items()}
-        self.mono11 = {k: _mask_monomial(m) for k, m in self.fast11.items()}
+        # per-prime tables, each keyed by p and then by pool key
+        self.exact, self.fast = {}, {}
+        for p, r in ((3, None), (5, conj5.R), (11, conj11.R)):
+            self.exact[p], self.fast[p] = self._pool(p, r)
+        self.tr = {p: {k: m.trace() for k, m in pool.items()}
+                   for p, pool in self.fast.items()}
+        self.mono = {p: {k: _mask_monomial(m) for k, m in pool.items()}
+                     for p, pool in self.fast.items()}
         self._verify_pools(rng)
-
-    def rearm_memos(self):
-        """Drop accumulated slot caches, keep the pools registered."""
-        _reset_slot_memos()
-        for fast in (self.fast3, self.fast5, self.fast11):
-            _register_slots(fast.values())
+        self.zetas = [PhasedScalar.zeta(330, j) for j in range(330)]
+        self._power = {c.key(): j for j, c in enumerate(self.zetas)}
+        self._phases: dict = {}
 
     def _pool(self, p: int, r: ExactMatrix | None):
         x, z = shift_matrix(p), clock_matrix(p)
@@ -558,17 +451,12 @@ class FactorMap:
                 for k in range(len(rp)):
                     key = (xx, yy, k) if r is not None else (xx, yy)
                     exact[key] = base @ rp[k] if k else base
-        fast = {}
-        for key, m in exact.items():
-            zero = all(v == 0 for v in key)
-            fast[key] = _ident_cyc(p, p) if zero else from_exact(m, p)
-        return exact, fast
+        return exact, {key: from_exact(m, p) for key, m in exact.items()}
 
     def _verify_pools(self, rng):
-        for p, exact, fast in ((3, self.exact3, self.fast3),
-                               (5, self.exact5, self.fast5),
-                               (11, self.exact11, self.fast11)):
-            ident = _ident_cyc(p, p)
+        for p, exact in self.exact.items():
+            fast = self.fast[p]
+            ident = CycMatrix.identity(p, p)
             for key, cm in fast.items():
                 if not (cm @ cm.dagger() == ident):
                     raise ArithmeticError(f"pool entry {key} (p={p}) is not "
@@ -582,43 +470,90 @@ class FactorMap:
                     raise ArithmeticError(f"trace routes disagree at {key} "
                                           f"(p={p})")
 
-    def triple(self, g) -> TensorTriple:
+    @staticmethod
+    def _keys(g):
+        """The 3-, 5- and 11-slot pool keys of g and its central
+        exponent."""
         (n5, n11), h = g
-        s3 = self.fast3[(h.x, h.y)]
-        if h.z:
-            s3 = s3.phase_shift(h.z)
-        s5 = self.fast5[(n5.x, n5.y, h.x)]
-        if n5.z:
-            s5 = s5.phase_shift(n5.z)
-        s11 = self.fast11[(n11.x, n11.y, h.y)]
-        if n11.z:
-            s11 = s11.phase_shift(n11.z)
-        return TensorTriple((s3, s5, s11), unitary=Fraction(1))
+        return ((h.x, h.y), (n5.x, n5.y, h.x), (n11.x, n11.y, h.y),
+                (55 * h.z + 33 * n5.z + 15 * n11.z) % 165)
+
+    def triple(self, g) -> TensorTriple:
+        k3, k5, k11, z = self._keys(g)
+        return TensorTriple(self, tuple([(k,) if any(k) else ()
+                                         for k in (k3, k5, k11)]), z)
 
     def exact_matrix(self, g) -> ExactMatrix:
         """The dense 165 x 165 member, for export and dense checks."""
-        (n5, n11), h = g
-        e3 = self.exact3[(h.x, h.y)]
-        e5 = self.exact5[(n5.x, n5.y, h.x)]
-        e11 = self.exact11[(n11.x, n11.y, h.y)]
-        offset = (55 * h.z + 33 * n5.z + 15 * n11.z) % 165
-        return _tensor165(e3, e5, e11, offset)
+        k3, k5, k11, z = self._keys(g)
+        exact = self.exact
+        return _tensor165(exact[3][k3], exact[5][k5], exact[11][k11], z)
+
+    def word_matrix(self, p: int, word: tuple) -> CycMatrix:
+        """The packed product of a word of p-slot pool keys."""
+        pool = self.fast[p]
+        m = pool[word[0]] if word else CycMatrix.identity(p, p)
+        for key in word[1:]:
+            m = m @ pool[key]
+        return m
+
+    def phase_exponent(self, a: TensorTriple, b: TensorTriple):
+        """The j with a == zeta_330^j b, or None when no unit phase
+        relates them: a tensor product of nonzero factors is a multiple
+        of another exactly when every factor is."""
+        j = 2 * (a.z - b.z)
+        phases = self._phases
+        for p, wa, wb in zip(_PRIMES, a.words, b.words):
+            if wa == wb:
+                continue
+            key = (p, wa, wb)
+            try:
+                k = phases[key]
+            except KeyError:
+                k = phases[key] = self._slot_phase(p, wa, wb)
+            if k is None:
+                return None
+            j += k
+        return j % 330
+
+    def _slot_phase(self, p: int, wa: tuple, wb: tuple):
+        a, b = self.word_matrix(p, wa), self.word_matrix(p, wb)
+        c = a.equal_up_to_phase(b)
+        if c is None:
+            # general route for phases outside +-zeta_p^k
+            c = to_exact(a).equal_up_to_phase(to_exact(b))
+            if c is None:
+                return None
+        return self._power[PhasedScalar.of(c).promote(330).key()]
+
+    def trace(self, t: TensorTriple) -> PhasedScalar:
+        out = PhasedScalar.one(1)
+        for p, w in zip(_PRIMES, t.words):
+            if len(w) == 1:
+                tw = self.tr[p][w[0]]
+            else:
+                tw = self.word_matrix(p, w).trace()
+            if tw.is_zero():
+                return PhasedScalar.zero(1)
+            out = out * PhasedScalar.of(tw)
+        return out * self.zetas[2 * t.z] if t.z else out
 
     def trace_parts(self, g):
         """Slot traces, zero short-circuit; None marks not-reached."""
-        (n5, n11), h = g
-        t3 = self.tr3[(h.x, h.y)]
+        k3, k5, k11, _ = self._keys(g)
+        tr = self.tr
+        t3 = tr[3][k3]
         if t3.is_zero():
             return t3, None, None
-        t5 = self.tr5[(n5.x, n5.y, h.x)]
+        t5 = tr[5][k5]
         if t5.is_zero():
             return t3, t5, None
-        return t3, t5, self.tr11[(n11.x, n11.y, h.y)]
+        return t3, t5, tr[11][k11]
 
     def slot_monomial(self, g) -> bool:
-        (n5, n11), h = g
-        return (self.mono3[(h.x, h.y)] and self.mono5[(n5.x, n5.y, h.x)]
-                and self.mono11[(n11.x, n11.y, h.y)])
+        k3, k5, k11, _ = self._keys(g)
+        mono = self.mono
+        return mono[3][k3] and mono[5][k5] and mono[11][k11]
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +670,7 @@ def _check_generators(G, factors: FactorMap) -> bool:
     X3(x)R5(x)I, Z3(x)I(x)R11."""
     f5 = from_exact(factors.conj5.R, 5)
     f11 = from_exact(factors.conj11.R, 11)
-    i3, i5, i11 = _ident_cyc(3, 3), _ident_cyc(5, 5), _ident_cyc(11, 11)
+    i3, i5, i11 = (CycMatrix.identity(p, p) for p in _PRIMES)
     want = [
         (i3, from_exact(shift_matrix(5), 5), i11),
         (i3, from_exact(clock_matrix(5), 5), i11),
@@ -746,7 +681,8 @@ def _check_generators(G, factors: FactorMap) -> bool:
     ]
     for gen, slots in zip(G.generators, want):
         got = factors.triple(gen)
-        if not all(a == b for a, b in zip(got.slots, slots)):
+        if got.z or not all(factors.word_matrix(p, w) == b for p, w, b
+                            in zip(_PRIMES, got.words, slots)):
             return False
     # one dense witness: the first twisted generator materializes to
     # X3 (x) R5 (x) I11 entrywise
@@ -851,7 +787,6 @@ def verify_counterexample(g: G165, seed: int = DEFAULT_SEED,
     matrices for the generators and a seeded member sample and compared
     against the factor-level answer."""
     fm = g.factors
-    fm.rearm_memos()
     rng = random.Random(seed)
     carrier = list(g.quotient.elements())
 
@@ -872,15 +807,17 @@ def verify_counterexample(g: G165, seed: int = DEFAULT_SEED,
     niceness = verify_nice(g.rep, pair_mode="sampled", seed=seed,
                            sample_size=pair_samples)
 
+    # from dense matrices: in factor form a central member is its
+    # exponent alone, so comparing triples would only restate z
     center_scalars_ok = True
-    ident_t = fm.triple(g.quotient.identity)
+    ident = ExactMatrix.identity(165)
     for z in (((HeisenbergElement(5, 0, 0, 1), HeisenbergElement(11, 0, 0, 0)),
                HeisenbergElement(3, 0, 0, 0)),
               ((HeisenbergElement(5, 0, 0, 0), HeisenbergElement(11, 0, 0, 1)),
                HeisenbergElement(3, 0, 0, 0)),
               ((HeisenbergElement(5, 0, 0, 0), HeisenbergElement(11, 0, 0, 0)),
                HeisenbergElement(3, 0, 0, 1))):
-        c = fm.triple(z).equal_up_to_phase(ident_t)
+        c = fm.exact_matrix(z).equal_up_to_phase(ident)
         if c is None or c.is_one() or not c.is_unit_modulus():
             center_scalars_ok = False
 
@@ -907,7 +844,7 @@ def verify_counterexample(g: G165, seed: int = DEFAULT_SEED,
 
     # dual-route agreement: packed slot algebra against the dense layer
     cross = 0
-    for fast, exact in ((fm.fast5, fm.exact5), (fm.fast11, fm.exact11)):
+    for fast, exact in ((fm.fast[p], fm.exact[p]) for p in (5, 11)):
         keys = sorted(exact)
         for _ in range(10):
             ka, kb = rng.choice(keys), rng.choice(keys)
@@ -928,9 +865,11 @@ def verify_counterexample(g: G165, seed: int = DEFAULT_SEED,
     # twisted slot included, against the generic tensor route
     probe = ((HeisenbergElement(5, 1, 2, 3), HeisenbergElement(11, 4, 5, 6)),
              HeisenbergElement(3, 1, 0, 2))
-    slow = (fm.exact3[(1, 0)].scalar_mul(PhasedScalar.zeta(3) ** 2)
-            .tensor(fm.exact5[(1, 2, 1)].scalar_mul(PhasedScalar.zeta(5) ** 3))
-            .tensor(fm.exact11[(4, 5, 0)].scalar_mul(PhasedScalar.zeta(11) ** 6)))
+    slow = (fm.exact[3][(1, 0)].scalar_mul(PhasedScalar.zeta(3) ** 2)
+            .tensor(fm.exact[5][(1, 2, 1)]
+                    .scalar_mul(PhasedScalar.zeta(5) ** 3))
+            .tensor(fm.exact[11][(4, 5, 0)]
+                    .scalar_mul(PhasedScalar.zeta(11) ** 6)))
     if fm.exact_matrix(probe) != slow:
         cross_ok = False
     cross += 1
@@ -978,9 +917,8 @@ def export_bundle(g: G165, factors_only: bool = True) -> dict:
         "quotient_order": g.quotient.order,
         "center_order": len(g.center),
         "conjugators": {"5": conj_json(g.conj5), "11": conj_json(g.conj11)},
-        "factor_pools": {"3": pool_json(fm.exact3),
-                         "5": pool_json(fm.exact5),
-                         "11": pool_json(fm.exact11)},
+        "factor_pools": {str(p): pool_json(pool)
+                         for p, pool in fm.exact.items()},
         "generators": [str(t) for t in g.group.generators],
         "caveat": CAVEAT,
     }

@@ -110,9 +110,6 @@ class CycMatrix:
     def entry(self, i: int, j: int) -> Cyclotomic:
         return _vec_cyc(self.p, self.a[i, j], self.scale)
 
-    def is_zero_matrix(self) -> bool:
-        return not self.canon_array().any()
-
     def __eq__(self, other):
         if not isinstance(other, CycMatrix):
             return NotImplemented

@@ -176,10 +176,6 @@ class HeisenbergGroup(FiniteGroup):
         self.generators = (HeisenbergElement(d, 1, 0, 0),
                            HeisenbergElement(d, 0, 1, 0))
 
-    def make(self, x: int, y: int, z: int) -> HeisenbergElement:
-        d = self.d
-        return HeisenbergElement(d, x % d, y % d, z % d)
-
     def compose(self, a: HeisenbergElement, b: HeisenbergElement):
         d = self.d
         if a.d != d or b.d != d:
@@ -323,10 +319,10 @@ class DirectProduct(FiniteGroup):
         self.generators = tuple(gens)
 
     def compose(self, a, b):
-        return tuple(f.compose(x, y) for f, x, y in zip(self.factors, a, b))
+        return tuple([f.compose(x, y) for f, x, y in zip(self.factors, a, b)])
 
     def inverse(self, a):
-        return tuple(f.inverse(x) for f, x in zip(self.factors, a))
+        return tuple([f.inverse(x) for f, x in zip(self.factors, a)])
 
     def elements(self):
         return itertools.product(*(f.elements() for f in self.factors))

@@ -205,8 +205,13 @@ def cocycle_table(rep: ProjectiveRep, pair_limit: int = 250_000) -> Cocycle:
     elems = list(rep.group.elements())
     if len(elems) ** 2 > pair_limit:
         raise ValueError("index group too large for a full cocycle table")
-    values = {(g, h): extract_cocycle(rep, g, h) for g in elems for h in elems}
-    return Cocycle(rep.group, values)
+
+    # pairs as in verify_nice: the phase route when every member is
+    # monomial over roots of unity (exact, so a bad pair raises the same
+    # CocycleError as on dense products), else dense products
+    phase = _phase_form(rep, elems)
+    return Cocycle(rep.group, {(g, h): extract_cocycle(rep, g, h, phase)
+                               for g in elems for h in elems})
 
 
 @dataclass

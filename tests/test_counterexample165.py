@@ -1,11 +1,15 @@
+import cmath
+import random
 from fractions import Fraction
+from types import MethodType, SimpleNamespace
 
+import numpy as np
 import pytest
 
 from uebkit.counterexample165 import (
     ConjugatorError,
+    FactorMap,
     TensorTriple,
-    _ident_cyc,
     _tensor165,
     build_conjugators,
     conjugation_automorphism,
@@ -14,7 +18,6 @@ from uebkit.counterexample165 import (
 )
 from uebkit.cyclo import Cyclotomic, PhasedScalar
 from uebkit.exactmat import ExactMatrix, monomiality_report
-from uebkit.fastcyc import CycMatrix
 from uebkit.groups import (
     HeisenbergElement,
     HeisenbergGroup,
@@ -110,21 +113,153 @@ def test_weyl_decompose_rejects_dense_and_zero():
 # tensor triples
 
 
-def test_triple_identity_needs_cancelling_phases():
-    i3, i5, i11 = _ident_cyc(3, 3), _ident_cyc(5, 5), _ident_cyc(11, 11)
-    n3 = CycMatrix(3, i3.a, Fraction(-1))
-    n5 = CycMatrix(5, i5.a, Fraction(-1))
-    assert TensorTriple((i3, i5, i11)).is_identity()
-    assert TensorTriple((n3, n5, i11)).is_identity()
-    assert not TensorTriple((n3, i5, i11)).is_identity()
+def test_triple_identity_needs_cancelling_phases(built):
+    fm = built.factors
+    r = (0, 0, 1)                        # the 11-slot pool entry R11
+    cubed = PhasedScalar.of(Cyclotomic(11, {2: Fraction(-1)}))
+    assert TensorTriple(fm, ((), (), ())).is_identity()
+    t = TensorTriple(fm, ((), (), (r, r, r)))
+    assert t.equal_up_to_phase(TensorTriple(fm, ((), (), ()))) == cubed
+    # -zeta_11^2 carries a sign, which no central exponent cancels
+    assert not any(TensorTriple(fm, ((), (), (r,) * 3), z).is_identity()
+                   for z in range(165))
+    # its square zeta_11^4 = zeta_165^60 is cancelled by z = 105 only
+    assert TensorTriple(fm, ((), (), (r,) * 6), 105).is_identity()
+    assert not TensorTriple(fm, ((), (), (r,) * 6), 104).is_identity()
+    assert not TensorTriple(fm, ((), (), (r,) * 6)).is_identity()
 
 
-def test_triple_product_passes_identity_slots_through():
-    i3, i5, i11 = _ident_cyc(3, 3), _ident_cyc(5, 5), _ident_cyc(11, 11)
-    n3 = CycMatrix(3, i3.a, Fraction(-1))
-    t = TensorTriple((n3, i5, i11)) @ TensorTriple((i3, i5, i11))
-    assert t.slots[0] is n3
-    assert t.slots[1] is i5 and t.slots[2] is i11
+def test_slot_signs_cancel_across_slots():
+    # (-I) (x) (-I) (x) I is the identity and (-I) (x) I (x) I is not.
+    # No pool word carries a sign outside the 11-slot (R5^3 = I, and Z, X
+    # give only powers of zeta_p), so the two signs are fed to the
+    # exponent sum through a filled slot-phase table: -1 is zeta_330^165
+    def unexpected(p, wa, wb):
+        raise AssertionError(f"slot {p} compared {wa} with {wb}")
+
+    neg = ("neg",)
+    stub = SimpleNamespace(_phases={(3, neg, ()): 165, (5, neg, ()): 165},
+                           _slot_phase=unexpected)
+    stub.phase_exponent = MethodType(FactorMap.phase_exponent, stub)
+    assert TensorTriple(stub, (neg, neg, ())).is_identity()
+    assert not any(TensorTriple(stub, (neg, (), ()), z).is_identity()
+                   for z in range(165))
+    assert not TensorTriple(stub, (neg, neg, ()), 1).is_identity()
+
+
+def test_triple_product_passes_identity_slots_through(built):
+    fm = built.factors
+    ident = fm.triple(built.quotient.identity)
+    assert ident.words == ((), (), ()) and ident.z == 0
+    a = TensorTriple(fm, (((1, 0),), (), ()), 7)
+    b = TensorTriple(fm, ((), (), ((0, 0, 1),)), 160)
+    t = a @ b
+    assert t.words == (((1, 0),), (), ((0, 0, 1),)) and t.z == 2
+    assert (a @ ident).words == a.words and (ident @ b).words == b.words
+    assert (a @ a).words == (((1, 0), (1, 0)), (), ()) and (a @ a).z == 14
+
+
+def _twisted_members(built, rng, n):
+    """n seeded group elements with a nonzero central exponent and both
+    R slots twisted (x3 and y3 nonzero)."""
+    out = []
+    while len(out) < n:
+        g = built.group.random_element(rng)
+        h = g[1]
+        if h.x and h.y and FactorMap._keys(g)[3]:
+            out.append(g)
+    return out
+
+
+def _value(s: PhasedScalar) -> complex:
+    c = s.terms[()]
+    return sum(float(q) * cmath.exp(2j * cmath.pi * k / c.order)
+               for k, q in c.coeffs.items())
+
+
+def _complex(m: ExactMatrix) -> np.ndarray:
+    """m in complex128; _tensor165 shares entry objects between equal
+    entries, so each distinct object is evaluated once."""
+    seen = {}
+    out = np.zeros(m.rows * m.cols, dtype=complex)
+    for idx, e in enumerate(m.entries):
+        if e.terms:
+            v = seen.get(id(e))
+            if v is None:
+                v = seen[id(e)] = _value(e)
+            out[idx] = v
+    return out.reshape(m.rows, m.cols) * float(m.scale)
+
+
+def _twisted_pairs(built, seed=165, n=200):
+    rng = random.Random(seed)
+    members = _twisted_members(built, rng, 20)
+    return [(rng.choice(members), rng.choice(members)) for _ in range(n)]
+
+
+def test_triple_products_match_dense_members(built):
+    # the word-and-exponent route against dense 165 x 165 members: the
+    # members are materialized exactly, their product is formed in
+    # complex128, and the phases differ by far more than the tolerance
+    # (distinct 330th roots of unity are 0.019 apart)
+    fm, G = built.factors, built.group
+    dense = {}
+
+    def member(g):
+        if g not in dense:
+            dense[g] = _complex(fm.exact_matrix(g))
+        return dense[g]
+
+    phases = set()
+    for g, h in _twisted_pairs(built):
+        gh = G.compose(g, h)
+        prod = fm.triple(g) @ fm.triple(h)
+        assert all(len(w) == 2 for w in prod.words)
+        c = prod.equal_up_to_phase(fm.triple(gh))
+        assert c is not None and c.is_unit_modulus()
+        lhs, rhs = member(g) @ member(h), member(gh)
+        i, j = np.unravel_index(np.argmax(np.abs(rhs)), rhs.shape)
+        want = lhs[i, j] / rhs[i, j]
+        assert np.abs(lhs - want * rhs).max() < 1e-9
+        assert abs(_value(c) - want) < 1e-9, (g, h)
+        phases.add(c.key())
+    assert len(phases) > 1
+    # one exact dense product, affordable with an untwisted factor
+    g = ((HeisenbergElement(5, 1, 2, 3), HeisenbergElement(11, 4, 5, 6)),
+         HeisenbergElement(3, 1, 0, 2))
+    h = ((HeisenbergElement(5, 3, 0, 1), HeisenbergElement(11, 2, 7, 9)),
+         HeisenbergElement(3, 0, 0, 1))
+    c = (fm.triple(g) @ fm.triple(h)).equal_up_to_phase(
+        fm.triple(G.compose(g, h)))
+    want = (fm.exact_matrix(g) @ fm.exact_matrix(h)).equal_up_to_phase(
+        fm.exact_matrix(G.compose(g, h)))
+    assert c is not None and c == want
+
+
+def test_slot_memo_warm_and_cold_agree(built, report):
+    # nothing resets the memo: a map that has run the whole report and a
+    # fresh one give the same answers, mismatched pairs included
+    warm = built.factors
+    assert warm._phases
+    cold = FactorMap(built.conj5, built.conj11)
+    assert not cold._phases
+    G = built.group
+    pairs = _twisted_pairs(built, seed=7, n=100)
+    checks = [(g, h, G.compose(g, h)) for g, h in pairs]
+    checks += [(g, h, G.compose(h, g)) for g, h in pairs]
+    checks += [(g, h, g) for g, h in pairs[:20]]
+
+    def answers(fm):
+        out = []
+        for g, h, k in checks:
+            c = (fm.triple(g) @ fm.triple(h)).equal_up_to_phase(fm.triple(k))
+            out.append(None if c is None else c.key())
+        return out
+
+    first = answers(cold)
+    assert None in first and any(c is not None for c in first)
+    assert answers(cold) == first
+    assert answers(warm) == first
 
 
 def test_triple_trace_and_dim(built):
@@ -206,7 +341,7 @@ def test_dense_members_match_generic_tensor(built):
                                 ((0, 1), (3, 0, 0), (2, 9, 2), 56),
                                 ((2, 2), (4, 4, 2), (0, 0, 0), 164),
                                 ((1, 1), (0, 3, 0), (6, 1, 1), 33)):
-        e3, e5, e11 = fm.exact3[k3], fm.exact5[k5], fm.exact11[k11]
+        e3, e5, e11 = fm.exact[3][k3], fm.exact[5][k5], fm.exact[11][k11]
         want = e3.tensor(e5).tensor(e11).scalar_mul(zeta ** offset)
         assert _tensor165(e3, e5, e11, offset) == want
 

@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 
 from uebkit.cyclo import PhasedScalar
-from uebkit.groups import CyclicGroup, HeisenbergGroup, SubgroupView, center
+from uebkit.groups import (
+    CyclicGroup,
+    HeisenbergElement,
+    HeisenbergGroup,
+    SubgroupView,
+    center,
+)
 from uebkit.induce import (
     ClassFunction,
     character_rep,
@@ -52,8 +58,8 @@ def test_central_induction_character_values():
     chi = induce_character(psi, G)
     w = PhasedScalar.zeta(3)
     assert chi.value(G.identity) == PhasedScalar.of(9)
-    assert chi.value(G.make(0, 0, 1)) == w * 9
-    assert chi.value(G.make(0, 0, 2)) == w * w * 9
+    assert chi.value(HeisenbergElement(3, 0, 0, 1)) == w * 9
+    assert chi.value(HeisenbergElement(3, 0, 0, 2)) == w * w * 9
     for g in G.elements():
         if (g.x, g.y) != (0, 0):
             assert chi.value(g).is_zero()

@@ -266,6 +266,32 @@ def test_failures_match_the_matrix_route(monkeypatch):
     assert fast.pairs_checked == slow.pairs_checked
 
 
+def test_cocycle_table_routes_agree(monkeypatch):
+    reps = [pauli_rep(d) for d in range(2, 6)] + [heisenberg_rep(3)]
+    for rep in reps:
+        assert nice._phase_form(rep, list(rep.group.elements())) is not None
+    fast = [cocycle_table(rep).values for rep in reps]
+    _matrix_route(monkeypatch)
+    for rep, values in zip(reps, fast):
+        slow = cocycle_table(rep).values
+        assert values.keys() == slow.keys()
+        for pair, c in slow.items():
+            assert values[pair] == c, (rep.label, pair)
+
+
+def test_cocycle_table_bad_pair_raises(monkeypatch):
+    # the phase route raises at the same first bad pair as dense products
+    p3 = pauli_rep(3)
+    bad = _replace(p3, (1, 0), _swap_columns(p3.matrix((1, 0)), 0, 1))
+    assert nice._phase_form(bad, list(bad.group.elements())) is not None
+    with pytest.raises(CocycleError) as fast:
+        cocycle_table(bad)
+    _matrix_route(monkeypatch)
+    with pytest.raises(CocycleError) as slow:
+        cocycle_table(bad)
+    assert str(fast.value) == str(slow.value)
+
+
 def test_sampled_pairs_replay_identically():
     rep = pauli_rep(3)
     G = rep.group
