@@ -714,13 +714,26 @@ def scalar_to_json(s: PhasedScalar) -> dict:
     return {"order": s.order, "terms": terms}
 
 
+def _term_items(t: dict) -> tuple[tuple, tuple]:
+    coeffs, symbols = t["coeffs"], t.get("symbols", {})
+    if not (isinstance(coeffs, dict) and isinstance(symbols, dict)):
+        raise ValueError("'coeffs' and 'symbols' must be JSON objects")
+    return tuple(coeffs.items()), tuple(symbols.items())
+
+
+def scalar_json_key(obj: dict):
+    """Hashable raw form of a flat entry, None for a multi-term one.  Equal
+    keys decode to equal scalars, so a decoder may decode each key once."""
+    return None if "terms" in obj else (obj["order"], *_term_items(obj))
+
+
 def scalar_from_json(obj: dict) -> PhasedScalar:
     order = int(obj["order"])
 
     def parse_term(t) -> PhasedScalar:
-        c = Cyclotomic(order, {int(k): Fraction(v) for k, v in t["coeffs"].items()})
-        key = tuple(sorted((str(name), int(e))
-                           for name, e in t.get("symbols", {}).items() if int(e)))
+        coeffs, symbols = _term_items(t)
+        c = Cyclotomic(order, {int(k): Fraction(v) for k, v in coeffs})
+        key = tuple(sorted((str(name), int(e)) for name, e in symbols if int(e)))
         for name, _ in key:
             declare_phase_symbol(name)
         if c.is_zero():
@@ -728,6 +741,8 @@ def scalar_from_json(obj: dict) -> PhasedScalar:
         return PhasedScalar(order, {key: c}, _canonical=True)
 
     if "terms" in obj:
+        if not isinstance(obj["terms"], list):
+            raise ValueError("'terms' must be a JSON array")
         out = PhasedScalar.zero(order)
         for t in obj["terms"]:
             out = out + parse_term(t)

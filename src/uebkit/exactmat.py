@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import PhasedScalar, scalar_from_json, scalar_to_json
+from .cyclo import PhasedScalar, scalar_from_json, scalar_json_key, scalar_to_json
 
 _ZERO = PhasedScalar.zero(1)
 _F1 = Fraction(1)
@@ -390,19 +390,38 @@ def monomiality_report(matrices) -> MonomialityReport:
 
 
 # ---------------------------------------------------------------------------
-# JSON
+# JSON.  Basis files repeat few distinct entries (48/49 of an induced
+# heisenberg:7 member is zero): code each distinct entry once per call.
 
 
 def matrix_to_json(m: ExactMatrix) -> dict:
+    """Equal entries share one JSON object, so treat the result as read-only."""
+    memo: dict = {}
+    entries = []
+    for e in m.entries:
+        k = e.key() if e.terms else e.order  # a zero's JSON carries its order
+        obj = memo.get(k)
+        if obj is None:
+            obj = memo[k] = scalar_to_json(e)
+        entries.append(obj)
     return {
         "rows": m.rows,
         "cols": m.cols,
         "scale": str(m.scale),
-        "entries": [scalar_to_json(e) for e in m.entries],
+        "entries": entries,
     }
 
 
 def matrix_from_json(obj: dict) -> ExactMatrix:
-    return ExactMatrix(int(obj["rows"]), int(obj["cols"]),
-                       [scalar_from_json(e) for e in obj["entries"]],
+    memo: dict = {}
+    entries = []
+    for e in obj["entries"]:
+        k = scalar_json_key(e)
+        v = memo.get(k)  # None, the key of a multi-term entry, is never stored
+        if v is None:
+            v = scalar_from_json(e)
+            if k is not None:
+                memo[k] = v
+        entries.append(v)
+    return ExactMatrix(int(obj["rows"]), int(obj["cols"]), entries,
                        Fraction(obj["scale"]))

@@ -1,5 +1,6 @@
 """End-to-end runs of the command line front end through main(argv)."""
 
+import hashlib
 import json
 import os
 
@@ -288,6 +289,51 @@ def test_parse_and_spec_errors_exit_2(capsys, tmp_path):
     assert main(["construct", "pauli:2", "--factors-only",
                  "--out", str(tmp_path / "x")]) == 2
     capsys.readouterr()
+
+
+_MALFORMED = {
+    "coeffs-list": lambda e: dict(e, coeffs=[1]),
+    "symbols-list": lambda e: dict(e, symbols=[["t", 1]]),
+    "order-missing": lambda e: {k: v for k, v in e.items() if k != "order"},
+    "order-zero": lambda e: dict(e, order=0),
+    "bad-rational": lambda e: dict(e, coeffs={"0": "x/y"}),
+    "bad-symbol": lambda e: dict(e, symbols={"1bad": 1}),
+    "int-entry": lambda e: 5,
+}
+
+
+@pytest.mark.parametrize("where", [0, 3])
+@pytest.mark.parametrize("kind", sorted(_MALFORMED))
+def test_malformed_basis_entry_exits_2(capsys, tmp_path, kind, where):
+    # Entry 3 of the identity repeats entry 0, so the matrix decoder has
+    # already seen the value that the malformed copy stands in for.
+    f = str(tmp_path / "pauli2.json")
+    assert main(["construct", "pauli:2", "--out", f]) == 0
+    capsys.readouterr()
+    obj = json.load(open(f))
+    entries = obj["members"][0]["entries"]
+    assert entries[3] == entries[0]
+    entries[where] = _MALFORMED[kind](entries[0])
+    open(f, "w").write(json.dumps(obj))
+    rc, lines, err = run(capsys, ["verify", "ueb", f])
+    assert rc == 2
+    assert "basis file" in lines[0]["error"]
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("argv, sha256", [
+    (["construct", "pauli:3"],
+     "025d9dce5a3c970f4019cefb8364e7a03ff124bb109f57d87897bd6327e854cf"),
+    (["construct", "sam", "cyclic:4", "alpha"],
+     "dbdea2dd068f4f5bb43585f08e8e4f525bde0d28fd7cf95910782b03eba3593d"),
+    (["analyze", "induce", "heisenberg:3"],
+     "6ced9780ca3f61fb1c1929f320ecd1f3fcd39fad18a33965976da81e7f9b6368"),
+])
+def test_written_file_bytes_are_pinned(capsys, tmp_path, argv, sha256):
+    f = tmp_path / "out.json"
+    assert main(argv + ["--out", str(f)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(f.read_bytes()).hexdigest() == sha256
 
 
 def test_usage_errors_exit_2(capsys):

@@ -1,9 +1,16 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from uebkit.cyclo import Cyclotomic, PhasedScalar, declare_phase_symbol
+from uebkit.cyclo import (
+    Cyclotomic,
+    PhasedScalar,
+    declare_phase_symbol,
+    scalar_from_json,
+    scalar_to_json,
+)
 from uebkit.exactmat import (
     ExactMatrix,
     matrix_from_json,
@@ -160,3 +167,44 @@ def test_json_round_trip():
     for m in mats:
         back = matrix_from_json(matrix_to_json(m))
         assert back == m and back.scale == m.scale
+
+
+def test_json_codec_matches_per_entry_route():
+    # The matrix codec codes each distinct entry once; the plain per-entry
+    # route through scalar_to_json / scalar_from_json must agree with it.
+    declare_phase_symbol("t")
+    t = PhasedScalar.symbol("t")
+    z6 = PhasedScalar.zero(6)
+    mats = [
+        ExactMatrix(3, 3, fourier(3).entries, Fraction(-2, 3)),
+        ExactMatrix(2, 3, [PhasedScalar.zero(1), z6, PhasedScalar.zeta(6),
+                           z6, PhasedScalar.zero(1), PhasedScalar.zeta(6)]),
+        ExactMatrix.diagonal([t, t ** -1, t, PhasedScalar.one(), t ** -1]),
+        ExactMatrix.diagonal([PhasedScalar.one() + t] * 3),
+        ExactMatrix.diagonal([PhasedScalar.zeta(12, 5) * Fraction(1, 2)] * 2
+                             + [PhasedScalar.of(Fraction(-3, 7), 4)]),
+    ]
+    for m in mats:
+        obj = matrix_to_json(m)
+        plain = {"rows": m.rows, "cols": m.cols, "scale": str(m.scale),
+                 "entries": [scalar_to_json(e) for e in m.entries]}
+        assert json.dumps(obj, sort_keys=True) == \
+            json.dumps(plain, sort_keys=True)
+        fast = matrix_from_json(json.loads(json.dumps(obj)))
+        slow = [scalar_from_json(e) for e in obj["entries"]]
+        assert len(fast.entries) == len(slow)
+        for a, b in zip(fast.entries, slow):
+            assert a == b and a.order == b.order
+        assert fast.scale == m.scale
+
+
+def test_json_decode_ignores_coefficient_key_order():
+    one = {"order": 1, "coeffs": {"0": "1"}, "symbols": {}}
+    a = {"order": 6, "coeffs": {"0": "1/2", "1": "-3"}, "symbols": {}}
+    b = {"order": 6, "coeffs": {"1": "-3", "0": "1/2"}, "symbols": {}}
+    m = matrix_from_json({"rows": 2, "cols": 2, "scale": "1",
+                          "entries": [a, one, one, b]})
+    assert m.entries[0] == m.entries[3]
+    assert m.entries[0].order == m.entries[3].order == 6
+    assert m.entries[0] == PhasedScalar.of(
+        Cyclotomic(6, {0: Fraction(1, 2), 1: -3}))
