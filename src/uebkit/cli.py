@@ -37,7 +37,7 @@ from .counterexample165 import (
     export_bundle,
     verify_counterexample,
 )
-from .cyclo import PhasedScalar
+from .cyclo import PhasedScalar, json_int
 from .exactmat import matrix_from_json
 from .groups import (
     CyclicGroup,
@@ -421,7 +421,8 @@ def _analyze_induce(args, report: RunReport) -> None:
         if not isinstance(obj, dict) or "group" not in obj:
             raise InputError('induce file needs {"group": "heisenberg:<d>"}')
         spec = str(obj["group"])
-        power = int(obj.get("power", 1))
+        power = _parse(lambda o: json_int(o.get("power", 1), "'power'"),
+                       obj, "induce file")
     else:
         spec = target
     head, _, rest = spec.partition(":")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclo import Cyclotomic, PhasedScalar, declare_phase_symbol
+from .cyclo import Cyclotomic, PhasedScalar, declare_phase_symbol, json_int
 from .exactmat import ExactMatrix, matrix_from_json
 
 
@@ -126,7 +126,7 @@ def latin_to_json(sq: LatinSquare) -> list:
 
 
 def latin_from_json(obj) -> LatinSquare:
-    rows = [tuple(int(v) for v in r) for r in obj]
+    rows = [tuple(json_int(v, "a Latin square cell") for v in r) for r in obj]
     return LatinSquare(len(rows), tuple(rows))
 
 

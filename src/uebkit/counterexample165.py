@@ -147,8 +147,8 @@ def conjugation_automorphism(group: HeisenbergGroup, u: ExactMatrix,
 def _rho_cyc(group: HeisenbergGroup, g: HeisenbergElement) -> CycMatrix:
     """zeta^z Z^y X^x in packed form; small, built on the fly."""
     p = group.d
-    m = from_exact((clock_matrix(p) ** g.y) @ (shift_matrix(p) ** g.x), p)
-    return m.phase_shift(g.z)
+    m = (clock_matrix(p) ** g.y) @ (shift_matrix(p) ** g.x)
+    return from_exact(m.scalar_mul(PhasedScalar.zeta(p, g.z)), p)
 
 
 def _exponent_action(images: dict, p: int) -> SL2Element:

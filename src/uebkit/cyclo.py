@@ -714,26 +714,39 @@ def scalar_to_json(s: PhasedScalar) -> dict:
     return {"order": s.order, "terms": terms}
 
 
+def json_int(v, what: str) -> int:
+    """v itself if it is a JSON integer.  Floats and booleans are refused
+    rather than truncated: 1.9, 1.0 and true are not 1."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"{what} must be an integer, not {v!r}")
+    return v
+
+
 def _term_items(t: dict) -> tuple[tuple, tuple]:
     coeffs, symbols = t["coeffs"], t.get("symbols", {})
     if not (isinstance(coeffs, dict) and isinstance(symbols, dict)):
         raise ValueError("'coeffs' and 'symbols' must be JSON objects")
+    for e in symbols.values():
+        json_int(e, "a symbol exponent")
     return tuple(coeffs.items()), tuple(symbols.items())
 
 
 def scalar_json_key(obj: dict):
     """Hashable raw form of a flat entry, None for a multi-term one.  Equal
-    keys decode to equal scalars, so a decoder may decode each key once."""
-    return None if "terms" in obj else (obj["order"], *_term_items(obj))
+    keys decode to equal scalars, so a decoder may decode each key once.
+    The integer fields are checked first: 1.0 and true equal 1 as keys."""
+    if "terms" in obj:
+        return None
+    return (json_int(obj["order"], "'order'"), *_term_items(obj))
 
 
 def scalar_from_json(obj: dict) -> PhasedScalar:
-    order = int(obj["order"])
+    order = json_int(obj["order"], "'order'")
 
     def parse_term(t) -> PhasedScalar:
         coeffs, symbols = _term_items(t)
         c = Cyclotomic(order, {int(k): Fraction(v) for k, v in coeffs})
-        key = tuple(sorted((str(name), int(e)) for name, e in symbols if int(e)))
+        key = tuple(sorted((str(name), e) for name, e in symbols if e))
         for name, _ in key:
             declare_phase_symbol(name)
         if c.is_zero():

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import PhasedScalar, scalar_from_json, scalar_json_key, scalar_to_json
+from .cyclo import (PhasedScalar, json_int, scalar_from_json, scalar_json_key,
+                    scalar_to_json)
 
 _ZERO = PhasedScalar.zero(1)
 _F1 = Fraction(1)
@@ -423,5 +424,6 @@ def matrix_from_json(obj: dict) -> ExactMatrix:
             if k is not None:
                 memo[k] = v
         entries.append(v)
-    return ExactMatrix(int(obj["rows"]), int(obj["cols"]), entries,
+    return ExactMatrix(json_int(obj["rows"], "'rows'"),
+                       json_int(obj["cols"], "'cols'"), entries,
                        Fraction(obj["scale"]))

@@ -7,12 +7,12 @@ redundant (1 + x + ... + x^{p-1} maps to zero); canon() subtracts the
 top coefficient, which is a complete normal form because Phi_p has
 degree p - 1.
 
-Products are cyclic convolutions.  Small coefficients go through a
-float64 BLAS matmul, which is exact as long as every intermediate
-integer stays below 2**52; mid-sized ones use an int64 einsum; anything
-larger is routed through the dense exact layer.  Every path is exact.
-This module trades generality for speed; anything with symbols or
-composite conductor stays in exactmat.
+Products are cyclic convolutions, formed as one int64 matmul against
+the circulant expansion of the right factor while a bound on every
+partial sum keeps it inside int64; larger coefficients are routed
+through the dense exact layer.  Every path is exact.  This module trades
+generality for speed; anything with symbols or composite conductor
+stays in exactmat.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .cyclo import Cyclotomic, PhasedScalar, _reduce
 from .exactmat import ExactMatrix
 
 _I64_MAX = np.iinfo(np.int64).max
-_F64_EXACT = 2 ** 52
 _SHIFT_IDX: dict = {}
 
 
@@ -75,29 +74,13 @@ class CycMatrix:
         if ma and mb and bound > _I64_MAX // 4:
             exact = to_exact(self) @ to_exact(other)
             return from_exact(exact, p)
-        if bound <= _F64_EXACT:
-            # C[i,j,e,f] = sum_k A[i,k,e] B[k,j,f] as one (dp x d)(d x dp)
-            # matmul.  Every product and partial sum is an integer of
-            # magnitude at most d*p*ma*mb <= 2**52, so float64 is exact.
-            af = self.a.transpose(0, 2, 1).reshape(d * p, d).astype(np.float64)
-            bf = other.a.reshape(d, d * p).astype(np.float64)
-            t = (af @ bf).reshape(d, p, d, p).transpose(0, 2, 1, 3)
-        else:
-            t = np.einsum("ike,kjf->ijef", self.a, other.a)
-        c = np.zeros((d, d, p), dtype=t.dtype)
-        idx = np.arange(p)
-        for f in range(p):
-            c[:, :, (idx + f) % p] += t[:, :, :, f]
-        if c.dtype != np.int64:
-            c = np.rint(c).astype(np.int64)
-        return CycMatrix(p, c, self.scale * other.scale)
-
-    def phase_shift(self, k: int) -> "CycMatrix":
-        """self times zeta_p^k, a cyclic shift of the coefficient axis."""
-        k %= self.p
-        if k == 0:
-            return self
-        return CycMatrix(self.p, np.roll(self.a, k, axis=2), self.scale)
+        # C[i, j, e] = sum_{k, s} A[i, k, s] B[k, j, e - s] is one
+        # (d x dp)(dp x dp) matmul, b[k, s, j, e] = B[k, j, e - s].  Each
+        # entry sums d*p products of magnitude at most ma*mb, so every
+        # partial sum is at most d*p*ma*mb <= _I64_MAX // 4.
+        b = other.a[:, :, _shift_table(p)].transpose(0, 2, 1, 3)
+        c = self.a.reshape(d, d * p) @ b.reshape(d * p, d * p)
+        return CycMatrix(p, c.reshape(d, d, p), self.scale * other.scale)
 
     def dagger(self) -> "CycMatrix":
         b = np.transpose(self.a, (1, 0, 2))
@@ -106,9 +89,6 @@ class CycMatrix:
 
     def trace(self) -> Cyclotomic:
         return _vec_cyc(self.p, self.a.trace(axis1=0, axis2=1), self.scale)
-
-    def entry(self, i: int, j: int) -> Cyclotomic:
-        return _vec_cyc(self.p, self.a[i, j], self.scale)
 
     def __eq__(self, other):
         if not isinstance(other, CycMatrix):

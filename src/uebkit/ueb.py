@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinat import LatinSquare, check_complex_hadamard, validate_latin
-from .cyclo import PhasedScalar
+from .cyclo import PhasedScalar, json_int
 from .exactmat import (
     ExactMatrix,
     hs_inner,
@@ -322,6 +322,6 @@ def basis_to_json(basis: UnitaryErrorBasis) -> dict:
 
 def basis_from_json(obj: dict) -> UnitaryErrorBasis:
     return UnitaryErrorBasis(
-        int(obj["d"]),
+        json_int(obj["d"], "'d'"),
         tuple(matrix_from_json(m) for m in obj["members"]),
         tuple(_label_from_json(l) for l in obj["labels"]))

@@ -143,6 +143,12 @@ def test_verify_latin_distinguishes_failure_from_parse_error(capsys, tmp_path):
     assert rc == 2
     assert "error" in lines[0]
 
+    truncated = tmp_path / "float.json"
+    truncated.write_text("[[0, 1.9], [1, 0]]")   # not read as [[0, 1], [1, 0]]
+    rc, lines, err = run(capsys, ["verify", "latin", str(truncated)])
+    assert rc == 2
+    assert "must be an integer" in lines[0]["error"]
+
     good = tmp_path / "good.json"
     good.write_text(json.dumps(latin_to_json(cyclic_latin(3))))
     assert main(["verify", "latin", str(good)]) == 0
@@ -220,6 +226,12 @@ def test_analyze_induce_from_spec_file(capsys, tmp_path):
     rc, lines, _ = run(capsys, ["analyze", "induce", str(spec)])
     assert rc == 0
     assert checks_by_name(lines)["character-match"]["ok"]
+    for power in ("x", 1.7, True):
+        spec.write_text(json.dumps({"group": "heisenberg:3", "power": power}))
+        rc, lines, err = run(capsys, ["analyze", "induce", str(spec)])
+        assert rc == 2
+        assert "'power' must be an integer" in lines[0]["error"]
+        assert "error:" in err
 
 
 def test_analyze_wickedness(capsys):
@@ -296,10 +308,25 @@ _MALFORMED = {
     "symbols-list": lambda e: dict(e, symbols=[["t", 1]]),
     "order-missing": lambda e: {k: v for k, v in e.items() if k != "order"},
     "order-zero": lambda e: dict(e, order=0),
+    # 1.0 and true equal the order 1 of entry 0, also as memo keys
+    "order-float": lambda e: dict(e, order=float(e["order"])),
+    "order-bool": lambda e: dict(e, order=True),
+    "symbol-exp-float": lambda e: dict(e, symbols={"t": 1.9}),
     "bad-rational": lambda e: dict(e, coeffs={"0": "x/y"}),
     "bad-symbol": lambda e: dict(e, symbols={"1bad": 1}),
     "int-entry": lambda e: 5,
 }
+
+
+def _verify_edited_pauli2(capsys, tmp_path, edit):
+    """Write a pauli:2 basis file, let edit change its JSON, verify it."""
+    f = str(tmp_path / "pauli2.json")
+    assert main(["construct", "pauli:2", "--out", f]) == 0
+    capsys.readouterr()
+    obj = json.load(open(f))
+    edit(obj)
+    open(f, "w").write(json.dumps(obj))
+    return run(capsys, ["verify", "ueb", f])
 
 
 @pytest.mark.parametrize("where", [0, 3])
@@ -307,17 +334,32 @@ _MALFORMED = {
 def test_malformed_basis_entry_exits_2(capsys, tmp_path, kind, where):
     # Entry 3 of the identity repeats entry 0, so the matrix decoder has
     # already seen the value that the malformed copy stands in for.
-    f = str(tmp_path / "pauli2.json")
-    assert main(["construct", "pauli:2", "--out", f]) == 0
-    capsys.readouterr()
-    obj = json.load(open(f))
-    entries = obj["members"][0]["entries"]
-    assert entries[3] == entries[0]
-    entries[where] = _MALFORMED[kind](entries[0])
-    open(f, "w").write(json.dumps(obj))
-    rc, lines, err = run(capsys, ["verify", "ueb", f])
+    def edit(obj):
+        entries = obj["members"][0]["entries"]
+        assert entries[3] == entries[0]
+        entries[where] = _MALFORMED[kind](entries[0])
+
+    rc, lines, err = _verify_edited_pauli2(capsys, tmp_path, edit)
     assert rc == 2
     assert "basis file" in lines[0]["error"]
+    assert "error:" in err
+
+
+_NON_INTEGER_SHAPE = {
+    "rows-2.0": lambda obj: obj["members"][1].update(rows=2.0),
+    "rows-1.9": lambda obj: obj["members"][1].update(rows=1.9),
+    "cols-2.0": lambda obj: obj["members"][1].update(cols=2.0),
+    "d-2.0": lambda obj: obj.update(d=2.0),
+    "d-true": lambda obj: obj.update(d=True),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_NON_INTEGER_SHAPE))
+def test_non_integer_basis_shape_exits_2(capsys, tmp_path, kind):
+    rc, lines, err = _verify_edited_pauli2(capsys, tmp_path,
+                                           _NON_INTEGER_SHAPE[kind])
+    assert rc == 2
+    assert "must be an integer" in lines[0]["error"]
     assert "error:" in err
 
 

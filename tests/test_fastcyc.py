@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
 
+from uebkit import fastcyc
 from uebkit.cyclo import Cyclotomic, PhasedScalar, declare_phase_symbol
 from uebkit.exactmat import ExactMatrix
 from uebkit.fastcyc import CycMatrix, from_exact, to_exact
@@ -38,7 +40,8 @@ def test_vanishing_full_orbit():
 
 def test_matmul_dagger_trace_cross_validation():
     rng = random.Random(11)
-    for p, d in ((5, 5), (11, 11), (3, 3)):
+    grid = [(p, d) for p in (2, 7, 13) for d in (1, 2, 4)]
+    for p, d in [(5, 5), (11, 11), (3, 3)] + grid:
         for _ in range(6):
             x = random_cyc(rng, d, p)
             y = random_cyc(rng, d, p)
@@ -101,6 +104,31 @@ def test_overflow_fallback_matches_exact():
     x = CycMatrix(p, a)
     prod = x @ x
     assert to_exact(prod) == to_exact(x) @ to_exact(x)
+
+
+@pytest.mark.parametrize("d, p", [(2, 3), (4, 13)])
+def test_int64_route_up_to_the_guard(monkeypatch, d, p):
+    # m*m*d*p just under _I64_MAX // 4 = 2**61 - 1 keeps the int64 matmul;
+    # (m + 1)**2*d*p is just over it and takes the exact fallback.
+    guard = fastcyc._I64_MAX // 4
+    m = isqrt(guard // (d * p))
+    assert m * m * d * p <= guard < (m + 1) * (m + 1) * d * p
+    calls = []
+
+    def counting(cm):
+        calls.append(cm)
+        return to_exact(cm)
+
+    monkeypatch.setattr(fastcyc, "to_exact", counting)
+    rng = np.random.default_rng(d * p)
+    for top, fallback_calls in ((m, 0), (m + 1, 2)):
+        signs = rng.choice([-1, 1], size=(2, d, d, p))
+        x = CycMatrix(p, signs[0] * top)
+        y = CycMatrix(p, signs[1] * top)
+        calls.clear()
+        prod = x @ y
+        assert len(calls) == fallback_calls
+        assert to_exact(prod) == to_exact(x) @ to_exact(y)
 
 
 def test_from_exact_rejects_bad_inputs():
