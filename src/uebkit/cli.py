@@ -184,7 +184,7 @@ def _write_json(path: str, obj, report: RunReport) -> None:
 def _parse(fn, obj, what: str):
     try:
         return fn(obj)
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise InputError(f"cannot interpret {what}: {e}")
 
 

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import Cyclotomic, PhasedScalar, _reduce
+from .cyclo import PhasedScalar, _reduce
 from .exactmat import (ExactMatrix, MonomialityReport, matrix_to_json,
                        monomiality_report)
 from .fastcyc import CycMatrix, from_exact, to_exact
@@ -35,6 +35,9 @@ from .nice import (NicenessReport, ProjectiveRep, clock_matrix, quadratic_diag,
 from .combinat import fourier_hadamard
 
 DEFAULT_SEED = 1650
+_WORD_CHECKS = 1000         # random generator words in build_g165
+_MONOMIAL_SAMPLES = 12      # members materialized dense in verification
+_PAIR_SAMPLES = 10_000      # random cocycle pairs beyond the generator pairs
 
 
 class ConjugatorError(ValueError):
@@ -46,39 +49,25 @@ class ConjugatorError(ValueError):
 
 
 def weyl_decompose(m: ExactMatrix, p: int):
-    """(a, b, phase) with m == phase * Z^b X^a exactly, else None.
+    """(a, b, phase) with m == phase * Z^b X^a exactly and phase of unit
+    modulus, else None.
 
-    The product Z^b X^a is rebuilt and compared entrywise, so a
+    Column 0 of Z^b X^a has its one nonzero entry in row -a, which fixes
+    a; each of the p candidates for b is then compared entrywise, so a
     successful return is a verified identity, not a pattern guess."""
     if m.rows != p or m.cols != p:
         return None
-    scale = PhasedScalar.of(m.scale)
-    v0 = v1 = None
-    r0 = 0
-    for i in range(p):
-        e0, e1 = m.entry(i, 0), m.entry(i, 1)
-        if e0.terms:
-            if v0 is not None:
-                return None
-            r0, v0 = i, e0 * scale
-        if e1.terms:
-            v1 = e1 * scale
-    if v0 is None or v1 is None:
+    rows = [i for i in range(p) if m.entry(i, 0).terms]
+    if len(rows) != 1:
         return None
-    a = (-r0) % p
-    w = PhasedScalar.zeta(p)
-    try:
-        ratio = v1 * v0.inverse()
-    except (ValueError, ZeroDivisionError):
-        return None
-    b = next((k for k in range(p) if ratio == w ** k), None)
-    if b is None:
-        return None
-    phase = v0 * w ** ((a * b) % p)
-    target = (clock_matrix(p) ** b) @ (shift_matrix(p) ** a)
-    if m != target.scalar_mul(phase):
-        return None
-    return a, b, phase
+    a = (-rows[0]) % p
+    z, cand = clock_matrix(p), shift_matrix(p) ** a
+    for b in range(p):
+        phase = m.equal_up_to_phase(cand)
+        if phase is not None:
+            return a, b, phase
+        cand = z @ cand
+    return None
 
 
 def conjugation_automorphism(group: HeisenbergGroup, u: ExactMatrix,
@@ -317,8 +306,8 @@ def _mask_monomial(a: CycMatrix) -> bool:
 
 
 def _slot_values(m: ExactMatrix):
-    """(nonzero, values) for a symbol-free slot matrix, or None when any
-    entry is not a plain symbol-free cyclotomic.
+    """(nonzero, values) for a slot matrix.  Slot matrices are pool
+    entries, which from_exact has packed, so no entry carries a symbol.
 
     nonzero lists (i, j, t) per nonzero entry, t indexing values, which
     holds each distinct entry once in integer form: its (exponent lifted
@@ -329,11 +318,7 @@ def _slot_values(m: ExactMatrix):
             e = m.entry(i, j)
             if not e.terms:
                 continue
-            if len(e.terms) != 1:
-                return None
-            c = e.terms.get(())
-            if c is None:
-                return None
+            c = e.terms[()]
             key = c.key()
             t = index.get(key)
             if t is None:
@@ -368,13 +353,8 @@ def _tensor165(e3: ExactMatrix, e5: ExactMatrix, e11: ExactMatrix,
     which avoids the chain of conductor promotions the generic tensor
     route would pay per entry.  Each slot has few distinct entries, so
     each distinct value triple is convolved once and its entry shared."""
-    parts = (_slot_values(e3), _slot_values(e5), _slot_values(e11))
-    if any(v is None for v in parts):
-        m = e3.tensor(e5).tensor(e11)
-        if offset:
-            m = m.scalar_mul(PhasedScalar.of(Cyclotomic.zeta(165) ** offset))
-        return m
-    (nz3, v3), (nz5, v5), (nz11, v11) = parts
+    (nz3, v3), (nz5, v5), (nz11, v11) = (_slot_values(e3), _slot_values(e5),
+                                         _slot_values(e11))
     zero = PhasedScalar.zero(1)
     ents = [zero] * (165 * 165)
     memo: dict = {}
@@ -517,13 +497,11 @@ class FactorMap:
         return j % 330
 
     def _slot_phase(self, p: int, wa: tuple, wb: tuple):
-        a, b = self.word_matrix(p, wa), self.word_matrix(p, wb)
-        c = a.equal_up_to_phase(b)
+        # the packed comparison finds every phase +-zeta_p^k: all the roots
+        # of unity in Q(zeta_p), so all the phases _power can name
+        c = self.word_matrix(p, wa).equal_up_to_phase(self.word_matrix(p, wb))
         if c is None:
-            # general route for phases outside +-zeta_p^k
-            c = to_exact(a).equal_up_to_phase(to_exact(b))
-            if c is None:
-                return None
+            return None
         return self._power[PhasedScalar.of(c).promote(330).key()]
 
     def trace(self, t: TensorTriple) -> PhasedScalar:
@@ -537,18 +515,6 @@ class FactorMap:
                 return PhasedScalar.zero(1)
             out = out * PhasedScalar.of(tw)
         return out * self.zetas[2 * t.z] if t.z else out
-
-    def trace_parts(self, g):
-        """Slot traces, zero short-circuit; None marks not-reached."""
-        k3, k5, k11, _ = self._keys(g)
-        tr = self.tr
-        t3 = tr[3][k3]
-        if t3.is_zero():
-            return t3, None, None
-        t5 = tr[5][k5]
-        if t5.is_zero():
-            return t3, t5, None
-        return t3, t5, tr[11][k11]
 
     def slot_monomial(self, g) -> bool:
         k3, k5, k11, _ = self._keys(g)
@@ -654,7 +620,7 @@ def build_g165(seed: int = DEFAULT_SEED) -> G165:
         "center_cyclic_witness_order": 165,
         "quotient_order": quotient.order,
         "generator_matrices_pinned": _check_generators(G, factors),
-        "word_check_pairs": _word_check(G, factors, rng, words=1000),
+        "word_check_pairs": _word_check(G, factors, rng),
     }
     if not checks["generator_matrices_pinned"]:
         raise ArithmeticError("generator images differ from the pinned "
@@ -692,12 +658,12 @@ def _check_generators(G, factors: FactorMap) -> bool:
     return dense == target
 
 
-def _word_check(G, factors: FactorMap, rng, words: int = 1000) -> int:
+def _word_check(G, factors: FactorMap, rng) -> int:
     """mu of a random generator word must equal the product of the
     generator images up to a unit phase; this pins the factor-map
     formula executably, central phases included."""
     gens = list(G.generators)
-    for _ in range(words):
+    for _ in range(_WORD_CHECKS):
         k = rng.randrange(1, 7)
         g = G.identity
         m = factors.triple(G.identity)
@@ -708,7 +674,7 @@ def _word_check(G, factors: FactorMap, rng, words: int = 1000) -> int:
         if m.equal_up_to_phase(factors.triple(g)) is None:
             raise ArithmeticError(f"factor map breaks on the word ending "
                                   f"at {g}")
-    return words
+    return _WORD_CHECKS
 
 
 # ---------------------------------------------------------------------------
@@ -775,9 +741,8 @@ class CounterexampleReport:
         }
 
 
-def verify_counterexample(g: G165, seed: int = DEFAULT_SEED,
-                          monomial_samples: int = 12,
-                          pair_samples: int = 10_000) -> CounterexampleReport:
+def verify_counterexample(g: G165, seed: int = DEFAULT_SEED
+                          ) -> CounterexampleReport:
     """Run every checkable claim about the built basis.
 
     Traces and monomiality counts sweep the whole 27225-element index in
@@ -793,19 +758,17 @@ def verify_counterexample(g: G165, seed: int = DEFAULT_SEED,
     zero = 0
     nonzero = []
     for el in carrier:
-        t3, t5, t11 = fm.trace_parts(el)
-        if t11 is None or t11.is_zero():
+        t = fm.trace(g.rep.matrix(el))
+        if t.is_zero():
             zero += 1
-            continue
-        t = (PhasedScalar.of(t3) * PhasedScalar.of(t5)
-             * PhasedScalar.of(t11))
-        nonzero.append((el, t))
+        else:
+            nonzero.append((el, t))
     identity_trace_ok = (len(nonzero) == 1
                          and nonzero[0][0] == g.quotient.identity
                          and nonzero[0][1] == 165)
 
     niceness = verify_nice(g.rep, pair_mode="sampled", seed=seed,
-                           sample_size=pair_samples)
+                           sample_size=_PAIR_SAMPLES)
 
     # from dense matrices: in factor form a central member is its
     # exponent alone, so comparing triples would only restate z
@@ -828,7 +791,7 @@ def verify_counterexample(g: G165, seed: int = DEFAULT_SEED,
 
     generator_monomiality = monomiality_report(
         fm.exact_matrix(t) for t in g.group.generators)
-    sample = rng.sample(carrier, min(monomial_samples, len(carrier)))
+    sample = rng.sample(carrier, _MONOMIAL_SAMPLES)
     agree = []
 
     def sampled_members():

@@ -36,18 +36,6 @@ def lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
 
 
-def divisors(n: int) -> list[int]:
-    small, big = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                big.append(n // d)
-        d += 1
-    return small + big[::-1]
-
-
 def _polydiv_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
     # den must be monic; raises if the division leaves a remainder.
     num = list(num)
@@ -233,10 +221,8 @@ class Cyclotomic:
         m = lcm(2, self.order)
         if not (self ** m).is_one():
             return None
-        for d in divisors(m):
-            if (self ** d).is_one():
-                return d
-        return m
+        return next(d for d in range(1, m + 1)
+                    if m % d == 0 and (self ** d).is_one())
 
     # -- arithmetic --------------------------------------------------------
 
@@ -734,7 +720,8 @@ def _term_items(t: dict) -> tuple[tuple, tuple]:
 def scalar_json_key(obj: dict):
     """Hashable raw form of a flat entry, None for a multi-term one.  Equal
     keys decode to equal scalars, so a decoder may decode each key once.
-    The integer fields are checked first: 1.0 and true equal 1 as keys."""
+    The integer fields are checked first: 1.0 and true equal 1 as keys.
+    A bad coefficient never equals a string one, so it reaches the decoder."""
     if "terms" in obj:
         return None
     return (json_int(obj["order"], "'order'"), *_term_items(obj))
@@ -745,6 +732,12 @@ def scalar_from_json(obj: dict) -> PhasedScalar:
 
     def parse_term(t) -> PhasedScalar:
         coeffs, symbols = _term_items(t)
+        for k, v in coeffs:
+            # only what scalar_to_json writes: int() would also read the
+            # keys "1_0" and " 1", and Fraction() a JSON float
+            if not (k.isascii() and k.isdigit() and isinstance(v, str)):
+                raise ValueError(f"coefficient {k!r}: {v!r} must map decimal "
+                                 "digits to a string")
         c = Cyclotomic(order, {int(k): Fraction(v) for k, v in coeffs})
         key = tuple(sorted((str(name), e) for name, e in symbols if e))
         for name, _ in key:

@@ -280,74 +280,24 @@ class ExactMatrix:
 
     def is_monomial(self) -> bool:
         """Exactly one nonzero entry in every row and every column."""
-        if self.rows != self.cols:
-            return False
-        d = self.rows
-        col_seen = [False] * d
-        for i in range(d):
-            hits = [j for j in range(d) if self.entries[i * d + j].terms]
-            if len(hits) != 1:
-                return False
-            j = hits[0]
-            if col_seen[j]:
-                return False
-            col_seen[j] = True
-        return True
+        return self.monomial_data() is not None
 
     def monomial_data(self):
         """(sigma, values) with self[sigma[k], k] = values[k], for monomial
         matrices; None otherwise."""
-        if not self.is_monomial():
+        if self.rows != self.cols:
             return None
         d = self.rows
-        sigma = [0] * d
+        sigma = [None] * d
         values = [None] * d
         for i in range(d):
-            for j in range(d):
-                e = self.entries[i * d + j]
-                if e.terms:
-                    sigma[j] = i
-                    values[j] = e
+            hits = [j for j in range(d) if self.entries[i * d + j].terms]
+            if len(hits) != 1 or sigma[hits[0]] is not None:
+                return None
+            j = hits[0]
+            sigma[j] = i
+            values[j] = self.entries[i * d + j]
         return sigma, values
-
-    def determinant(self) -> PhasedScalar:
-        """Exact determinant including the scale factor."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        d = self.rows
-        mono = self.monomial_data()
-        if mono is not None:
-            sigma, values = mono
-            sign = 1
-            for i in range(d):
-                for j in range(i + 1, d):
-                    if sigma[i] > sigma[j]:
-                        sign = -sign
-            out = PhasedScalar.of(sign)
-            for v in values:
-                out = out * v
-            return out * (self.scale ** d)
-        if not all(e.is_symbol_free() for e in self.entries):
-            raise ValueError("dense determinant with formal symbols unsupported")
-        work = [list(self.entries[i * d:(i + 1) * d]) for i in range(d)]
-        det = PhasedScalar.one(1)
-        sign = 1
-        for c in range(d):
-            piv = next((r for r in range(c, d) if work[r][c].terms), None)
-            if piv is None:
-                return PhasedScalar.zero(1)
-            if piv != c:
-                work[c], work[piv] = work[piv], work[c]
-                sign = -sign
-            pivot = work[c][c]
-            det = det * pivot
-            inv = pivot.inverse()
-            for r in range(c + 1, d):
-                f = work[r][c] * inv
-                if f.terms:
-                    for k in range(c, d):
-                        work[r][k] = work[r][k] - f * work[c][k]
-        return det * (self.scale ** d) * sign
 
     def __repr__(self):
         return (f"ExactMatrix({self.rows}x{self.cols}, scale={self.scale}, "
@@ -424,6 +374,8 @@ def matrix_from_json(obj: dict) -> ExactMatrix:
             if k is not None:
                 memo[k] = v
         entries.append(v)
+    if not isinstance(obj["scale"], str):  # Fraction() would read a float
+        raise ValueError(f"'scale' must be a string, not {obj['scale']!r}")
     return ExactMatrix(json_int(obj["rows"], "'rows'"),
                        json_int(obj["cols"], "'cols'"), entries,
                        Fraction(obj["scale"]))

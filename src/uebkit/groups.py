@@ -392,22 +392,21 @@ class SemidirectProduct(FiniteGroup):
 class SubgroupView(FiniteGroup):
     """A subset of a parent group, closure-checked, with inherited ops."""
 
-    def __init__(self, parent: FiniteGroup, elements, check: bool = True):
+    def __init__(self, parent: FiniteGroup, elements):
         self.parent = parent
         self._elements = list(elements)
         self.identity = parent.identity
         self.order = len(self._elements)
         self.generators = ()
-        if check:
-            eset = set(self._elements)
-            if parent.identity not in eset:
-                raise ValueError("subgroup must contain the identity")
-            for g in self._elements:
-                if parent.inverse(g) not in eset:
-                    raise ValueError(f"subgroup not closed under inverse at {g}")
-                for h in self._elements:
-                    if parent.compose(g, h) not in eset:
-                        raise ValueError("subgroup not closed under composition")
+        eset = set(self._elements)
+        if parent.identity not in eset:
+            raise ValueError("subgroup must contain the identity")
+        for g in self._elements:
+            if parent.inverse(g) not in eset:
+                raise ValueError(f"subgroup not closed under inverse at {g}")
+            for h in self._elements:
+                if parent.compose(g, h) not in eset:
+                    raise ValueError("subgroup not closed under composition")
 
     def compose(self, a, b):
         return self.parent.compose(a, b)

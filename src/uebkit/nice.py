@@ -38,6 +38,11 @@ def quadratic_diag(d: int) -> ExactMatrix:
     return ExactMatrix.diagonal([z ** ((i * (i - 1) // 2) % d) for i in range(d)])
 
 
+# the largest |G|^2 swept pair by pair: verify_nice's "all" mode and
+# cocycle_table refuse larger index groups
+MAX_FULL_PAIRS = 250_000
+
+
 class CocycleError(ValueError):
     pass
 
@@ -201,9 +206,9 @@ class Cocycle:
         return True
 
 
-def cocycle_table(rep: ProjectiveRep, pair_limit: int = 250_000) -> Cocycle:
+def cocycle_table(rep: ProjectiveRep) -> Cocycle:
     elems = list(rep.group.elements())
-    if len(elems) ** 2 > pair_limit:
+    if len(elems) ** 2 > MAX_FULL_PAIRS:
         raise ValueError("index group too large for a full cocycle table")
 
     # pairs as in verify_nice: the phase route when every member is
@@ -248,8 +253,7 @@ class NicenessReport:
 
 
 def verify_nice(rep: ProjectiveRep, pair_mode: str = "all", seed: int | None = None,
-                sample_size: int = 10_000, max_full_pairs: int = 250_000
-                ) -> NicenessReport:
+                sample_size: int = 10_000) -> NicenessReport:
     """Check the three defining conditions with zero tolerance.
 
     pair_mode "all" sweeps every (g, h); "sampled" sweeps generator
@@ -282,8 +286,7 @@ def verify_nice(rep: ProjectiveRep, pair_mode: str = "all", seed: int | None = N
         trace_ok = False
         failures.append(("trace", G.identity))
 
-    pairs = _pair_source(G, elems, pair_mode, seed, sample_size,
-                         max_full_pairs)
+    pairs = _pair_source(G, elems, pair_mode, seed, sample_size)
 
     def sweep(phase):
         # None when the phase route meets a bad pair: the matrix route
@@ -315,10 +318,10 @@ def verify_nice(rep: ProjectiveRep, pair_mode: str = "all", seed: int | None = N
         failures=tuple(failures))
 
 
-def _pair_source(G, elems, pair_mode, seed, sample_size, max_full_pairs):
+def _pair_source(G, elems, pair_mode, seed, sample_size):
     """A function giving a fresh iterator over the same pairs each call."""
     if pair_mode == "all":
-        if len(elems) ** 2 > max_full_pairs:
+        if len(elems) ** 2 > MAX_FULL_PAIRS:
             raise ValueError("full pair sweep too large; use pair_mode='sampled'")
         return lambda: ((g, h) for g in elems for h in elems)
     if pair_mode != "sampled":

@@ -313,6 +313,12 @@ _MALFORMED = {
     "order-bool": lambda e: dict(e, order=True),
     "symbol-exp-float": lambda e: dict(e, symbols={"t": 1.9}),
     "bad-rational": lambda e: dict(e, coeffs={"0": "x/y"}),
+    "zero-denominator": lambda e: dict(e, coeffs={"0": "1/0"}),
+    # scalar_to_json writes string coefficients and decimal exponent keys;
+    # Fraction() and int() would read these as 1 and as exponent 0
+    "coeff-float": lambda e: dict(e, coeffs={"0": 1.0}),
+    "key-underscore": lambda e: dict(e, coeffs={"0_0": "1"}),
+    "key-space": lambda e: dict(e, coeffs={" 0": "1"}),
     "bad-symbol": lambda e: dict(e, symbols={"1bad": 1}),
     "int-entry": lambda e: 5,
 }
@@ -352,6 +358,16 @@ _NON_INTEGER_SHAPE = {
     "d-2.0": lambda obj: obj.update(d=2.0),
     "d-true": lambda obj: obj.update(d=True),
 }
+
+
+@pytest.mark.parametrize("scale", ["1/0", 1.0], ids=["zero-denominator",
+                                                    "float"])
+def test_malformed_member_scale_exits_2(capsys, tmp_path, scale):
+    rc, lines, err = _verify_edited_pauli2(
+        capsys, tmp_path, lambda obj: obj["members"][1].update(scale=scale))
+    assert rc == 2
+    assert "basis file" in lines[0]["error"]
+    assert "error:" in err
 
 
 @pytest.mark.parametrize("kind", sorted(_NON_INTEGER_SHAPE))

@@ -6,6 +6,7 @@ from types import MethodType, SimpleNamespace
 import numpy as np
 import pytest
 
+from uebkit import counterexample165, fastcyc
 from uebkit.counterexample165 import (
     ConjugatorError,
     FactorMap,
@@ -18,6 +19,7 @@ from uebkit.counterexample165 import (
 )
 from uebkit.cyclo import Cyclotomic, PhasedScalar
 from uebkit.exactmat import ExactMatrix, monomiality_report
+from uebkit.fastcyc import to_exact
 from uebkit.groups import (
     HeisenbergElement,
     HeisenbergGroup,
@@ -107,6 +109,10 @@ def test_weyl_decompose_rejects_dense_and_zero():
     from uebkit.combinat import fourier_hadamard
     assert weyl_decompose(fourier_hadamard(5), 5) is None
     assert weyl_decompose(ExactMatrix.zeros(5, 5), 5) is None
+    # a multiple of Z^b X^a by a phase that is not of unit modulus
+    m = (clock_matrix(5) ** 2) @ (shift_matrix(5) ** 3)
+    assert weyl_decompose(m.scalar_mul(2), 5) is None
+    assert weyl_decompose(m.scalar_mul(PhasedScalar.of(2)), 5) is None
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +151,26 @@ def test_slot_signs_cancel_across_slots():
     assert not any(TensorTriple(stub, (neg, (), ()), z).is_identity()
                    for z in range(165))
     assert not TensorTriple(stub, (neg, neg, ()), 1).is_identity()
+
+
+def test_slot_phase_stays_packed(built, monkeypatch):
+    # the packed comparison answers every slot pair, matched or not: the
+    # roots of unity in Q(zeta_p) are +-zeta_p^k, which it tries in turn
+    calls = []
+
+    def counting(cm):
+        calls.append(cm)
+        return to_exact(cm)
+
+    monkeypatch.setattr(counterexample165, "to_exact", counting)
+    monkeypatch.setattr(fastcyc, "to_exact", counting)
+    fm, r = built.factors, (0, 0, 1)
+    assert fm._slot_phase(3, ((1, 0),), ((0, 1),)) is None
+    assert fm._slot_phase(11, (r,), ((0, 0, 2),)) is None
+    assert fm._slot_phase(11, (r, r), (r,)) is None
+    # R11^3 = -zeta_11^2 = zeta_330^(165 + 60)
+    assert fm._slot_phase(11, (r, r, r), ()) == 225
+    assert calls == []
 
 
 def test_triple_product_passes_identity_slots_through(built):

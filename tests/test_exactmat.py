@@ -130,22 +130,17 @@ def test_monomial_structure():
     assert not rep2.is_monomial and rep2.zero_fraction == 0
 
 
-def test_determinant():
-    assert shift(3).determinant().is_one()
-    assert clock(3).determinant().is_one()
-    assert clock(4).determinant() == PhasedScalar.of(-1)
-    f2 = ExactMatrix.from_rows([[1, 1], [1, -1]])
-    assert f2.determinant() == PhasedScalar.of(-2)
-    half = ExactMatrix(2, 2, f2.entries, Fraction(1, 2))
-    assert half.determinant() == PhasedScalar.of(Fraction(-1, 2))
-    sing = ExactMatrix.from_rows([[1, 1], [1, 1]])
-    assert sing.determinant().is_zero()
-    declare_phase_symbol("t")
-    t = PhasedScalar.symbol("t")
-    assert ExactMatrix.diagonal([PhasedScalar.one(), t]).determinant() == t
-    dense_sym = ExactMatrix.from_rows([[t, 1], [1, t]])
-    with pytest.raises(ValueError):
-        dense_sym.determinant()
+@pytest.mark.parametrize("rows", [
+    [[1, 0, 0], [1, 0, 0], [0, 0, 1]],     # one nonzero per row, column 0 twice
+    [[1, 0], [0, 0]],                      # a zero row
+    # not square; read as 2 x 2 its first four entries would be monomial
+    [[1, 0, 0], [1, 0, 0]],
+], ids=["repeated-column", "zero-row", "non-square"])
+def test_monomial_data_refuses_non_monomial(rows):
+    m = ExactMatrix.from_rows(rows)
+    assert m.monomial_data() is None
+    assert not m.is_monomial()
+    assert not monomiality_report([m]).is_monomial
 
 
 def test_power():

@@ -297,11 +297,11 @@ def test_sampled_pairs_replay_identically():
     G = rep.group
     elems = list(G.elements())
     for seed in (None, 5):
-        pairs = nice._pair_source(G, elems, "sampled", seed, 40, 0)
+        pairs = nice._pair_source(G, elems, "sampled", seed, 40)
         first = list(pairs())
         assert first == list(pairs())
         assert len(first) == 2 * len(G.generators) * 9 + 40
     rng = random.Random(5)
     tail = [(rng.choice(elems), rng.choice(elems)) for _ in range(40)]
-    assert list(nice._pair_source(G, elems, "sampled", 5, 40, 0)())[-40:] == tail
+    assert list(nice._pair_source(G, elems, "sampled", 5, 40)())[-40:] == tail
 
