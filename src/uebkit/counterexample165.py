@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import PhasedScalar, _reduce
+from .cyclo import Cyclotomic, PhasedScalar, _reduce
 from .exactmat import (ExactMatrix, MonomialityReport, matrix_to_json,
                        monomiality_report)
 from .fastcyc import CycMatrix, from_exact, to_exact
@@ -31,7 +31,7 @@ from .groups import (CentralQuotientGroup, DirectProduct, FiniteGroup,
                      SemidirectProduct, acts_irreducibly, element_order,
                      is_automorphism, sl2_alpha, sl2_beta)
 from .nice import (NicenessReport, ProjectiveRep, clock_matrix, quadratic_diag,
-                   shift_matrix, verify_nice)
+                   shift_matrix, verify_nice, weyl_matrix)
 from .combinat import fourier_hadamard
 
 DEFAULT_SEED = 1650
@@ -61,12 +61,10 @@ def weyl_decompose(m: ExactMatrix, p: int):
     if len(rows) != 1:
         return None
     a = (-rows[0]) % p
-    z, cand = clock_matrix(p), shift_matrix(p) ** a
     for b in range(p):
-        phase = m.equal_up_to_phase(cand)
+        phase = m.equal_up_to_phase(weyl_matrix(p, a, b))
         if phase is not None:
             return a, b, phase
-        cand = z @ cand
     return None
 
 
@@ -136,8 +134,7 @@ def conjugation_automorphism(group: HeisenbergGroup, u: ExactMatrix,
 def _rho_cyc(group: HeisenbergGroup, g: HeisenbergElement) -> CycMatrix:
     """zeta^z Z^y X^x in packed form; small, built on the fly."""
     p = group.d
-    m = (clock_matrix(p) ** g.y) @ (shift_matrix(p) ** g.x)
-    return from_exact(m.scalar_mul(PhasedScalar.zeta(p, g.z)), p)
+    return from_exact(weyl_matrix(p, g.x, g.y, g.z), p)
 
 
 def _exponent_action(images: dict, p: int) -> SL2Element:
@@ -416,18 +413,13 @@ class FactorMap:
         self._phases: dict = {}
 
     def _pool(self, p: int, r: ExactMatrix | None):
-        x, z = shift_matrix(p), clock_matrix(p)
-        xp, zp = [ExactMatrix.identity(p)], [ExactMatrix.identity(p)]
-        for _ in range(p - 1):
-            xp.append(xp[-1] @ x)
-            zp.append(zp[-1] @ z)
         rp = [ExactMatrix.identity(p)]
         if r is not None:
             rp += [r, r @ r]
         exact = {}
         for xx in range(p):
             for yy in range(p):
-                base = zp[yy] @ xp[xx]
+                base = weyl_matrix(p, xx, yy)
                 for k in range(len(rp)):
                     key = (xx, yy, k) if r is not None else (xx, yy)
                     exact[key] = base @ rp[k] if k else base
@@ -507,7 +499,9 @@ class FactorMap:
     def trace(self, t: TensorTriple) -> PhasedScalar:
         out = PhasedScalar.one(1)
         for p, w in zip(_PRIMES, t.words):
-            if len(w) == 1:
+            if not w:  # the identity
+                tw = Cyclotomic.from_rational(p)
+            elif len(w) == 1:
                 tw = self.tr[p][w[0]]
             else:
                 tw = self.word_matrix(p, w).trace()
@@ -745,9 +739,9 @@ def verify_counterexample(g: G165, seed: int = DEFAULT_SEED
                           ) -> CounterexampleReport:
     """Run every checkable claim about the built basis.
 
-    Traces and monomiality counts sweep the whole 27225-element index in
-    factor form; the niceness conditions run through the standard
-    verifier with full identity, unitarity and trace sweeps and sampled
+    Monomiality counts sweep the whole 27225-element index in factor
+    form; the trace counts are read from the standard niceness verifier,
+    which sweeps identity, unitarity and traces in full and samples
     cocycle pairs; monomiality is recomputed on materialized 165 x 165
     matrices for the generators and a seeded member sample and compared
     against the factor-level answer."""
@@ -755,20 +749,16 @@ def verify_counterexample(g: G165, seed: int = DEFAULT_SEED
     rng = random.Random(seed)
     carrier = list(g.quotient.elements())
 
-    zero = 0
-    nonzero = []
-    for el in carrier:
-        t = fm.trace(g.rep.matrix(el))
-        if t.is_zero():
-            zero += 1
-        else:
-            nonzero.append((el, t))
-    identity_trace_ok = (len(nonzero) == 1
-                         and nonzero[0][0] == g.quotient.identity
-                         and nonzero[0][1] == 165)
-
     niceness = verify_nice(g.rep, pair_mode="sampled", seed=seed,
                            sample_size=_PAIR_SAMPLES)
+    # verify_nice sweeps every trace and records ("trace", g) for each
+    # non-identity member whose trace is nonzero
+    e = g.quotient.identity
+    e_trace = fm.trace(g.rep.matrix(e))
+    nonzero = {f[1] for f in niceness.failures if f[0] == "trace"} - {e}
+    identity_trace_ok = not nonzero and e_trace == 165
+    if not e_trace.is_zero():
+        nonzero.add(e)
 
     # from dense matrices: in factor form a central member is its
     # exponent alone, so comparing triples would only restate z
@@ -841,8 +831,8 @@ def verify_counterexample(g: G165, seed: int = DEFAULT_SEED
         dim=165, group_order=g.group.order, quotient_order=g.quotient.order,
         center_order=len(g.center),
         center_cyclic=g.checks["center_cyclic_witness_order"] == 165,
-        trace_zero_count=zero,
-        trace_nonzero_labels=tuple(el for el, _ in nonzero),
+        trace_zero_count=len(carrier) - len(nonzero),
+        trace_nonzero_labels=tuple(el for el in carrier if el in nonzero),
         identity_trace_ok=identity_trace_ok, niceness=niceness,
         center_scalars_ok=center_scalars_ok, monomial_members=monomial,
         nonmonomial_members=nonmonomial,

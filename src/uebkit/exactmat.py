@@ -55,12 +55,23 @@ class ExactMatrix:
         return ExactMatrix(r, c, ents, scale)
 
     @staticmethod
-    def identity(d: int) -> "ExactMatrix":
-        one = PhasedScalar.one(1)
+    def monomial(sigma, values, scale=_F1) -> "ExactMatrix":
+        """The d x d matrix with values[k] at [sigma[k], k] and zeros
+        elsewhere: the inverse of monomial_data for nonzero values."""
+        d = len(sigma)
+        if sorted(sigma) != list(range(d)):
+            raise ValueError("not a permutation")
+        values = [_coerce(v) for v in values]
+        if len(values) != d:
+            raise ValueError(f"{len(values)} values for a permutation of {d}")
         ents = [_ZERO] * (d * d)
-        for i in range(d):
-            ents[i * d + i] = one
-        return ExactMatrix(d, d, ents)
+        for k, (s, v) in enumerate(zip(sigma, values)):
+            ents[s * d + k] = v
+        return ExactMatrix(d, d, ents, scale)
+
+    @staticmethod
+    def identity(d: int) -> "ExactMatrix":
+        return ExactMatrix.monomial(range(d), [PhasedScalar.one(1)] * d)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "ExactMatrix":
@@ -69,23 +80,12 @@ class ExactMatrix:
     @staticmethod
     def diagonal(values, scale=_F1, order: int = 1) -> "ExactMatrix":
         vals = [_coerce(v, order) for v in values]
-        d = len(vals)
-        ents = [_ZERO] * (d * d)
-        for i, v in enumerate(vals):
-            ents[i * d + i] = v
-        return ExactMatrix(d, d, ents, scale)
+        return ExactMatrix.monomial(range(len(vals)), vals, scale)
 
     @staticmethod
     def from_permutation(sigma) -> "ExactMatrix":
         """P with P[sigma[k], k] = 1."""
-        d = len(sigma)
-        if sorted(sigma) != list(range(d)):
-            raise ValueError("not a permutation")
-        one = PhasedScalar.one(1)
-        ents = [_ZERO] * (d * d)
-        for k, s in enumerate(sigma):
-            ents[s * d + k] = one
-        return ExactMatrix(d, d, ents)
+        return ExactMatrix.monomial(sigma, [PhasedScalar.one(1)] * len(sigma))
 
     # -- access -----------------------------------------------------------
 
@@ -376,6 +376,8 @@ def matrix_from_json(obj: dict) -> ExactMatrix:
         entries.append(v)
     if not isinstance(obj["scale"], str):  # Fraction() would read a float
         raise ValueError(f"'scale' must be a string, not {obj['scale']!r}")
-    return ExactMatrix(json_int(obj["rows"], "'rows'"),
-                       json_int(obj["cols"], "'cols'"), entries,
-                       Fraction(obj["scale"]))
+    rows = json_int(obj["rows"], "'rows'")
+    cols = json_int(obj["cols"], "'cols'")
+    if rows < 1 or cols < 1:  # the entry count alone passes -2 x -2 and 0 x 0
+        raise ValueError(f"shape {rows} x {cols} is not positive")
+    return ExactMatrix(rows, cols, entries, Fraction(obj["scale"]))

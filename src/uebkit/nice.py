@@ -21,15 +21,26 @@ from .exactmat import ExactMatrix
 from .groups import CyclicGroup, DirectProduct, FiniteGroup, HeisenbergGroup
 
 
+def weyl_matrix(d: int, x: int, y: int, z: int = 0) -> ExactMatrix:
+    """zeta_d^z Z^y X^x: column k holds zeta_d^(z + y(k - x)) in row k - x.
+
+    Entries are order-1 ones when y = z = 0 mod d and order-d powers of
+    zeta_d otherwise, as the products of shift and clock powers give."""
+    rows = [(k - x) % d for k in range(d)]
+    if y % d == 0 and z % d == 0:
+        return ExactMatrix.from_permutation(rows)
+    return ExactMatrix.monomial(rows, [PhasedScalar.zeta(d, z + y * r)
+                                       for r in rows])
+
+
 def shift_matrix(d: int) -> ExactMatrix:
     """X with X|x> = |x-1 mod d>."""
-    return ExactMatrix.from_permutation([(x - 1) % d for x in range(d)])
+    return weyl_matrix(d, 1, 0)
 
 
 def clock_matrix(d: int) -> ExactMatrix:
     """Z = diag(1, zeta_d, ..., zeta_d^(d-1))."""
-    z = Cyclotomic.zeta(d) if d > 1 else Cyclotomic.one(1)
-    return ExactMatrix.diagonal([z ** x for x in range(d)])
+    return weyl_matrix(d, 0, 1)
 
 
 def quadratic_diag(d: int) -> ExactMatrix:
@@ -75,13 +86,9 @@ def pauli_rep(d: int) -> ProjectiveRep:
     """(i, j) -> X^i Z^j over the index group Z_d x Z_d."""
     if d < 1:
         raise ValueError("dimension must be positive")
-    x, z = shift_matrix(d), clock_matrix(d)
-    xp = [ExactMatrix.identity(d)]
-    zp = [ExactMatrix.identity(d)]
-    for _ in range(d - 1):
-        xp.append(xp[-1] @ x)
-        zp.append(zp[-1] @ z)
-    table = {(i, j): xp[i] @ zp[j] for i in range(d) for j in range(d)}
+    # X^i Z^j = zeta^(ij) Z^j X^i
+    table = {(i, j): weyl_matrix(d, i, j, i * j)
+             for i in range(d) for j in range(d)}
     group = DirectProduct(CyclicGroup(d), CyclicGroup(d))
     return ProjectiveRep(group, d, table.__getitem__, label=f"pauli:{d}")
 
@@ -89,20 +96,9 @@ def pauli_rep(d: int) -> ProjectiveRep:
 def heisenberg_rep(d: int) -> ProjectiveRep:
     """(x, y, z) -> zeta^z Z^y X^x, a genuine representation of the
     Heisenberg group mod d."""
-    group = HeisenbergGroup(d)
-    x, z = shift_matrix(d), clock_matrix(d)
-    xp = [ExactMatrix.identity(d)]
-    zp = [ExactMatrix.identity(d)]
-    for _ in range(d - 1):
-        xp.append(xp[-1] @ x)
-        zp.append(zp[-1] @ z)
-    zeta = PhasedScalar.zeta(d) if d > 1 else PhasedScalar.one(1)
-
-    def rho(g):
-        m = zp[g.y] @ xp[g.x]
-        return m.scalar_mul(zeta ** g.z) if g.z else m
-
-    return ProjectiveRep(group, d, rho, label=f"heisenberg:{d}")
+    return ProjectiveRep(HeisenbergGroup(d), d,
+                         lambda g: weyl_matrix(d, g.x, g.y, g.z),
+                         label=f"heisenberg:{d}")
 
 
 def extract_cocycle(rep: ProjectiveRep, g, h, phase=None) -> PhasedScalar:

@@ -130,16 +130,13 @@ def shift_and_multiply(latin: LatinSquare, hadamards) -> UnitaryErrorBasis:
         hc = check_complex_hadamard(h)
         if not hc.ok:
             raise ValueError(f"matrix {j} is not complex Hadamard: {hc.reason}")
-    zero = PhasedScalar.zero(1)
     members = []
     labels = []
     for i in range(d):
         for j in range(d):
             h = hadamards[j]
-            ents = [zero] * (d * d)
-            for k in range(d):
-                ents[latin(j, k) * d + k] = h.entry(i, k)
-            members.append(ExactMatrix(d, d, ents, h.scale))
+            members.append(ExactMatrix.monomial(
+                latin.cells[j], h.entries[i * d:(i + 1) * d], h.scale))
             labels.append((i, j))
     return UnitaryErrorBasis(d, members, labels)
 
@@ -164,14 +161,14 @@ class NormalizationResult:
 
 def _mono2(m: ExactMatrix):
     """Classify a 2x2 monomial matrix: ('diag'|'anti', value0, value1)
-    with values including the scale."""
-    e00, e01 = m.entries[0], m.entries[1]
-    e10, e11 = m.entries[2], m.entries[3]
-    if e00.terms and e11.terms and not e01.terms and not e10.terms:
-        return "diag", e00 * m.scale, e11 * m.scale
-    if e01.terms and e10.terms and not e00.terms and not e11.terms:
-        return "anti", e01 * m.scale, e10 * m.scale
-    return None
+    with values including the scale, the row-0 value first."""
+    mono = m.monomial_data()
+    if mono is None:
+        return None
+    sigma, values = mono
+    if sigma[0]:  # antidiagonal: the row-0 value is in column 1
+        return "anti", values[1] * m.scale, values[0] * m.scale
+    return "diag", values[0] * m.scale, values[1] * m.scale
 
 
 def normalize_d2(basis: UnitaryErrorBasis) -> NormalizationResult:
@@ -321,7 +318,10 @@ def basis_to_json(basis: UnitaryErrorBasis) -> dict:
 
 
 def basis_from_json(obj: dict) -> UnitaryErrorBasis:
+    d = json_int(obj["d"], "'d'")
+    if d < 1:
+        raise ValueError(f"dimension 'd' must be positive, not {d}")
     return UnitaryErrorBasis(
-        json_int(obj["d"], "'d'"),
+        d,
         tuple(matrix_from_json(m) for m in obj["members"]),
         tuple(_label_from_json(l) for l in obj["labels"]))

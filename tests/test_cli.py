@@ -324,15 +324,16 @@ _MALFORMED = {
 }
 
 
-def _verify_edited_pauli2(capsys, tmp_path, edit):
-    """Write a pauli:2 basis file, let edit change its JSON, verify it."""
+def _verify_edited_pauli2(capsys, tmp_path, edit, command=("verify", "ueb")):
+    """Write a pauli:2 basis file, let edit change its JSON, run command
+    on it."""
     f = str(tmp_path / "pauli2.json")
     assert main(["construct", "pauli:2", "--out", f]) == 0
     capsys.readouterr()
     obj = json.load(open(f))
     edit(obj)
     open(f, "w").write(json.dumps(obj))
-    return run(capsys, ["verify", "ueb", f])
+    return run(capsys, [*command, f])
 
 
 @pytest.mark.parametrize("where", [0, 3])
@@ -376,6 +377,35 @@ def test_non_integer_basis_shape_exits_2(capsys, tmp_path, kind):
                                            _NON_INTEGER_SHAPE[kind])
     assert rc == 2
     assert "must be an integer" in lines[0]["error"]
+    assert "error:" in err
+
+
+def _negative_shapes(d):
+    def edit(obj):
+        obj["d"] = d
+        for m in obj["members"]:  # (-2) * (-2) matches the 4 entries
+            m.update(rows=-2, cols=-2)
+    return edit
+
+
+_DEGENERATE_DIMENSION = {
+    "d-0": lambda obj: obj.update(d=0, members=[], labels=[]),
+    "shape-negative-d-2": _negative_shapes(2),
+    "shape-negative-d-minus-2": _negative_shapes(-2),
+    "shape-0x0": lambda obj: obj["members"][1].update(rows=0, cols=0,
+                                                       entries=[]),
+}
+
+
+@pytest.mark.parametrize("command", [("verify", "ueb"), ("verify", "nice"),
+                                     ("analyze", "sparsity")],
+                         ids="-".join)
+@pytest.mark.parametrize("kind", sorted(_DEGENERATE_DIMENSION))
+def test_degenerate_dimension_exits_2(capsys, tmp_path, kind, command):
+    rc, lines, err = _verify_edited_pauli2(
+        capsys, tmp_path, _DEGENERATE_DIMENSION[kind], command)
+    assert rc == 2
+    assert "basis file" in lines[0]["error"]
     assert "error:" in err
 
 

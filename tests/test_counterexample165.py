@@ -288,6 +288,22 @@ def test_slot_memo_warm_and_cold_agree(built, report):
     assert answers(warm) == first
 
 
+def test_empty_slot_words_trace_without_products(built, monkeypatch):
+    fm = built.factors
+    calls = []
+    word_matrix = fm.word_matrix
+
+    def counting(p, word):
+        calls.append((p, word))
+        return word_matrix(p, word)
+
+    monkeypatch.setattr(fm, "word_matrix", counting)
+    assert TensorTriple(fm, ((), (), ())).trace() == 165
+    assert TensorTriple(fm, ((), (), ()), 55).trace() == \
+        PhasedScalar.zeta(3) * 165
+    assert calls == []
+
+
 def test_triple_trace_and_dim(built):
     fm = built.factors
     ident = fm.triple(built.quotient.identity)
@@ -318,9 +334,9 @@ def test_central_member_is_a_scalar_matrix(built):
     assert fm.exact_matrix(z3) == want
 
 
-def test_trace_sweep(report):
+def test_trace_sweep(built, report):
     assert report.trace_zero_count == 27_224
-    assert len(report.trace_nonzero_labels) == 1
+    assert report.trace_nonzero_labels == (built.quotient.identity,)
     assert report.identity_trace_ok
 
 

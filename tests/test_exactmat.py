@@ -143,6 +143,31 @@ def test_monomial_data_refuses_non_monomial(rows):
     assert not monomiality_report([m]).is_monomial
 
 
+def test_monomial_inverts_monomial_data():
+    rng = random.Random(9)
+    for d in range(1, 6):
+        sigma = list(range(d))
+        rng.shuffle(sigma)
+        values = [PhasedScalar.zeta(6, rng.randrange(6)) for _ in range(d)]
+        m = ExactMatrix.monomial(sigma, values, Fraction(-1, 3))
+        assert m.scale == Fraction(-1, 3)
+        assert m.monomial_data() == (sigma, values)
+        assert ExactMatrix.monomial(*m.monomial_data(), m.scale) == m
+    x = shift(3) @ clock(3)
+    assert ExactMatrix.monomial(*x.monomial_data()) == x
+
+
+@pytest.mark.parametrize("sigma, values", [
+    ([0, 0, 1], [1, 1, 1]),
+    ([1, 2, 3], [1, 1, 1]),
+    ([1, 0], [1]),
+    ([1, 0], [1, 1, 1]),
+], ids=["repeated", "out-of-range", "short-values", "long-values"])
+def test_monomial_refuses_bad_input(sigma, values):
+    with pytest.raises(ValueError):
+        ExactMatrix.monomial(sigma, values)
+
+
 def test_power():
     x = shift(5)
     assert x ** 5 == ExactMatrix.identity(5)

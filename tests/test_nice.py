@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from uebkit.cyclo import Cyclotomic, PhasedScalar
-from uebkit.exactmat import ExactMatrix
+from uebkit.exactmat import ExactMatrix, matrix_to_json
 from uebkit.combinat import cyclic_latin, fourier_hadamard, h_alpha
 from uebkit.groups import CyclicGroup, DirectProduct, HeisenbergElement
 from uebkit import nice
@@ -19,6 +19,7 @@ from uebkit.nice import (
     quadratic_diag,
     shift_matrix,
     verify_nice,
+    weyl_matrix,
 )
 
 
@@ -67,6 +68,42 @@ def test_heisenberg_rep_is_genuine():
     center_gen = HeisenbergElement(3, 0, 0, 1)
     assert rep.matrix(center_gen) == \
         ExactMatrix.identity(3).scalar_mul(PhasedScalar.zeta(3))
+
+
+def _power_tables(d):
+    """X^k and Z^k by repeated products, the reference for weyl_matrix."""
+    x = ExactMatrix.from_permutation([(k - 1) % d for k in range(d)])
+    z = ExactMatrix.diagonal([Cyclotomic.zeta(d, k) if d > 1
+                              else Cyclotomic.one(1) for k in range(d)])
+    xp, zp = [ExactMatrix.identity(d)], [ExactMatrix.identity(d)]
+    for _ in range(d - 1):
+        xp.append(xp[-1] @ x)
+        zp.append(zp[-1] @ z)
+    return xp, zp
+
+
+def _same_bytes(a, b):
+    # equal values, and equal entry orders, so files are byte-identical
+    return a == b and matrix_to_json(a) == matrix_to_json(b)
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_weyl_members_equal_power_table_products(d):
+    xp, zp = _power_tables(d)
+    assert _same_bytes(shift_matrix(d), xp[1 % d])
+    assert _same_bytes(clock_matrix(d), zp[1 % d])
+    pauli = pauli_rep(d)
+    heis = heisenberg_rep(d) if d > 1 else None  # H_1 is refused
+    zeta = PhasedScalar.zeta(d) if d > 1 else PhasedScalar.one(1)
+    for x in range(d):
+        for y in range(d):
+            assert _same_bytes(pauli.matrix((x, y)), xp[x] @ zp[y])
+            for z in range(d):
+                want = zp[y] @ xp[x]
+                want = want.scalar_mul(zeta ** z) if z else want
+                assert _same_bytes(weyl_matrix(d, x, y, z), want)
+                assert heis is None or _same_bytes(
+                    heis.matrix(HeisenbergElement(d, x, y, z)), want)
 
 
 def test_pauli_cocycle_value():

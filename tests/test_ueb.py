@@ -9,7 +9,7 @@ from uebkit.combinat import (
     h_alpha,
 )
 from uebkit.cyclo import PhasedScalar
-from uebkit.exactmat import ExactMatrix
+from uebkit.exactmat import ExactMatrix, matrix_to_json
 from uebkit.ueb import (
     NormalizationError,
     UnitaryErrorBasis,
@@ -90,6 +90,22 @@ def test_sam_verifies_and_is_monomial():
     permuted = LatinSquare(4, tuple(base.cells[i] for i in (2, 0, 3, 1)))
     b = shift_and_multiply(permuted, fourier_hadamard(4))
     assert verify_ueb(b).ok
+
+
+@pytest.mark.parametrize("latin, hadamard", [
+    (cyclic_latin(4), h_alpha()),
+    (cyclic_latin(5), fourier_hadamard(5)),
+], ids=["cyclic4-alpha", "cyclic5-fourier5"])
+def test_sam_members_equal_hand_assembly(latin, hadamard):
+    # E_ij|k> = H[i,k] |L(j,k)>, written entry by entry
+    d = latin.d
+    b = shift_and_multiply(latin, hadamard)
+    for (i, j), m in zip(b.labels, b.members):
+        ents = [PhasedScalar.zero(1)] * (d * d)
+        for k in range(d):
+            ents[latin(j, k) * d + k] = hadamard.entry(i, k)
+        want = ExactMatrix(d, d, ents, hadamard.scale)
+        assert m == want and matrix_to_json(m) == matrix_to_json(want)
 
 
 def test_sam_constant_equals_sequence():
