@@ -33,6 +33,8 @@ class ExactMatrix:
         scale = Fraction(scale)
         if not scale:
             raise ValueError("matrix scale must be nonzero")
+        if rows < 0 or cols < 0:  # -2 x -2 would pass the count below
+            raise ValueError(f"shape {rows} x {cols} is negative")
         entries = tuple(entries)
         if len(entries) != rows * cols:
             raise ValueError("entry count does not match shape")
@@ -119,13 +121,6 @@ class ExactMatrix:
             for j in range(p):
                 out[base + j] = acc[j] if acc[j] is not None else _ZERO
         return ExactMatrix(n, p, out, self.scale * other.scale)
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in sum")
-        ratio = other.scale / self.scale
-        ents = [a + b * ratio for a, b in zip(self.entries, other.entries)]
-        return ExactMatrix(self.rows, self.cols, ents, self.scale)
 
     def __pow__(self, k: int) -> "ExactMatrix":
         if self.rows != self.cols:

@@ -70,7 +70,7 @@ def center(G: FiniteGroup) -> list:
 
 
 def transversal(G: FiniteGroup, subgroup: list) -> list:
-    """One representative per coset of a central subgroup.
+    """One representative per left coset gK of a subgroup K.
 
     Representatives are the lexicographically least coset members,
     except that the identity represents its own coset; the identity

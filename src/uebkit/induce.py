@@ -105,12 +105,26 @@ def induce_character(psi: ClassFunction, H: FiniteGroup) -> ClassFunction:
 
 @dataclass
 class InducedRep:
+    """Induced from the subgroup K with left transversal t_1, ..., t_n.
+
+    matrix(h) holds the block rho(u) at block (i, j) exactly when
+    h t_j = t_i u with u in K; _coset sends each t_i u to that (i, u)."""
     parent: FiniteGroup
     subgroup: tuple
     transversal: tuple
     degree: int
     _rho: ProjectiveRep
     _cache: dict = field(default_factory=dict, repr=False)
+    _coset: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        G = self.parent
+        self._coset = {G.compose(t, u): (i, u)
+                       for i, t in enumerate(self.transversal)
+                       for u in self.subgroup}
+        # no element twice and n |K| = |H|: the cosets t_i K tile the parent
+        if not len(self._coset) == self.index * len(self.subgroup) == G.order:
+            raise ValueError("transversal does not tile the group")
 
     @property
     def index(self) -> int:
@@ -125,25 +139,19 @@ class InducedRep:
         if m is not None:
             return m
         G = self.parent
-        kset = set(self.subgroup)
-        n, deg = self.index, self.degree
-        dim = n * deg
+        deg = self.degree
+        dim = self.index * deg
         zero = PhasedScalar.zero(1)
         ents = [zero] * (dim * dim)
-        tinv = [G.inverse(t) for t in self.transversal]
         for j, tj in enumerate(self.transversal):
-            htj = G.compose(h, tj)
-            for i in range(n):
-                u = G.compose(tinv[i], htj)
-                if u in kset:
-                    blk = self._rho.matrix(u)
-                    for r in range(deg):
-                        for c in range(deg):
-                            e = blk.entries[r * deg + c]
-                            if e.terms:
-                                ents[(i * deg + r) * dim + j * deg + c] = \
-                                    e * blk.scale
-                    break
+            i, u = self._coset[G.compose(h, tj)]
+            blk = self._rho.matrix(u)
+            for r in range(deg):
+                for c in range(deg):
+                    e = blk.entries[r * deg + c]
+                    if e.terms:
+                        ents[(i * deg + r) * dim + j * deg + c] = \
+                            e * blk.scale
         m = ExactMatrix(dim, dim, ents)
         self._cache[h] = m
         return m
@@ -155,28 +163,17 @@ class InducedRep:
 
     def block_structure_ok(self) -> bool:
         """One nonzero block per block column and per block row, every
-        parent element."""
-        G = self.parent
-        kset = set(self.subgroup)
-        tinv = [G.inverse(t) for t in self.transversal]
-        n = self.index
-        for h in G.elements():
-            rows_used = set()
-            for j, tj in enumerate(self.transversal):
-                htj = G.compose(h, tj)
-                hits = [i for i in range(n) if G.compose(tinv[i], htj) in kset]
-                if len(hits) != 1 or hits[0] in rows_used:
-                    return False
-                rows_used.add(hits[0])
-        return True
+        parent element: h t_1, ..., h t_n lie in n different cosets."""
+        G, coset, n = self.parent, self._coset, self.index
+        return all(
+            len({coset[G.compose(h, t)][0] for t in self.transversal}) == n
+            for h in G.elements())
 
 
 def induce_representation(psi_rep: ProjectiveRep, H: FiniteGroup) -> InducedRep:
     kelems = _subgroup_of(H, psi_rep.group)
-    trans = transversal(H, kelems)
-    if len(trans) * len(kelems) != H.order:
-        raise ValueError("transversal does not tile the group")
-    return InducedRep(H, tuple(kelems), tuple(trans), psi_rep.dim, psi_rep)
+    return InducedRep(H, tuple(kelems), tuple(transversal(H, kelems)),
+                      psi_rep.dim, psi_rep)
 
 
 def sparsity_check(ind: InducedRep) -> Fraction:

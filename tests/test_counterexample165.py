@@ -304,6 +304,25 @@ def test_empty_slot_words_trace_without_products(built, monkeypatch):
     assert calls == []
 
 
+def test_product_words_trace_as_phase_times_product(built):
+    # rho(g) rho(h) holds two-key words, traced through word_matrix;
+    # h = g^-1 c with c central makes the trace of rho(gh) = rho(c) nonzero
+    fm, G = built.factors, built.group
+    rng = random.Random(29)
+    pairs = [(g, G.compose(G.inverse(g), c))
+             for g in _twisted_members(built, rng, 3)
+             for c in (G.identity, built.center_generator)]
+    pairs += _twisted_pairs(built, seed=29, n=6)
+    nonzero = 0
+    for g, h in pairs:
+        p, gh = fm.triple(g) @ fm.triple(h), fm.triple(G.compose(g, h))
+        assert all(len(w) == 2 for w in p.words)
+        omega = p.equal_up_to_phase(gh)
+        assert omega is not None
+        assert fm.trace(p) == omega * fm.trace(gh)
+        nonzero += not fm.trace(gh).is_zero()
+    assert nonzero == 6
+
 def test_triple_trace_and_dim(built):
     fm = built.factors
     ident = fm.triple(built.quotient.identity)

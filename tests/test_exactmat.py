@@ -114,6 +114,32 @@ def test_equal_up_to_phase():
     assert c2 is not None and c2 == t
 
 
+def test_equal_up_to_phase_multi_term_entries():
+    # a multi-term entry has no inverse: the phase is read off the leading
+    # terms and then checked on every entry
+    declare_phase_symbol("t")
+    one, t = PhasedScalar.one(), PhasedScalar.symbol("t")
+    a = ExactMatrix.diagonal([one + t, one - t])
+    b = ExactMatrix.diagonal([t + t * t, t - t * t])
+    assert a.equal_up_to_phase(b) == PhasedScalar.symbol("t", -1)
+    assert b.equal_up_to_phase(a) == t
+    assert ExactMatrix.diagonal([one + t, one + t]).equal_up_to_phase(b) is None
+    m = ExactMatrix.from_rows([[one + t]])
+    z5 = PhasedScalar.zeta(5)
+    assert ExactMatrix.from_rows([[z5 * (one + t)]]).equal_up_to_phase(m) == z5
+    assert ExactMatrix.from_rows([[(one + t) * 2]]).equal_up_to_phase(m) is None
+
+
+def test_shape_must_not_be_negative():
+    # the entry count alone passes -2 x -2 (4 entries) and -1 x 0 (none)
+    with pytest.raises(ValueError, match="negative"):
+        ExactMatrix(-2, -2, [PhasedScalar.one()] * 4)
+    with pytest.raises(ValueError, match="negative"):
+        ExactMatrix(-1, 0, [])
+    # 0 x 0 stays legal: identity(0) and from_rows([]) build it
+    empty = ExactMatrix(0, 0, [])
+    assert ExactMatrix.identity(0) == empty == ExactMatrix.from_rows([])
+
 def test_monomial_structure():
     x = shift(4)
     assert x.is_monomial()

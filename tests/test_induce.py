@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from uebkit.cyclo import PhasedScalar
+from uebkit.exactmat import ExactMatrix, matrix_to_json
 from uebkit.groups import (
     CyclicGroup,
     HeisenbergElement,
@@ -13,6 +14,7 @@ from uebkit.groups import (
 )
 from uebkit.induce import (
     ClassFunction,
+    InducedRep,
     character_rep,
     class_function,
     conjugacy_classes,
@@ -131,3 +133,93 @@ def test_induce_rejects_nonsubgroup():
     psi = ClassFunction(CyclicGroup(4), {g: PhasedScalar.one(1) for g in range(4)})
     with pytest.raises(ValueError):
         induce_character(psi, G)
+
+
+def search_matrix(ind, h) -> ExactMatrix:
+    """The reference route the coset table replaced: for each block
+    column j, try the block rows i in turn until t_i^-1 h t_j is in K."""
+    G, n, deg = ind.parent, ind.index, ind.degree
+    kset = set(ind.subgroup)
+    dim = n * deg
+    ents = [PhasedScalar.zero(1)] * (dim * dim)
+    for j, tj in enumerate(ind.transversal):
+        htj = G.compose(h, tj)
+        hits = [G.compose(G.inverse(ti), htj) for ti in ind.transversal]
+        rows = [i for i, u in enumerate(hits) if u in kset]
+        assert len(rows) == 1
+        i = rows[0]
+        blk = ind._rho.matrix(hits[i])
+        for r in range(deg):
+            for c in range(deg):
+                e = blk.entries[r * deg + c]
+                if e.terms:
+                    ents[(i * deg + r) * dim + j * deg + c] = e * blk.scale
+    return ExactMatrix(dim, dim, ents)
+
+
+def _central_induced(d, power=1):
+    G, Z, psi = central_character(d, power)
+    return induce_representation(character_rep(psi), G)
+
+
+def _cyclic_induced(n, kelems, fn):
+    G = CyclicGroup(n)
+    psi = class_function(SubgroupView(G, kelems), fn)
+    return induce_representation(character_rep(psi), G)
+
+
+INDUCED = {
+    "H2-center": lambda: _central_induced(2),
+    "H3-center": lambda: _central_induced(3),
+    "H5-center^2": lambda: _central_induced(5, 2),
+    "Z4-over-0,2": lambda: _cyclic_induced(
+        4, [0, 2], lambda k: PhasedScalar.of(1 if k == 0 else -1)),
+    "Z6-over-0": lambda: _cyclic_induced(
+        6, [0], lambda k: PhasedScalar.one(1)),
+    "H3-whole": lambda: induce_representation(
+        heisenberg_rep(3), HeisenbergGroup(3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INDUCED))
+def test_coset_table_matches_block_search(case):
+    ind = INDUCED[case]()
+    assert ind.block_structure_ok()
+    for h in ind.parent.elements():
+        m, ref = ind.matrix(h), search_matrix(ind, h)
+        assert m == ref
+        assert matrix_to_json(m) == matrix_to_json(ref)
+
+
+def test_block_reads_compose_once_per_block_column():
+    # |H| n = 343 * 49 compositions each, on the representation that
+    # analyze induce heisenberg:7 builds
+    ind = _central_induced(7)
+    G = ind.parent
+    calls = []
+    compose = G.compose
+
+    def counting(a, b):
+        calls.append(1)
+        return compose(a, b)
+
+    G.compose = counting
+    assert ind.block_structure_ok()
+    assert len(calls) == 16_807
+    calls.clear()
+    for h in G.elements():
+        ind.matrix(h)
+    assert len(calls) == 16_807
+
+
+@pytest.mark.parametrize("n, kelems, trans", [
+    (4, [0, 2], (0, 2)),        # two representatives of K, n |K| = |H|
+    (4, [0, 2], (0,)),          # a coset left out
+    (6, [0, 3], (0, 1, 4)),     # 1 and 4 share the coset 1 + K
+])
+def test_transversal_must_tile_the_group(n, kelems, trans):
+    G = CyclicGroup(n)
+    psi = class_function(SubgroupView(G, kelems), lambda k: PhasedScalar.one(1))
+    with pytest.raises(ValueError, match="tile"):
+        InducedRep(G, tuple(kelems), trans, 1, character_rep(psi))
+
