@@ -35,7 +35,6 @@ from .nice import (NicenessReport, ProjectiveRep, clock_matrix, quadratic_diag,
 from .combinat import fourier_hadamard
 
 DEFAULT_SEED = 1650
-_WORD_CHECKS = 1000         # random generator words in build_g165
 _MONOMIAL_SAMPLES = 12      # members materialized dense in verification
 _PAIR_SAMPLES = 10_000      # random cocycle pairs beyond the generator pairs
 
@@ -69,16 +68,18 @@ def weyl_decompose(m: ExactMatrix, p: int):
 
 
 def conjugation_automorphism(group: HeisenbergGroup, u: ExactMatrix,
-                             forward: bool = True, rng=None) -> dict:
+                             forward: bool = True) -> dict:
     """The map f on the Heisenberg group with
     rho(f(g)) == U rho(g) U^dagger / s exactly, s the unitarity scale
     of U; forward=False conjugates by U^dagger instead.
 
     Generator images come from exact Weyl decompositions; the extension
-    uses the normal form (x, y, z) = b^y a^x c^z.  The result is
-    confirmed exactly by is_automorphism, which checks the homomorphism
-    property on the group's generators (and that they generate), and
-    the defining property is re-checked on a seeded element sample."""
+    uses the normal form (x, y, z) = b^y a^x c^z.  is_automorphism
+    confirms f exactly on the group's generators (and that they
+    generate).  This proves the defining property for every g: image()
+    checks it at a and b, and both sides are homomorphisms in g, since
+    U U^dagger = s I and rho = weyl_matrix is one by the X Z = zeta Z X
+    guard in build_conjugators."""
     p = group.d
     s = u.is_scaled_unitary()
     if s is None:
@@ -117,24 +118,7 @@ def conjugation_automorphism(group: HeisenbergGroup, u: ExactMatrix,
                 images[HeisenbergElement(p, x, y, z)] = comp(base, pc[z])
     if not is_automorphism(group, images.__getitem__):
         raise ConjugatorError("lifted conjugation map is not an automorphism")
-    rng = rng or random.Random(0)
-    fu = from_exact(u, p)
-    fud = fu.dagger()
-    for _ in range(6):
-        g = group.random_element(rng)
-        rho = _rho_cyc(group, g)
-        lhs = (fu @ rho @ fud) if forward else (fud @ rho @ fu)
-        if not (CycMatrix(p, lhs.a, lhs.scale / s)
-                == _rho_cyc(group, images[g])):
-            raise ConjugatorError("lift disagrees with conjugation on a "
-                                  "sampled element")
     return images
-
-
-def _rho_cyc(group: HeisenbergGroup, g: HeisenbergElement) -> CycMatrix:
-    """zeta^z Z^y X^x in packed form; small, built on the fly."""
-    p = group.d
-    return from_exact(weyl_matrix(p, g.x, g.y, g.z), p)
 
 
 def _exponent_action(images: dict, p: int) -> SL2Element:
@@ -175,7 +159,7 @@ class ConjugatorSet:
     checks: dict
 
 
-def build_conjugators(p: int, e: int = 3, seed: int = 0) -> ConjugatorSet:
+def build_conjugators(p: int, e: int = 3) -> ConjugatorSet:
     """Build and verify the twist conjugator for one odd prime factor.
 
     R is ((D Z^e F) ** 2) / p.  Raises ConjugatorError when any
@@ -193,6 +177,7 @@ def build_conjugators(p: int, e: int = 3, seed: int = 0) -> ConjugatorSet:
         if not ok:
             raise ConjugatorError(f"{what} (p={p}, e={e})")
 
+    require(X @ Z == (Z @ X).scalar_mul(w), "X Z != w Z X")
     require(F.dagger() @ X @ F == Z.scalar_mul(p), "F+ X F != p Z")
     require(F.dagger() @ Z @ F == (X ** (p - 1)).scalar_mul(p),
             "F+ Z F != p X^-1")
@@ -210,8 +195,7 @@ def build_conjugators(p: int, e: int = 3, seed: int = 0) -> ConjugatorSet:
     require(r_cubed.root_of_unity_order() is not None,
             "R^3 scalar is not a root of unity")
 
-    rng = random.Random(seed)
-    gamma = conjugation_automorphism(group, R, forward=True, rng=rng)
+    gamma = conjugation_automorphism(group, R, forward=True)
     action = _exponent_action(gamma, p)
     sl2 = SL2Group(p)
     order = element_order(sl2, action)
@@ -219,8 +203,8 @@ def build_conjugators(p: int, e: int = 3, seed: int = 0) -> ConjugatorSet:
     require(acts_irreducibly(action),
             "induced action has an eigenvector over F_p")
 
-    alpha = conjugation_automorphism(group, F, forward=False, rng=rng)
-    beta = conjugation_automorphism(group, B, forward=False, rng=rng)
+    alpha = conjugation_automorphism(group, F, forward=False)
+    beta = conjugation_automorphism(group, B, forward=False)
     alpha_action = _exponent_action(alpha, p)
     beta_action = _exponent_action(beta, p)
     require(alpha_action == sl2_alpha(p), "alpha action is not ((0,-1),(1,0))")
@@ -549,9 +533,21 @@ def build_g165(seed: int = DEFAULT_SEED) -> G165:
     the central quotient indexing the error basis.
 
     Structural checks run as the pieces are assembled; anything failing
-    raises rather than returning a half-built object."""
-    conj5 = build_conjugators(5, 3, seed=seed)
-    conj11 = build_conjugators(11, 3, seed=seed)
+    raises rather than returning a half-built object.
+
+    G is a group: act is a homomorphism H_3 -> Aut(H_5 x H_11), as each
+    gamma is an exact automorphism, _aut_powers checks gamma^3 = id and
+    h -> (h.x, h.y) mod 3 adds under Heisenberg composition.
+
+    rho(t_1 ... t_k) ~ rho(t_1) ... rho(t_k), up to a unit phase, for
+    every generator word: verify_counterexample, which construct and
+    verify counterexample165 always run, checks rho(q) rho(s) ~ rho(q s)
+    for every coset q and generating coset s.  Induct on k with
+    rho(g) ~ rho(section(g)) (_keys reads z only into the central
+    exponent) and section(g t) = section(section(g) t) (section is
+    constant on central cosets)."""
+    conj5 = build_conjugators(5, 3)
+    conj11 = build_conjugators(11, 3)
     H5, H11, H3 = conj5.group, conj11.group, HeisenbergGroup(3)
     g5 = _aut_powers(H5, conj5.gamma)
     g11 = _aut_powers(H11, conj11.gamma)
@@ -560,8 +556,6 @@ def build_g165(seed: int = DEFAULT_SEED) -> G165:
         return (g5[h.x][n[0]], g11[h.y][n[1]])
 
     G = SemidirectProduct(DirectProduct(H5, H11), H3, act)
-    rng = random.Random(seed)
-    G.spot_check(rng)
     if G.order != 4_492_125:
         raise ArithmeticError(f"group order {G.order}, want 4492125")
 
@@ -614,7 +608,6 @@ def build_g165(seed: int = DEFAULT_SEED) -> G165:
         "center_cyclic_witness_order": 165,
         "quotient_order": quotient.order,
         "generator_matrices_pinned": _check_generators(G, factors),
-        "word_check_pairs": _word_check(G, factors, rng),
     }
     if not checks["generator_matrices_pinned"]:
         raise ArithmeticError("generator images differ from the pinned "
@@ -650,25 +643,6 @@ def _check_generators(G, factors: FactorMap) -> bool:
     target = shift_matrix(3).tensor(factors.conj5.R).tensor(
         ExactMatrix.identity(11))
     return dense == target
-
-
-def _word_check(G, factors: FactorMap, rng) -> int:
-    """mu of a random generator word must equal the product of the
-    generator images up to a unit phase; this pins the factor-map
-    formula executably, central phases included."""
-    gens = list(G.generators)
-    for _ in range(_WORD_CHECKS):
-        k = rng.randrange(1, 7)
-        g = G.identity
-        m = factors.triple(G.identity)
-        for _ in range(k):
-            t = rng.choice(gens)
-            g = G.compose(g, t)
-            m = m @ factors.triple(t)
-        if m.equal_up_to_phase(factors.triple(g)) is None:
-            raise ArithmeticError(f"factor map breaks on the word ending "
-                                  f"at {g}")
-    return _WORD_CHECKS
 
 
 # ---------------------------------------------------------------------------

@@ -146,12 +146,13 @@ class InducedRep:
         for j, tj in enumerate(self.transversal):
             i, u = self._coset[G.compose(h, tj)]
             blk = self._rho.matrix(u)
+            s = blk.scale
             for r in range(deg):
                 for c in range(deg):
                     e = blk.entries[r * deg + c]
                     if e.terms:
                         ents[(i * deg + r) * dim + j * deg + c] = \
-                            e * blk.scale
+                            e if s == 1 else e * s
         m = ExactMatrix(dim, dim, ents)
         self._cache[h] = m
         return m

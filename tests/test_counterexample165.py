@@ -19,7 +19,7 @@ from uebkit.counterexample165 import (
 )
 from uebkit.cyclo import Cyclotomic, PhasedScalar
 from uebkit.exactmat import ExactMatrix, monomiality_report
-from uebkit.fastcyc import to_exact
+from uebkit.fastcyc import CycMatrix, from_exact, to_exact
 from uebkit.groups import (
     HeisenbergElement,
     HeisenbergGroup,
@@ -31,7 +31,14 @@ from uebkit.groups import (
     sl2_alpha,
     sl2_beta,
 )
-from uebkit.nice import clock_matrix, shift_matrix
+from uebkit.nice import (
+    CocycleError,
+    ProjectiveRep,
+    clock_matrix,
+    extract_cocycle,
+    shift_matrix,
+    weyl_matrix,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +70,32 @@ def test_alpha_beta_lifts_match_abstract_maps(built):
         for g in conj.group.elements():
             assert conj.alpha[g] == alpha_aut(g)
             assert conj.beta[g] == beta_aut(g)
+
+
+def test_lifts_agree_with_conjugation_on_every_element(built):
+    # rho(f(g)) == U rho(g) U^dagger / s for every g and each lift, dense
+    # exact at p = 5 and packed at p = 11; conjugation_automorphism proves
+    # it from the generators, this checks the whole group
+    for conj, packed in ((built.conj5, False), (built.conj11, True)):
+        p = conj.p
+        rho = {}
+        for g in conj.group.elements():
+            m = weyl_matrix(p, g.x, g.y, g.z)
+            rho[g] = from_exact(m, p) if packed else m
+        for f, u, forward in ((conj.gamma, conj.R, True),
+                              (conj.alpha, conj.F, False),
+                              (conj.beta, conj.B, False)):
+            s = u.is_scaled_unitary()
+            if packed:
+                u = from_exact(u, p)
+            left, right = (u, u.dagger()) if forward else (u.dagger(), u)
+            for g, m in rho.items():
+                lhs = left @ m @ right
+                if packed:
+                    lhs = CycMatrix(p, lhs.a, lhs.scale / s)
+                else:
+                    lhs = lhs.scalar_mul(Fraction(1, s))
+                assert lhs == rho[f[g]], (p, g)
 
 
 def test_realized_action_is_alpha_beta_not_a_quartic(built):
@@ -342,7 +375,37 @@ def test_group_and_center_structure(built):
     assert element_order(built.group, built.center_generator) == 165
     assert built.quotient.order == 27_225
     assert built.checks["generator_matrices_pinned"]
-    assert built.checks["word_check_pairs"] == 1000
+
+
+def test_generator_pairs_catch_a_broken_factor_map(built, monkeypatch):
+    # the word claim of build_g165 rests on rho(q) rho(s) ~ rho(q s) for
+    # the generator pairs the niceness sweep checks; a 5-slot key that
+    # ignores x3 drops the twist, and the generator x generator pairs
+    # alone already refuse it
+    fm, Q = built.factors, built.quotient
+    pairs = [(s, t) for s in Q.generators for t in Q.generators]
+    assert len(pairs) == 36
+    keys = FactorMap._keys
+
+    def refused():
+        rep = ProjectiveRep(Q, 165, fm.triple)
+        out = []
+        for s, t in pairs:
+            try:
+                extract_cocycle(rep, s, t)
+            except CocycleError:
+                out.append((s, t))
+        return out
+
+    assert refused() == []
+
+    def untwisted(g):
+        k3, (x5, y5, _), k11, z = keys(g)
+        return k3, (x5, y5, 0), k11, z
+
+    monkeypatch.setattr(fm, "_keys", untwisted)
+    twist = Q.generators[4]          # X3 (x) R5 (x) I11
+    assert refused() == [(twist, Q.generators[0]), (twist, Q.generators[1])]
 
 
 def test_central_member_is_a_scalar_matrix(built):

@@ -220,8 +220,16 @@ def test_semidirect_product():
 
     g = SemidirectProduct(n, h, act)
     assert g.order == 21
-    rng = random.Random(8)
-    g.spot_check(rng, samples=100)
+    # every triple: associativity, and the inverse on both sides
+    elems = list(g.elements())
+    assert len(set(elems)) == 21
+    for a in elems:
+        assert g.compose(a, g.inverse(a)) == g.identity
+        assert g.compose(g.inverse(a), a) == g.identity
+        for b in elems:
+            ab = g.compose(a, b)
+            for c in elems:
+                assert g.compose(ab, c) == g.compose(a, g.compose(b, c))
     # nonabelian: the action is nontrivial
     assert g.compose((1, 0), (0, 1)) != g.compose((0, 1), (1, 0))
     assert g.center_structural() is None

@@ -22,7 +22,7 @@ from uebkit.induce import (
     induce_representation,
     sparsity_check,
 )
-from uebkit.nice import heisenberg_rep
+from uebkit.nice import ProjectiveRep, heisenberg_rep
 
 
 def central_character(d: int, power: int = 1):
@@ -168,6 +168,15 @@ def _cyclic_induced(n, kelems, fn):
     return induce_representation(character_rep(psi), G)
 
 
+def _scaled_induced():
+    # a 1 x 1 block rep whose matrices carry the scale 1/2, not 1
+    G = CyclicGroup(4)
+    K = SubgroupView(G, [0, 2])
+    rho = ProjectiveRep(K, 1, lambda k: ExactMatrix(
+        1, 1, [PhasedScalar.of(1 if k == 0 else -1)], Fraction(1, 2)))
+    return induce_representation(rho, G)
+
+
 INDUCED = {
     "H2-center": lambda: _central_induced(2),
     "H3-center": lambda: _central_induced(3),
@@ -178,6 +187,7 @@ INDUCED = {
         6, [0], lambda k: PhasedScalar.one(1)),
     "H3-whole": lambda: induce_representation(
         heisenberg_rep(3), HeisenbergGroup(3)),
+    "Z4-over-0,2-scaled": _scaled_induced,
 }
 
 
