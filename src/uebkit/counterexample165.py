@@ -371,13 +371,17 @@ class FactorMap:
     route for all entries, dense exact route on a seeded sample), which
     is what entitles every word of pool keys to unitarity scale 1.
 
-    Slot comparisons are memoized on the instance by value: _phases maps
+    Slot comparisons multiply no matrices: _normal reduces each word to
+    a pool key and a phase by the Heisenberg law and the verified twist,
+    and two words are proportional exactly when their keys agree.  The
+    answers are memoized on the instance by value: _phases maps
     (p, word_a, word_b) to the exponent j with word_a == zeta_330^j
     word_b in the p-slot, or to None.  Slot phases are +-zeta_p^k and
     the central phase is zeta_165^z, so every phase is a power of
     zeta_330 and a comparison of triples adds exponents.  Only phases
     are stored, never products, so the table is bounded by the slot
-    pairs a run compares."""
+    pairs a run compares.  word_matrix, the packed product of a word,
+    is the independent route verify_counterexample checks against."""
 
     def __init__(self, conj5: ConjugatorSet, conj11: ConjugatorSet,
                  seed: int = 0):
@@ -394,6 +398,15 @@ class FactorMap:
         self._verify_pools(rng)
         self.zetas = [PhasedScalar.zeta(330, j) for j in range(330)]
         self._power = {c.key(): j for j, c in enumerate(self.zetas)}
+        # per prime: gamma^k as (x, y) -> (x', y', z') for k < 3, and the
+        # zeta_330 exponent of R^3; the 3-slot has no twist
+        ident = {(x, y): (x, y, 0) for x in range(3) for y in range(3)}
+        self._gamma = {3: [ident]}
+        self._wrap = {3: 0}
+        for c in (conj5, conj11):
+            self._gamma[c.p] = [{(g.x, g.y): f[g][1:] for g in f if not g.z}
+                                for f in _aut_powers(c.group, c.gamma)]
+            self._wrap[c.p] = self._power[c.r_cubed.promote(330).key()]
         self._phases: dict = {}
 
     def _pool(self, p: int, r: ExactMatrix | None):
@@ -425,6 +438,11 @@ class FactorMap:
                         == exact[key].trace()):
                     raise ArithmeticError(f"trace routes disagree at {key} "
                                           f"(p={p})")
+        # the Heisenberg law of the 3-slot normal form; build_conjugators
+        # checks the same relation at p = 5 and 11
+        x3, z3 = self.exact[3][1, 0], self.exact[3][0, 1]
+        if not (x3 @ z3 == (z3 @ x3).scalar_mul(PhasedScalar.zeta(3))):
+            raise ArithmeticError("X Z != zeta Z X (p=3)")
 
     @staticmethod
     def _keys(g):
@@ -472,13 +490,39 @@ class FactorMap:
             j += k
         return j % 330
 
+    def _normal(self, p: int, word: tuple):
+        """(key, j) with word == zeta_330^j pool[key] in the p-slot.
+
+        Key (x, y) of the 3-slot is rho(x, y, 0), and the keys multiply
+        by the Heisenberg law, which rho obeys by the X Z = zeta Z X guards
+        in build_conjugators and _verify_pools.  Key (x, y, k) of the 5- and 11-slots is
+        W(x, y) R^k, and W(h) R^k W(h') R^k' = W(h gamma^k(h')) R^(k+k'),
+        as R rho(h) R^dagger = rho(gamma(h)) for every h
+        (conjugation_automorphism); whenever k reaches 3, R^3 = r_cubed I
+        (checked) contributes its exponent.  The central part z of the
+        product gives zeta_p^z.
+
+        Distinct keys are never proportional.  With equal k, Weyl
+        matrices with distinct (x, y) are trace-orthogonal.  With
+        k != k', R^j for j = 1 or 2 would be a multiple of a Weyl matrix;
+        conjugation by a Weyl matrix fixes every (x, y) exponent, but the
+        exponent action of gamma has order 3 (action_order, checked)."""
+        gamma = self._gamma[p]
+        x = y = z = k = wraps = 0
+        for key in word:
+            a, b, c = gamma[k][key[0], key[1]]
+            z += c + x * b
+            x, y = (x + a) % p, (y + b) % p
+            if p != 3:
+                k += key[2]
+                if k >= 3:
+                    k, wraps = k - 3, wraps + 1
+        j = (330 // p * z + wraps * self._wrap[p]) % 330
+        return ((x, y) if p == 3 else (x, y, k)), j
+
     def _slot_phase(self, p: int, wa: tuple, wb: tuple):
-        # the packed comparison finds every phase +-zeta_p^k: all the roots
-        # of unity in Q(zeta_p), so all the phases _power can name
-        c = self.word_matrix(p, wa).equal_up_to_phase(self.word_matrix(p, wb))
-        if c is None:
-            return None
-        return self._power[PhasedScalar.of(c).promote(330).key()]
+        (ka, ja), (kb, jb) = self._normal(p, wa), self._normal(p, wb)
+        return (ja - jb) % 330 if ka == kb else None
 
     def trace(self, t: TensorTriple) -> PhasedScalar:
         out = PhasedScalar.one(1)
@@ -769,15 +813,22 @@ def verify_counterexample(g: G165, seed: int = DEFAULT_SEED
     sampled_monomiality = monomiality_report(sampled_members())
     cross_ok = all(agree)
 
-    # dual-route agreement: packed slot algebra against the dense layer
+    # dual-route agreement: packed slot algebra against the dense layer,
+    # and the normal form of each two-key word against its packed product
     cross = 0
-    for fast, exact in ((fm.fast[p], fm.exact[p]) for p in (5, 11)):
+    for p in (5, 11):
+        fast, exact = fm.fast[p], fm.exact[p]
         keys = sorted(exact)
         for _ in range(10):
             ka, kb = rng.choice(keys), rng.choice(keys)
             fprod = fast[ka] @ fast[kb]
             eprod = exact[ka] @ exact[kb]
             if to_exact(fprod) != eprod:
+                cross_ok = False
+            key, j = fm._normal(p, (ka, kb))
+            c = fprod.equal_up_to_phase(fast[key])
+            if (c is None or j != fm._power.get(
+                    PhasedScalar.of(c).promote(330).key())):
                 cross_ok = False
             fphase = fprod.equal_up_to_phase(fast[kb])
             ephase = eprod.equal_up_to_phase(exact[kb])

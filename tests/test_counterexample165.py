@@ -6,7 +6,6 @@ from types import MethodType, SimpleNamespace
 import numpy as np
 import pytest
 
-from uebkit import counterexample165, fastcyc
 from uebkit.counterexample165 import (
     ConjugatorError,
     FactorMap,
@@ -15,11 +14,12 @@ from uebkit.counterexample165 import (
     build_conjugators,
     conjugation_automorphism,
     export_bundle,
+    verify_counterexample,
     weyl_decompose,
 )
 from uebkit.cyclo import Cyclotomic, PhasedScalar
 from uebkit.exactmat import ExactMatrix, monomiality_report
-from uebkit.fastcyc import CycMatrix, from_exact, to_exact
+from uebkit.fastcyc import CycMatrix, from_exact
 from uebkit.groups import (
     HeisenbergElement,
     HeisenbergGroup,
@@ -186,24 +186,84 @@ def test_slot_signs_cancel_across_slots():
     assert not TensorTriple(stub, (neg, neg, ()), 1).is_identity()
 
 
-def test_slot_phase_stays_packed(built, monkeypatch):
-    # the packed comparison answers every slot pair, matched or not: the
-    # roots of unity in Q(zeta_p) are +-zeta_p^k, which it tries in turn
-    calls = []
-
-    def counting(cm):
-        calls.append(cm)
-        return to_exact(cm)
-
-    monkeypatch.setattr(counterexample165, "to_exact", counting)
-    monkeypatch.setattr(fastcyc, "to_exact", counting)
+def test_slot_phase_multiplies_no_matrices(built, monkeypatch):
+    # a slot-memo miss reads the two normal forms alone, matched or not:
+    # no word is multiplied out on the packed route
     fm, r = built.factors, (0, 0, 1)
+    calls = []
+    word_matrix, matmul = fm.word_matrix, CycMatrix.__matmul__
+    monkeypatch.setattr(fm, "word_matrix",
+                        lambda p, w: calls.append(w) or word_matrix(p, w))
+    monkeypatch.setattr(CycMatrix, "__matmul__",
+                        lambda a, b: calls.append(b) or matmul(a, b))
+    monkeypatch.setattr(fm, "_phases", {})
     assert fm._slot_phase(3, ((1, 0),), ((0, 1),)) is None
     assert fm._slot_phase(11, (r,), ((0, 0, 2),)) is None
     assert fm._slot_phase(11, (r, r), (r,)) is None
     # R11^3 = -zeta_11^2 = zeta_330^(165 + 60)
     assert fm._slot_phase(11, (r, r, r), ()) == 225
+    t = TensorTriple(fm, ((), (), (r, r, r)))
+    assert fm.phase_exponent(t, TensorTriple(fm, ((), (), ()))) == 225
+    assert list(fm._phases.values()) == [225]
     assert calls == []
+
+
+def _packed_disagreements(fm, p, words):
+    """The words whose normal form (key, j) the packed route refutes: the
+    multiplied-out word must equal zeta_330^j times pool[key]."""
+    out = []
+    for w in words:
+        key, j = fm._normal(p, w)
+        c = fm.word_matrix(p, w).equal_up_to_phase(fm.fast[p][key])
+        if c is None or fm._power.get(
+                PhasedScalar.of(c).promote(330).key()) != j:
+            out.append(w)
+    return out
+
+
+def _long_words(fm, seed=11, n=1_000):
+    """n seeded 11-slot words of 2 to 7 keys."""
+    rng = random.Random(seed)
+    keys = sorted(fm.fast[11])
+    return [tuple(rng.choice(keys) for _ in range(rng.randint(2, 7)))
+            for _ in range(n)]
+
+
+def test_normal_form_matches_packed_products(built):
+    fm = built.factors
+    two_key = {p: [(a, b) for a in sorted(fm.fast[p])
+                   for b in sorted(fm.fast[p])] for p in (3, 5)}
+    assert sum(map(len, two_key.values())) == 5_706
+    for p, words in two_key.items():
+        assert _packed_disagreements(fm, p, words) == []
+    # R11^3 = -zeta_11^2 = zeta_330^225 enters each time k reaches 3
+    assert fm._wrap[11] == 225
+    words = _long_words(fm)
+    assert sum(sum(k[2] for k in w) >= 3 for w in words) > 500
+    assert _packed_disagreements(fm, 11, words) == []
+
+
+def test_distinct_pool_keys_are_never_proportional(built):
+    # what lets _slot_phase answer None whenever the keys differ
+    pool = built.factors.fast[5]
+    keys = sorted(pool)
+    for i, a in enumerate(keys):
+        for b in keys[i + 1:]:
+            assert pool[a].equal_up_to_phase(pool[b]) is None, (a, b)
+
+
+@pytest.mark.parametrize("mutation", ["swap-gamma", "shift-r-cubed"])
+def test_broken_normal_form_is_caught(built, monkeypatch, mutation):
+    fm = built.factors
+    if mutation == "swap-gamma":
+        ident, gamma, gamma2 = fm._gamma[11]
+        monkeypatch.setitem(fm._gamma, 11, [ident, gamma2, gamma])
+    else:
+        monkeypatch.setitem(fm._wrap, 11, fm._wrap[11] + 1)
+    assert _packed_disagreements(fm, 11, _long_words(fm))
+    # a fresh memo, so the report reads the broken normal form
+    monkeypatch.setattr(fm, "_phases", {})
+    assert not verify_counterexample(built).cross_ok
 
 
 def test_triple_product_passes_identity_slots_through(built):
