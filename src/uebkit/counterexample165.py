@@ -398,14 +398,16 @@ class FactorMap:
         self._verify_pools(rng)
         self.zetas = [PhasedScalar.zeta(330, j) for j in range(330)]
         self._power = {c.key(): j for j, c in enumerate(self.zetas)}
-        # per prime: gamma^k as (x, y) -> (x', y', z') for k < 3, and the
-        # zeta_330 exponent of R^3; the 3-slot has no twist
+        # per prime: [id, gamma, gamma^2] on H_p and as (x, y) -> (x', y', z')
+        # maps, both shared with build_g165, and the zeta_330 exponent of R^3
+        self.powers = {c.p: _aut_powers(c.group, c.gamma)
+                       for c in (conj5, conj11)}
         ident = {(x, y): (x, y, 0) for x in range(3) for y in range(3)}
         self._gamma = {3: [ident]}
         self._wrap = {3: 0}
         for c in (conj5, conj11):
             self._gamma[c.p] = [{(g.x, g.y): f[g][1:] for g in f if not g.z}
-                                for f in _aut_powers(c.group, c.gamma)]
+                                for f in self.powers[c.p]]
             self._wrap[c.p] = self._power[c.r_cubed.promote(330).key()]
         self._phases: dict = {}
 
@@ -553,7 +555,7 @@ class G165:
     """The built construction: abstract group, central quotient, factor
     representation, and the verified conjugator sets."""
     group: FiniteGroup
-    quotient: CentralQuotientGroup
+    quotient: Quotient165
     center: list
     center_generator: tuple
     conj5: ConjugatorSet
@@ -570,6 +572,60 @@ def _aut_powers(group: HeisenbergGroup, images: dict) -> list:
     if {g: images[sq[g]] for g in images} != ident:
         raise ConjugatorError("automorphism does not have order dividing 3")
     return [ident, images, sq]
+
+
+class Quotient165(CentralQuotientGroup):
+    """G/Z(G) on section representatives (z = 0), composed in (x, y).
+
+    tables = (T5, T11), T_p[j] = FactorMap._gamma[p][j] mapping (x, y) to
+    the (x, y, z) of gamma_p^j(x, y, 0).  ((n5, n11), h) ((m5, m11), k)
+    is n5 + T5[h.x](m5) mod 5, n11 + T11[h.y](m11) mod 11 and h + k mod 3
+    in (x, y), with z = 0: section(G.compose(a, b)) for every pair, as G
+    gives ((n5 gamma_5^h.x(m5), n11 gamma_11^h.y(m11)), h k), Heisenberg
+    composition adds x and y mod p, z never feeds back into them, and
+    section only zeroes z.  _check_law confirms the tables.  The carrier
+    nests x5, y5, x11, y11, x3, y3 in that order."""
+
+    def __init__(self, parent, subgroup, section, gamma: dict):
+        self.tables = (gamma[5], gamma[11])
+        # _el[i][x][y] is (x, y, 0) mod p for x, y < 2p - 1: sums need no mod
+        self._el = e3, e5, e11 = [
+            [[HeisenbergElement(p, x % p, y % p, 0) for y in range(2 * p - 1)]
+             for x in range(2 * p - 1)] for p in _PRIMES]
+        carrier = [((e5[x5][y5], e11[x11][y11]), e3[x3][y3])
+                   for x5, y5, x11, y11, x3, y3 in itertools.product(
+                       *(range(p) for p in (5, 5, 11, 11, 3, 3)))]
+        super().__init__(parent, subgroup, section, carrier=lambda: carrier)
+
+    def compose(self, a, b):
+        (n5, n11), (_, hx, hy, _) = a
+        (m5, m11), k = b
+        (t5, t11), (e3, e5, e11) = self.tables, self._el
+        x, y, _ = t5[hx][m5.x, m5.y]
+        u, v, _ = t11[hy][m11.x, m11.y]
+        return ((e5[n5.x + x][n5.y + y], e11[n11.x + u][n11.y + v]),
+                e3[hx + k.x][hy + k.y])
+
+
+def _check_law(Q: Quotient165, conj5: ConjugatorSet, conj11: ConjugatorSet):
+    """Raise ArithmeticError unless each entry of Q's tables is the (x, y)
+    image under the matching power of the exponent action, and Q composes
+    the 36 ordered pairs of generating cosets as section(G.compose)."""
+    for c, table in zip((conj5, conj11), Q.tables):
+        p, sl2 = c.p, SL2Group(c.p)
+        powers = [sl2.identity, c.action, sl2.compose(c.action, c.action)]
+        bad = [(j, x, y) for j, m in enumerate(powers)
+               for x, y in itertools.product(range(p), repeat=2)
+               if table[j][x, y][:2] != ((m.a * x + m.b * y) % p,
+                                         (m.c * x + m.d * y) % p)]
+        if bad:
+            raise ArithmeticError(f"table entry (j, x, y) = {bad[0]} (p={p}) "
+                                  "is not the exponent action's")
+    gens, G = Q.generators, Q.parent
+    bad = [(s, t) for s in gens for t in gens
+           if Q.compose(s, t) != Q.section(G.compose(s, t))]
+    if bad:
+        raise ArithmeticError(f"quotient law disagrees with G at {bad[0]}")
 
 
 def build_g165(seed: int = DEFAULT_SEED) -> G165:
@@ -593,8 +649,8 @@ def build_g165(seed: int = DEFAULT_SEED) -> G165:
     conj5 = build_conjugators(5, 3)
     conj11 = build_conjugators(11, 3)
     H5, H11, H3 = conj5.group, conj11.group, HeisenbergGroup(3)
-    g5 = _aut_powers(H5, conj5.gamma)
-    g11 = _aut_powers(H11, conj11.gamma)
+    factors = FactorMap(conj5, conj11, seed=seed)
+    g5, g11 = factors.powers[5], factors.powers[11]
 
     def act(h, n):
         return (g5[h.x][n[0]], g11[h.y][n[1]])
@@ -617,16 +673,11 @@ def build_g165(seed: int = DEFAULT_SEED) -> G165:
                  HeisenbergElement(11, n11.x, n11.y, 0)),
                 HeisenbergElement(3, h.x, h.y, 0))
 
-    carrier = [((HeisenbergElement(5, x5, y5, 0),
-                 HeisenbergElement(11, x11, y11, 0)),
-                HeisenbergElement(3, x3, y3, 0))
-               for x5, y5 in itertools.product(range(5), repeat=2)
-               for x11, y11 in itertools.product(range(11), repeat=2)
-               for x3, y3 in itertools.product(range(3), repeat=2)]
-    quotient = CentralQuotientGroup(G, center, section,
-                                    carrier=lambda: carrier)
+    quotient = Quotient165(G, center, section, factors._gamma)
+    carrier = list(quotient.elements())
     if quotient.order != 27_225 or len(carrier) != 27_225:
         raise ArithmeticError("quotient carrier size is off")
+    _check_law(quotient, conj5, conj11)
 
     # the structural center is all of Z(G): a coset commuting with the
     # six generating cosets must be the identity coset, and the 165
@@ -643,7 +694,6 @@ def build_g165(seed: int = DEFAULT_SEED) -> G165:
                 raise ArithmeticError("structural center element fails to "
                                       "commute with a generator")
 
-    factors = FactorMap(conj5, conj11, seed=seed)
     rep = ProjectiveRep(quotient, 165, factors.triple, label="g165")
 
     checks = {
@@ -782,12 +832,9 @@ def verify_counterexample(g: G165, seed: int = DEFAULT_SEED
     # exponent alone, so comparing triples would only restate z
     center_scalars_ok = True
     ident = ExactMatrix.identity(165)
-    for z in (((HeisenbergElement(5, 0, 0, 1), HeisenbergElement(11, 0, 0, 0)),
-               HeisenbergElement(3, 0, 0, 0)),
-              ((HeisenbergElement(5, 0, 0, 0), HeisenbergElement(11, 0, 0, 1)),
-               HeisenbergElement(3, 0, 0, 0)),
-              ((HeisenbergElement(5, 0, 0, 0), HeisenbergElement(11, 0, 0, 0)),
-               HeisenbergElement(3, 0, 0, 1))):
+    o5, o11, o3 = (HeisenbergElement(p, 0, 0, 0) for p in (5, 11, 3))
+    (c5, c11), c3 = g.center_generator
+    for z in (((c5, o11), o3), ((o5, c11), o3), ((o5, o11), c3)):
         c = fm.exact_matrix(z).equal_up_to_phase(ident)
         if c is None or c.is_one() or not c.is_unit_modulus():
             center_scalars_ok = False

@@ -14,7 +14,7 @@ from typing import Iterator, NamedTuple
 
 class FiniteGroup:
     """Base: subclasses set identity, order, generators and implement
-    compose, inverse, elements and random_element."""
+    compose, inverse and elements."""
 
     identity = None
     order = 0
@@ -28,21 +28,6 @@ class FiniteGroup:
 
     def elements(self) -> Iterator:
         raise NotImplementedError
-
-    def random_element(self, rng):
-        raise NotImplementedError
-
-    def power(self, g, k: int):
-        if k < 0:
-            return self.power(self.inverse(g), -k)
-        out = self.identity
-        base = g
-        while k:
-            if k & 1:
-                out = self.compose(out, base)
-            base = self.compose(base, base)
-            k >>= 1
-        return out
 
 
 def element_order(G: FiniteGroup, g) -> int:
@@ -149,9 +134,6 @@ class CyclicGroup(FiniteGroup):
     def elements(self):
         return iter(range(self.d))
 
-    def random_element(self, rng):
-        return rng.randrange(self.d)
-
 
 # ---------------------------------------------------------------------------
 # Heisenberg groups mod d
@@ -248,7 +230,6 @@ class SL2Group(FiniteGroup):
         self.order = p * (p * p - 1)
         self.generators = (SL2Element(p, 0, p - 1, 1, 0),   # alpha
                            SL2Element(p, 1, 0, 1, 1))       # beta
-        self._elements: list[SL2Element] | None = None
 
     def compose(self, m: SL2Element, n: SL2Element):
         p = self.p
@@ -263,20 +244,10 @@ class SL2Group(FiniteGroup):
         return SL2Element(p, m.d, -m.b % p, -m.c % p, m.a)
 
     def elements(self):
-        if self._elements is None:
-            p = self.p
-            out = []
-            for a, b, c, d in itertools.product(range(p), repeat=4):
-                if (a * d - b * c) % p == 1:
-                    out.append(SL2Element(p, a, b, c, d))
-            assert len(out) == self.order
-            self._elements = out
-        return iter(self._elements)
-
-    def random_element(self, rng):
-        if self._elements is None:
-            list(self.elements())
-        return rng.choice(self._elements)
+        p = self.p
+        return (SL2Element(p, a, b, c, d)
+                for a, b, c, d in itertools.product(range(p), repeat=4)
+                if (a * d - b * c) % p == 1)
 
 
 def sl2_alpha(p: int) -> SL2Element:
@@ -407,9 +378,6 @@ class SubgroupView(FiniteGroup):
     def elements(self):
         return iter(self._elements)
 
-    def random_element(self, rng):
-        return rng.choice(self._elements)
-
 
 class CentralQuotientGroup(FiniteGroup):
     """G/Z for central Z, working on canonical section representatives."""
@@ -444,18 +412,3 @@ class CentralQuotientGroup(FiniteGroup):
             if s not in seen:
                 seen[s] = None
         return iter(seen)
-
-    def random_element(self, rng):
-        return self.section(self.parent.random_element(rng))
-
-
-def min_coset_section(G: FiniteGroup, subgroup: list):
-    """Section sending g to the lexicographically least member of g*Z,
-    with the identity's coset sent to the identity."""
-    ecoset = min(G.compose(G.identity, z) for z in subgroup)
-
-    def section(g):
-        m = min(G.compose(g, z) for z in subgroup)
-        return G.identity if m == ecoset else m
-
-    return section

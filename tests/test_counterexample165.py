@@ -10,6 +10,7 @@ from uebkit.counterexample165 import (
     ConjugatorError,
     FactorMap,
     TensorTriple,
+    _check_law,
     _tensor165,
     build_conjugators,
     conjugation_automorphism,
@@ -37,6 +38,7 @@ from uebkit.nice import (
     clock_matrix,
     extract_cocycle,
     shift_matrix,
+    verify_nice,
     weyl_matrix,
 )
 
@@ -466,6 +468,63 @@ def test_generator_pairs_catch_a_broken_factor_map(built, monkeypatch):
     monkeypatch.setattr(fm, "_keys", untwisted)
     twist = Q.generators[4]          # X3 (x) R5 (x) I11
     assert refused() == [(twist, Q.generators[0]), (twist, Q.generators[1])]
+
+
+def _strip(g):
+    """The z-stripping section of G onto the quotient's representatives."""
+    (n5, n11), h = g
+    return (n5._replace(z=0), n11._replace(z=0)), h._replace(z=0)
+
+
+def test_quotient_law_matches_the_parent_route(built):
+    # Quotient165 composes (x, y) coordinates; the parent route composes
+    # the full semidirect elements and strips z.  The tables and
+    # _check_law both read the _aut_powers dicts, so this is the check
+    # that covers them independently
+    Q, G = built.quotient, built.group
+    carrier = list(Q.elements())
+    twisted = Q.generators[4:]       # X3 (x) R5 (x) I11, Z3 (x) I5 (x) R11
+    assert [h[1] for h in twisted] == [HeisenbergElement(3, 1, 0, 0),
+                                       HeisenbergElement(3, 0, 1, 0)]
+    for s in twisted:
+        for g in carrier:
+            assert Q.compose(g, s) == _strip(G.compose(g, s)), (g, s)
+            assert Q.compose(s, g) == _strip(G.compose(s, g)), (s, g)
+    rng = random.Random(13)
+    for _ in range(5_000):
+        a, b = rng.choice(carrier), rng.choice(carrier)
+        assert Q.compose(a, b) == _strip(G.compose(a, b)), (a, b)
+
+
+def test_swapped_quotient_table_is_caught(built, monkeypatch):
+    Q, G = built.quotient, built.group
+    _check_law(Q, built.conj5, built.conj11)
+    t5, (ident, gamma, gamma2) = Q.tables
+    monkeypatch.setattr(Q, "tables", (t5, [ident, gamma2, gamma]))
+    with pytest.raises(ArithmeticError, match="exponent action"):
+        _check_law(Q, built.conj5, built.conj11)
+    # with the check bypassed, the law parts from the parent route
+    s = Q.generators[5]              # Z3 (x) I5 (x) R11
+    assert any(Q.compose(s, g) != _strip(G.compose(s, g))
+               for g in Q.elements())
+
+
+def test_quotient_sweep_makes_no_heisenberg_compositions(built, monkeypatch):
+    calls = []
+    compose = HeisenbergGroup.compose
+
+    def counting(self, a, b):
+        calls.append(1)
+        return compose(self, a, b)
+
+    monkeypatch.setattr(HeisenbergGroup, "compose", counting)
+    rep = verify_nice(built.rep, pair_mode="sampled", seed=3,
+                      sample_size=500)
+    assert rep.ok and rep.pairs_checked == 326_700 + 500
+    assert calls == []
+    # the wrapper is live: the parent group still counts
+    built.group.compose(*built.group.generators[:2])
+    assert len(calls) == 3
 
 
 def test_central_member_is_a_scalar_matrix(built):
