@@ -13,6 +13,7 @@ Z_d x Z_d, which is what the construct command writes.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -161,10 +162,16 @@ def _read_json(path: str, report: RunReport, role: str = "in"):
             data = f.read()
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}")
+    # json builds only acyclic objects, so a collection mid-decode frees nothing
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         obj = json.loads(data)
     except json.JSONDecodeError as e:
         raise InputError(f"{path} is not valid JSON: {e}")
+    finally:
+        if enabled:
+            gc.enable()
     report.artifacts.append({"role": role, "path": path,
                              "sha256": hashlib.sha256(data).hexdigest()})
     return obj
@@ -475,6 +482,8 @@ def cmd_analyze(args, report: RunReport) -> None:
             "zero_fraction": mr.zero_fraction,
             "per_matrix_nonzero": list(mr.per_matrix_nonzero)})
     elif args.kind == "sparsity":
+        if not basis.members:
+            raise InputError("basis file has no members")
         t0 = time.perf_counter()
         fractions = [m.zero_fraction() for m in basis.members]
         report.check("sparsity", True, t0, details={

@@ -215,14 +215,8 @@ class Cyclotomic:
         return None
 
     def root_of_unity_order(self):
-        """Least m >= 1 with self^m == 1, or None if there is none."""
-        if not self._num:
-            return None
-        m = lcm(2, self.order)
-        if not (self ** m).is_one():
-            return None
-        return next(d for d in range(1, m + 1)
-                    if m % d == 0 and (self ** d).is_one())
+        """Least m >= 1 with self^m == 1, or None: see _root_orders."""
+        return _root_orders(self.order).get(self.key())
 
     # -- arithmetic --------------------------------------------------------
 
@@ -344,6 +338,19 @@ class Cyclotomic:
         parts = " + ".join(f"{c}*z^{k}" if k else str(c)
                            for k, c in sorted(self.coeffs.items()))
         return f"Cyc({self.order}; {parts})"
+
+
+@lru_cache(maxsize=None)
+def _root_orders(n: int) -> MappingProxyType:
+    """{key(): order} of every root of unity in Q(zeta_n), at order n: the
+    m = lcm(2, n) powers of zeta_m (zeta_n, or -zeta_n^((n+1)/2) for odd n),
+    zeta_m^k of order m / gcd(k, m).  There are no others.  A root of order
+    r puts zeta_L in Q(zeta_n) for L = lcm(r, n) = n t, so phi(L) = phi(n),
+    and phi(L) / phi(n) is the product over p^a || t of p^a if p | n, else
+    p^(a-1) (p - 1); it is 1 only for t = 1, or t = 2 with n odd: r | m."""
+    m = lcm(2, n)
+    z = Cyclotomic.zeta(n) if m == n else -Cyclotomic.zeta(n, (n + 1) // 2)
+    return MappingProxyType({(z ** k).key(): m // gcd(k, m) for k in range(m)})
 
 
 def _poly_trim(p: list[Fraction]) -> list[Fraction]:
@@ -530,9 +537,7 @@ class PhasedScalar:
         A scalar with symbol support never has finite order: distinct
         monomial keys are independent, so powers keep a nontrivial key.
         """
-        if not self.terms:
-            return None
-        if not self.is_symbol_free():
+        if not self.terms or not self.is_symbol_free():
             return None
         return self.terms[()].root_of_unity_order()
 

@@ -253,18 +253,7 @@ class ExactMatrix:
         return p.scale * first
 
     def is_identity(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        d = self.rows
-        for i in range(d):
-            for j in range(d):
-                e = self.entries[i * d + j]
-                if i == j:
-                    if not (e * self.scale).is_one():
-                        return False
-                elif e.terms:
-                    return False
-        return True
+        return self.rows == self.cols and self == ExactMatrix.identity(self.rows)
 
     def nonzero_count(self) -> int:
         return sum(1 for e in self.entries if e.terms)

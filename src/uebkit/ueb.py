@@ -264,35 +264,60 @@ def wickedness_witness(basis: UnitaryErrorBasis, assume_verified: bool = False):
 
     One-sided: a witness certifies the basis is not equivalent to any
     group-indexed one; absence of a witness certifies nothing.
+
+    Monomial pairs need no product: E F^dagger = s_E s_F sum_c v_E[c]
+    conj(v_F[c]) |sigma_E[c]><sigma_F[c]| (all terms nonzero) is diagonal
+    exactly when sigma_E = sigma_F, with the dense route's operands at row
+    sigma[c].  A pair with one monomial member is never diagonal: E F^dagger
+    = D forces F^dagger = E^-1 D, D invertible as the members are unitary.
+    A witness from monomial data is re-checked against the dense product.
     """
     if not assume_verified:
         rep = verify_ueb(basis)
         if not rep.ok:
             raise ValueError("wickedness search expects a verified basis")
-    n = len(basis.members)
+    members = basis.members
+    mono = [m.monomial_data() for m in members]
+    conj = [data and [v.conj() for v in data[1]] for data in mono]
+    n = len(members)
     for j in range(n):
-        anchor = basis.members[j].dagger()
         for i in range(n):
-            if i == j:
+            mi, mj = mono[i], mono[j]
+            if i == j or (mi is None) != (mj is None):
                 continue
-            p = basis.members[i] @ anchor
-            d = p.rows
-            if any(p.entries[r * d + c].terms
-                   for r in range(d) for c in range(d) if r != c):
-                continue
-            diag = [p.entries[k * d + k] * p.scale for k in range(d)]
-            if not diag[0].terms:
-                continue
-            for k in range(1, d):
-                try:
-                    r = diag[k].divide(diag[0])
-                except (ValueError, ZeroDivisionError):
+            if mi:
+                if mi[0] != mj[0]:
                     continue
+                scale = members[i].scale * members[j].scale
+                diag = [None] * len(mi[0])
+                for s, a, b in zip(mi[0], mi[1], conj[j]):
+                    diag[s] = a * b if scale == 1 else (a * b) * scale
+            elif (diag := _diagonal(members[i] @ members[j].dagger())) is None:
+                continue
+            try:
+                inv = diag[0].inverse()
+            except (ValueError, ZeroDivisionError):  # zero or multi-term
+                continue
+            for k in range(1, len(diag)):
+                r = diag[k] * inv
                 if r.root_of_unity_order() is None:
+                    if mi and _diagonal(members[i] @ members[j].dagger()) != diag:
+                        raise ArithmeticError(
+                            "monomial data disagrees with the product of "
+                            f"members {basis.labels[i]} and {basis.labels[j]}")
                     return WickednessWitness(
                         pair=(basis.labels[i], basis.labels[j]),
                         diagonal=tuple(diag), ratio=r, ratio_position=k)
     return None
+
+
+def _diagonal(p: ExactMatrix):
+    """The diagonal of p times its scale if p is diagonal, else None."""
+    d = p.rows
+    if any(p.entries[r * d + c].terms
+           for r in range(d) for c in range(d) if r != c):
+        return None
+    return [p.entries[k * d + k] * p.scale for k in range(d)]
 
 
 # ---------------------------------------------------------------------------

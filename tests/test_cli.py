@@ -1,12 +1,13 @@
 """End-to-end runs of the command line front end through main(argv)."""
 
+import gc
 import hashlib
 import json
 import os
 
 import pytest
 
-from uebkit.cli import main
+from uebkit.cli import InputError, RunReport, _read_json, main
 from uebkit.combinat import fourier_hadamard, latin_to_json, cyclic_latin
 from uebkit.cyclo import PhasedScalar
 from uebkit.exactmat import ExactMatrix, matrix_to_json
@@ -407,6 +408,36 @@ def test_degenerate_dimension_exits_2(capsys, tmp_path, kind, command):
     assert rc == 2
     assert "basis file" in lines[0]["error"]
     assert "error:" in err
+
+
+def test_sparsity_of_a_basis_without_members_exits_2(capsys, tmp_path):
+    rc, lines, err = _verify_edited_pauli2(
+        capsys, tmp_path, lambda obj: obj.update(members=[], labels=[]),
+        ("analyze", "sparsity"))
+    assert rc == 2
+    assert "basis file has no members" in lines[0]["error"]
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_read_json_keeps_the_callers_gc_state(capsys, tmp_path, enabled):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text('{"a": [1, {"b": "c"}]}')
+    bad.write_text('{"a": [1, ')
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        report = RunReport(command=[], seed=0, jobs=1)
+        assert _read_json(str(good), report) == {"a": [1, {"b": "c"}]}
+        assert gc.isenabled() is enabled
+        with pytest.raises(InputError, match="not valid JSON"):
+            _read_json(str(bad), report)
+        assert gc.isenabled() is enabled
+        assert main(["verify", "ueb", str(bad)]) == 2
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv, sha256", [

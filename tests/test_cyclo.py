@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
@@ -102,6 +103,42 @@ def test_root_of_unity_order():
     assert (Cyclotomic.one(4) + Cyclotomic.zeta(4)).root_of_unity_order() is None
     assert (Cyclotomic.zeta(8) ** 2).root_of_unity_order() == 4
     assert Cyclotomic.zero(3).root_of_unity_order() is None
+
+
+def _order_by_powers(z):
+    """The order by powering: z^m == 1 for m = lcm(2, order), then the
+    least divisor of m that also gives 1."""
+    if z.is_zero():
+        return None
+    m = lcm(2, z.order)
+    if not (z ** m).is_one():
+        return None
+    return next(d for d in range(1, m + 1)
+                if m % d == 0 and (z ** d).is_one())
+
+
+@pytest.mark.parametrize("n", list(range(1, 37)) + [165, 330])
+def test_root_of_unity_order_table_matches_powers(n):
+    zeta = Cyclotomic.zeta(n)
+    cases = [Cyclotomic.from_rational(2, n), Cyclotomic.zero(n),
+             Cyclotomic.one(n) + zeta, zeta + zeta * zeta]
+    for k in range(n):
+        cases += [Cyclotomic.zeta(n, k), -Cyclotomic.zeta(n, k)]
+    for c in range(1, n):  # roots of lower conductor, promoted
+        if n % c == 0:
+            cases += [Cyclotomic.zeta(c, k).promote(n) for k in range(c)]
+            cases += [(-Cyclotomic.zeta(c, k)).promote(n) for k in range(c)]
+    want = {}  # the powers run once per value: promoted roots repeat them
+    found = set()
+    for z in cases:
+        assert z.order == n
+        if z.key() not in want:
+            want[z.key()] = _order_by_powers(z)
+        order = z.root_of_unity_order()
+        assert order == want[z.key()], z
+        found.add(order)
+    m = lcm(2, n)
+    assert found - {None} == {d for d in range(1, m + 1) if m % d == 0}
 
 
 def test_rational_value():

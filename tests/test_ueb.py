@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,11 +9,12 @@ from uebkit.combinat import (
     fourier_hadamard,
     h_alpha,
 )
-from uebkit.cyclo import PhasedScalar
+from uebkit.cyclo import PhasedScalar, declare_phase_symbol
 from uebkit.exactmat import ExactMatrix, matrix_to_json
 from uebkit.ueb import (
     NormalizationError,
     UnitaryErrorBasis,
+    WickednessWitness,
     apply_equivalence,
     basis_from_json,
     basis_to_json,
@@ -259,3 +261,148 @@ def test_basis_json_roundtrip():
         assert back.d == basis.d
         assert back.labels == basis.labels
         assert all(x == y for x, y in zip(back.members, basis.members))
+
+
+# -- wickedness: the monomial route against the dense search -----------------
+
+
+def _dense_witness(basis):
+    """The search as one dense product per ordered pair, kept as the
+    reference for wickedness_witness's monomial route."""
+    n = len(basis.members)
+    for j in range(n):
+        anchor = basis.members[j].dagger()
+        for i in range(n):
+            if i == j:
+                continue
+            p = basis.members[i] @ anchor
+            d = p.rows
+            if any(p.entries[r * d + c].terms
+                   for r in range(d) for c in range(d) if r != c):
+                continue
+            diag = [p.entries[k * d + k] * p.scale for k in range(d)]
+            if not diag[0].terms:
+                continue
+            for k in range(1, d):
+                try:
+                    r = diag[k].divide(diag[0])
+                except (ValueError, ZeroDivisionError):
+                    continue
+                if r.root_of_unity_order() is None:
+                    return ((basis.labels[i], basis.labels[j]), tuple(diag),
+                            r, k)
+    return None
+
+
+def _mixed_d2():
+    """U P U^dagger over the four Paulis for U = H T, with H the Hadamard
+    gate (entries +-1/sqrt(2) in Q(zeta_8)) and T = diag(1, zeta_8): the
+    images of I and Z (U Z U^dagger = X) are monomial, the other two dense."""
+    a = (PhasedScalar.zeta(8) + PhasedScalar.zeta(8, 7)) * Fraction(1, 2)
+    u = ExactMatrix.from_rows([[a, a], [a, -a]]) @ \
+        ExactMatrix.diagonal([ONE, PhasedScalar.zeta(8)])
+    members = [u @ p @ u.dagger() for p in canonical_pauli().members]
+    return UnitaryErrorBasis(2, members, ("I", "Z'", "X'", "ZX'"))
+
+
+def _alpha_times_hadamard():
+    """The h_alpha basis times one dense unitary W on the right: every
+    member is dense, and E W (F W)^dagger = E F^dagger, so the dense
+    route meets the same witness."""
+    w = ExactMatrix.from_rows([[1, 1, 1, 1], [1, -1, 1, -1],
+                               [1, 1, -1, -1], [1, -1, -1, 1]], Fraction(1, 2))
+    b = shift_and_multiply(cyclic_latin(4), h_alpha())
+    return UnitaryErrorBasis(4, [m @ w for m in b.members], b.labels)
+
+
+def _column_phases():
+    """Shift-and-multiply with F_4 for even j and F_4 diag(1, 1, t, t) for
+    odd j.  Members share a permutation only within one j, where the
+    ratios are roots of unity, so there is no witness; a pair from two
+    different j would show t if its permutations were not compared."""
+    declare_phase_symbol("t")
+    t = PhasedScalar.symbol("t")
+    f = fourier_hadamard(4)
+    g = f @ ExactMatrix.diagonal([ONE, ONE, t, t])
+    return shift_and_multiply(cyclic_latin(4), [f, g, f, g])
+
+
+_WICKEDNESS_CASES = {
+    **{f"pauli{d}": (lambda d=d: pauli_basis(d)) for d in (2, 3, 4, 5)},
+    "cyclic4-alpha": lambda: shift_and_multiply(cyclic_latin(4), h_alpha()),
+    "cyclic5-fourier5": lambda: shift_and_multiply(cyclic_latin(5),
+                                                   fourier_hadamard(5)),
+    "column-phases": _column_phases,
+    "mixed-d2": _mixed_d2,
+    "alpha-times-hadamard": _alpha_times_hadamard,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WICKEDNESS_CASES))
+def test_wickedness_routes_agree(case):
+    basis = _WICKEDNESS_CASES[case]()
+    assert verify_ueb(basis).ok
+    want = _dense_witness(basis)
+    got = wickedness_witness(basis)
+    if want is None:
+        assert got is None
+        return
+    pair, diag, ratio, position = want
+    assert got.pair == pair
+    assert list(got.diagonal) == list(diag)
+    assert got.ratio == ratio
+    assert got.ratio_position == position
+    assert got.summary() == WickednessWitness(pair, diag, ratio,
+                                              position).summary()
+
+
+def _count_products(monkeypatch):
+    calls = []
+    real = ExactMatrix.__matmul__
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(ExactMatrix, "__matmul__", counting)
+    return calls
+
+
+def test_wickedness_cases_reach_every_route(monkeypatch):
+    mixed = _mixed_d2()
+    assert [m.is_monomial() for m in mixed.members] == \
+        [True, True, False, False]
+    assert not any(m.is_monomial() for m in _alpha_times_hadamard().members)
+    assert wickedness_witness(_alpha_times_hadamard()) is not None
+    # only the two ordered pairs of dense members form a product
+    calls = _count_products(monkeypatch)
+    assert wickedness_witness(mixed, assume_verified=True) is None
+    assert len(calls) == 2
+
+
+def test_wickedness_on_monomial_members_forms_no_product(monkeypatch):
+    basis = shift_and_multiply(cyclic_latin(7), fourier_hadamard(7))
+    assert verify_ueb(basis).ok
+    calls = _count_products(monkeypatch)
+    assert wickedness_witness(basis, assume_verified=True) is None
+    assert len(calls) == 0
+
+
+def test_monomial_route_witness_is_rechecked(monkeypatch):
+    # a sign flipped in the data of member (0, 0) leaves the (1, -1, t, -t)
+    # witness in place but with the wrong diagonal; the dense product of the
+    # pair catches it
+    basis = shift_and_multiply(cyclic_latin(4), h_alpha())
+    target = basis.members[0]
+    real = ExactMatrix.monomial_data
+
+    def wrong(self):
+        data = real(self)
+        if self is target:
+            sigma, values = data
+            return sigma, [-values[0]] + values[1:]
+        return data
+
+    monkeypatch.setattr(ExactMatrix, "monomial_data", wrong)
+    with pytest.raises(ArithmeticError, match="monomial data"):
+        wickedness_witness(basis)
