@@ -474,6 +474,8 @@ def cmd_analyze(args, report: RunReport) -> None:
         _analyze_induce(args, report)
         return
     basis = _load_basis(args.target, report)
+    if args.kind in ("monomial", "sparsity") and not basis.members:
+        raise InputError("basis file has no members")
     if args.kind == "monomial":
         t0 = time.perf_counter()
         mr = basis.monomiality()
@@ -482,8 +484,6 @@ def cmd_analyze(args, report: RunReport) -> None:
             "zero_fraction": mr.zero_fraction,
             "per_matrix_nonzero": list(mr.per_matrix_nonzero)})
     elif args.kind == "sparsity":
-        if not basis.members:
-            raise InputError("basis file has no members")
         t0 = time.perf_counter()
         fractions = [m.zero_fraction() for m in basis.members]
         report.check("sparsity", True, t0, details={

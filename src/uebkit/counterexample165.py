@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import Cyclotomic, PhasedScalar, _reduce
+from .cyclo import PhasedScalar, _reduce
 from .exactmat import (ExactMatrix, MonomialityReport, matrix_to_json,
                        monomiality_report)
 from .fastcyc import CycMatrix, from_exact, to_exact
@@ -229,56 +229,66 @@ def build_conjugators(p: int, e: int = 3) -> ConjugatorSet:
 
 
 _PRIMES = (3, 5, 11)
+_IDENTITY_KEYS = ((0, 0), (0, 0, 0), (0, 0, 0))
 
 
 class TensorTriple:
-    """A unitary on the 165-dimensional space held as three words of
-    pool keys and one central exponent.
+    """A unitary on the 165-dimensional space in slot normal form.
 
-    words[0], words[1] and words[2] are tuples of 3-, 5- and 11-slot
-    pool keys of the owning FactorMap, () being the identity; the member
-    is zeta_165^z times the tensor product of the multiplied-out words.
-    A product concatenates the words slot by slot and adds the
-    exponents, with no arithmetic.  The slice of the matrix interface
-    that the niceness verifier consumes (identity and unitarity tests,
-    trace, comparison up to a unit phase) is answered by the FactorMap
-    at factor cost."""
+    keys holds one 3-, 5- and 11-slot pool key of the owning FactorMap;
+    the member is zeta_330^j times the tensor product of the three pool
+    entries.  A product multiplies the keys slot by slot by the group
+    law (FactorMap._mul) and adds the exponents, with no matrix
+    arithmetic.  Every phase that arises is a power of zeta_330: slot
+    phases are +-zeta_p^k and a central exponent z gives
+    zeta_165^z = zeta_330^(2z).  Distinct keys are never proportional
+    (_mul), so the slice of the matrix interface that the niceness
+    verifier consumes (identity and unitarity tests, trace, comparison
+    up to a unit phase) reads keys and exponents alone."""
 
-    __slots__ = ("fm", "words", "z")
+    __slots__ = ("fm", "keys", "j")
     dim = 165
 
-    def __init__(self, fm: "FactorMap", words: tuple, z: int = 0):
+    def __init__(self, fm: "FactorMap", keys: tuple, j: int = 0):
         self.fm = fm
-        self.words = words
-        self.z = z % 165
+        self.keys = keys
+        self.j = j % 330
 
     def __matmul__(self, other: "TensorTriple") -> "TensorTriple":
-        a3, a5, a11 = self.words
-        b3, b5, b11 = other.words
-        return TensorTriple(self.fm, (a3 + b3, a5 + b5, a11 + b11),
-                            self.z + other.z)
+        mul = self.fm._mul
+        (a3, a5, a11), (b3, b5, b11) = self.keys, other.keys
+        k3, j3 = mul(3, a3, b3)
+        k5, j5 = mul(5, a5, b5)
+        k11, j11 = mul(11, a11, b11)
+        return TensorTriple(self.fm, (k3, k5, k11),
+                            self.j + other.j + j3 + j5 + j11)
 
     def is_identity(self) -> bool:
-        # slotwise identity up to phase, with the phases cancelling;
-        # plain slotwise identity would miss sign flips like
-        # (-I) (x) (-I) (x) I, which is the identity of the product
-        return self.fm.phase_exponent(
-            self, TensorTriple(self.fm, ((), (), ()))) == 0
+        # the slot signs are folded into j, so (-I) (x) (-I) (x) I, the
+        # identity of the product, has j = 0 as well
+        return self.j == 0 and self.keys == _IDENTITY_KEYS
 
     def is_scaled_unitary(self):
         # every key is a pool entry, verified unitary when the FactorMap
-        # was built, so every word is a unitary
+        # was built
         return Fraction(1)
 
     def trace(self) -> PhasedScalar:
-        return self.fm.trace(self)
+        out = PhasedScalar.one(1)
+        for p, key in zip(_PRIMES, self.keys):
+            t = self.fm.tr[p][key]
+            if t.is_zero():
+                return PhasedScalar.zero(1)
+            out = out * PhasedScalar.of(t)
+        return out * self.fm.zetas[self.j] if self.j else out
 
     def equal_up_to_phase(self, other: "TensorTriple"):
-        j = self.fm.phase_exponent(self, other)
-        return None if j is None else self.fm.zetas[j]
+        if self.keys != other.keys:
+            return None
+        return self.fm.zetas[(self.j - other.j) % 330]
 
     def __repr__(self):
-        return f"TensorTriple({self.words!r}, z={self.z})"
+        return f"TensorTriple({self.keys!r}, j={self.j})"
 
 
 def _mask_monomial(a: CycMatrix) -> bool:
@@ -369,19 +379,12 @@ class FactorMap:
 
     Every pool entry is verified unitary at build time (packed integer
     route for all entries, dense exact route on a seeded sample), which
-    is what entitles every word of pool keys to unitarity scale 1.
+    is what entitles every TensorTriple to unitarity scale 1.
 
-    Slot comparisons multiply no matrices: _normal reduces each word to
-    a pool key and a phase by the Heisenberg law and the verified twist,
-    and two words are proportional exactly when their keys agree.  The
-    answers are memoized on the instance by value: _phases maps
-    (p, word_a, word_b) to the exponent j with word_a == zeta_330^j
-    word_b in the p-slot, or to None.  Slot phases are +-zeta_p^k and
-    the central phase is zeta_165^z, so every phase is a power of
-    zeta_330 and a comparison of triples adds exponents.  Only phases
-    are stored, never products, so the table is bounded by the slot
-    pairs a run compares.  word_matrix, the packed product of a word,
-    is the independent route verify_counterexample checks against."""
+    Slot products multiply no matrices: _mul names the pool entry and
+    the phase of a product of two pool entries by the Heisenberg law
+    and the verified twist.  Packed products of pool entries are the
+    independent route verify_counterexample checks it against."""
 
     def __init__(self, conj5: ConjugatorSet, conj11: ConjugatorSet,
                  seed: int = 0):
@@ -402,14 +405,11 @@ class FactorMap:
         # maps, both shared with build_g165, and the zeta_330 exponent of R^3
         self.powers = {c.p: _aut_powers(c.group, c.gamma)
                        for c in (conj5, conj11)}
-        ident = {(x, y): (x, y, 0) for x in range(3) for y in range(3)}
-        self._gamma = {3: [ident]}
-        self._wrap = {3: 0}
-        for c in (conj5, conj11):
-            self._gamma[c.p] = [{(g.x, g.y): f[g][1:] for g in f if not g.z}
-                                for f in self.powers[c.p]]
-            self._wrap[c.p] = self._power[c.r_cubed.promote(330).key()]
-        self._phases: dict = {}
+        self._gamma = {c.p: [{(g.x, g.y): f[g][1:] for g in f if not g.z}
+                             for f in self.powers[c.p]]
+                       for c in (conj5, conj11)}
+        self._wrap = {c.p: self._power[c.r_cubed.promote(330).key()]
+                      for c in (conj5, conj11)}
 
     def _pool(self, p: int, r: ExactMatrix | None):
         rp = [ExactMatrix.identity(p)]
@@ -456,8 +456,7 @@ class FactorMap:
 
     def triple(self, g) -> TensorTriple:
         k3, k5, k11, z = self._keys(g)
-        return TensorTriple(self, tuple([(k,) if any(k) else ()
-                                         for k in (k3, k5, k11)]), z)
+        return TensorTriple(self, (k3, k5, k11), 2 * z)
 
     def exact_matrix(self, g) -> ExactMatrix:
         """The dense 165 x 165 member, for export and dense checks."""
@@ -465,80 +464,43 @@ class FactorMap:
         exact = self.exact
         return _tensor165(exact[3][k3], exact[5][k5], exact[11][k11], z)
 
-    def word_matrix(self, p: int, word: tuple) -> CycMatrix:
-        """The packed product of a word of p-slot pool keys."""
-        pool = self.fast[p]
-        m = pool[word[0]] if word else CycMatrix.identity(p, p)
-        for key in word[1:]:
-            m = m @ pool[key]
-        return m
-
-    def phase_exponent(self, a: TensorTriple, b: TensorTriple):
-        """The j with a == zeta_330^j b, or None when no unit phase
-        relates them: a tensor product of nonzero factors is a multiple
-        of another exactly when every factor is."""
-        j = 2 * (a.z - b.z)
-        phases = self._phases
-        for p, wa, wb in zip(_PRIMES, a.words, b.words):
-            if wa == wb:
-                continue
-            key = (p, wa, wb)
-            try:
-                k = phases[key]
-            except KeyError:
-                k = phases[key] = self._slot_phase(p, wa, wb)
-            if k is None:
-                return None
-            j += k
-        return j % 330
-
-    def _normal(self, p: int, word: tuple):
-        """(key, j) with word == zeta_330^j pool[key] in the p-slot.
+    def _mul(self, p: int, a: tuple, b: tuple):
+        """(key, j) with pool[a] pool[b] == zeta_330^j pool[key] in the
+        p-slot.
 
         Key (x, y) of the 3-slot is rho(x, y, 0), and the keys multiply
-        by the Heisenberg law, which rho obeys by the X Z = zeta Z X guards
-        in build_conjugators and _verify_pools.  Key (x, y, k) of the 5- and 11-slots is
-        W(x, y) R^k, and W(h) R^k W(h') R^k' = W(h gamma^k(h')) R^(k+k'),
-        as R rho(h) R^dagger = rho(gamma(h)) for every h
-        (conjugation_automorphism); whenever k reaches 3, R^3 = r_cubed I
-        (checked) contributes its exponent.  The central part z of the
-        product gives zeta_p^z.
+        by the Heisenberg law, which rho obeys by the X Z = zeta Z X
+        guards in build_conjugators and _verify_pools.  Key (x, y, k) of
+        the 5- and 11-slots is W(x, y) R^k, and
+        W(h) R^k W(h') R^k' = W(h gamma^k(h')) R^(k+k'), as
+        R rho(h) R^dagger = rho(gamma(h)) for every h
+        (conjugation_automorphism); when k + k' reaches 3,
+        R^3 = r_cubed I (checked) contributes its exponent.  The central
+        part z of the product gives zeta_p^z.
 
         Distinct keys are never proportional.  With equal k, Weyl
         matrices with distinct (x, y) are trace-orthogonal.  With
         k != k', R^j for j = 1 or 2 would be a multiple of a Weyl matrix;
         conjugation by a Weyl matrix fixes every (x, y) exponent, but the
         exponent action of gamma has order 3 (action_order, checked)."""
-        gamma = self._gamma[p]
-        x = y = z = k = wraps = 0
-        for key in word:
-            a, b, c = gamma[k][key[0], key[1]]
-            z += c + x * b
-            x, y = (x + a) % p, (y + b) % p
-            if p != 3:
-                k += key[2]
-                if k >= 3:
-                    k, wraps = k - 3, wraps + 1
-        j = (330 // p * z + wraps * self._wrap[p]) % 330
-        return ((x, y) if p == 3 else (x, y, k)), j
-
-    def _slot_phase(self, p: int, wa: tuple, wb: tuple):
-        (ka, ja), (kb, jb) = self._normal(p, wa), self._normal(p, wb)
-        return (ja - jb) % 330 if ka == kb else None
-
-    def trace(self, t: TensorTriple) -> PhasedScalar:
-        out = PhasedScalar.one(1)
-        for p, w in zip(_PRIMES, t.words):
-            if not w:  # the identity
-                tw = Cyclotomic.from_rational(p)
-            elif len(w) == 1:
-                tw = self.tr[p][w[0]]
-            else:
-                tw = self.word_matrix(p, w).trace()
-            if tw.is_zero():
-                return PhasedScalar.zero(1)
-            out = out * PhasedScalar.of(tw)
-        return out * self.zetas[2 * t.z] if t.z else out
+        if p == 3:                      # no twist: the Heisenberg law alone
+            if b == (0, 0):
+                return a, 0
+            if a == (0, 0):
+                return b, 0
+            u, v = b
+            return ((a[0] + u) % 3, (a[1] + v) % 3), 110 * a[0] * v % 330
+        if b == (0, 0, 0):
+            return a, 0
+        if a == (0, 0, 0):
+            return b, 0
+        x, y, k = a
+        u, v, c = self._gamma[p][k][b[0], b[1]]
+        j = 330 // p * (c + x * v)
+        k += b[2]
+        if k >= 3:
+            k, j = k - 3, j + self._wrap[p]
+        return ((x + u) % p, (y + v) % p, k), j % 330
 
     def slot_monomial(self, g) -> bool:
         k3, k5, k11, _ = self._keys(g)
@@ -728,8 +690,8 @@ def _check_generators(G, factors: FactorMap) -> bool:
     ]
     for gen, slots in zip(G.generators, want):
         got = factors.triple(gen)
-        if got.z or not all(factors.word_matrix(p, w) == b for p, w, b
-                            in zip(_PRIMES, got.words, slots)):
+        if got.j or not all(factors.fast[p][key] == b for p, key, b
+                            in zip(_PRIMES, got.keys, slots)):
             return False
     # one dense witness: the first twisted generator materializes to
     # X3 (x) R5 (x) I11 entrywise
@@ -822,7 +784,7 @@ def verify_counterexample(g: G165, seed: int = DEFAULT_SEED
     # verify_nice sweeps every trace and records ("trace", g) for each
     # non-identity member whose trace is nonzero
     e = g.quotient.identity
-    e_trace = fm.trace(g.rep.matrix(e))
+    e_trace = g.rep.matrix(e).trace()
     nonzero = {f[1] for f in niceness.failures if f[0] == "trace"} - {e}
     identity_trace_ok = not nonzero and e_trace == 165
     if not e_trace.is_zero():
@@ -861,7 +823,7 @@ def verify_counterexample(g: G165, seed: int = DEFAULT_SEED
     cross_ok = all(agree)
 
     # dual-route agreement: packed slot algebra against the dense layer,
-    # and the normal form of each two-key word against its packed product
+    # and the key and phase _mul names for each product against it
     cross = 0
     for p in (5, 11):
         fast, exact = fm.fast[p], fm.exact[p]
@@ -872,7 +834,7 @@ def verify_counterexample(g: G165, seed: int = DEFAULT_SEED
             eprod = exact[ka] @ exact[kb]
             if to_exact(fprod) != eprod:
                 cross_ok = False
-            key, j = fm._normal(p, (ka, kb))
+            key, j = fm._mul(p, ka, kb)
             c = fprod.equal_up_to_phase(fast[key])
             if (c is None or j != fm._power.get(
                     PhasedScalar.of(c).promote(330).key())):

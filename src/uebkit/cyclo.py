@@ -638,7 +638,8 @@ class PhasedScalar:
                             {tuple((s, e // 2) for s, e in key):
                              Cyclotomic.one(half.order)}, _canonical=True)
         s = half * mono
-        assert (s * s) == self
+        if s * s != self:
+            raise ArithmeticError(f"unit_sqrt: ({s})^2 != {self}")
         return s
 
     def substitute(self, values: dict[str, "PhasedScalar"]) -> "PhasedScalar":

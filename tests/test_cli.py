@@ -411,12 +411,14 @@ def test_degenerate_dimension_exits_2(capsys, tmp_path, kind, command):
 
 
 def test_sparsity_of_a_basis_without_members_exits_2(capsys, tmp_path):
-    rc, lines, err = _verify_edited_pauli2(
-        capsys, tmp_path, lambda obj: obj.update(members=[], labels=[]),
-        ("analyze", "sparsity"))
-    assert rc == 2
-    assert "basis file has no members" in lines[0]["error"]
-    assert "error:" in err
+    # an empty basis has no zero fraction, and is not monomial either
+    for kind in ("sparsity", "monomial"):
+        rc, lines, err = _verify_edited_pauli2(
+            capsys, tmp_path, lambda obj: obj.update(members=[], labels=[]),
+            ("analyze", kind))
+        assert rc == 2, kind
+        assert "basis file has no members" in lines[0]["error"]
+        assert "error:" in err
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])

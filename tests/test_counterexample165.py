@@ -1,7 +1,7 @@
 import cmath
 import random
 from fractions import Fraction
-from types import MethodType, SimpleNamespace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from uebkit.counterexample165 import (
     ConjugatorError,
     FactorMap,
     TensorTriple,
+    _PRIMES,
     _check_law,
     _tensor165,
     build_conjugators,
@@ -154,69 +155,105 @@ def test_weyl_decompose_rejects_dense_and_zero():
 # tensor triples
 
 
+_ID = ((0, 0), (0, 0, 0), (0, 0, 0))     # the identity keys
+_R11 = ((0, 0), (0, 0, 0), (0, 0, 1))    # I (x) I (x) R11
+
+
 def test_triple_identity_needs_cancelling_phases(built):
     fm = built.factors
-    r = (0, 0, 1)                        # the 11-slot pool entry R11
+    r = TensorTriple(fm, _R11)
     cubed = PhasedScalar.of(Cyclotomic(11, {2: Fraction(-1)}))
-    assert TensorTriple(fm, ((), (), ())).is_identity()
-    t = TensorTriple(fm, ((), (), (r, r, r)))
-    assert t.equal_up_to_phase(TensorTriple(fm, ((), (), ()))) == cubed
+    assert TensorTriple(fm, _ID).is_identity()
+    t = r @ r @ r
+    # R11^3 = -zeta_11^2 = zeta_330^(165 + 60)
+    assert t.keys == _ID and t.j == 225
+    assert t.equal_up_to_phase(TensorTriple(fm, _ID)) == cubed
     # -zeta_11^2 carries a sign, which no central exponent cancels
-    assert not any(TensorTriple(fm, ((), (), (r,) * 3), z).is_identity()
+    assert not any((t @ TensorTriple(fm, _ID, 2 * z)).is_identity()
                    for z in range(165))
     # its square zeta_11^4 = zeta_165^60 is cancelled by z = 105 only
-    assert TensorTriple(fm, ((), (), (r,) * 6), 105).is_identity()
-    assert not TensorTriple(fm, ((), (), (r,) * 6), 104).is_identity()
-    assert not TensorTriple(fm, ((), (), (r,) * 6)).is_identity()
+    assert [z for z in range(165)
+            if (t @ t @ TensorTriple(fm, _ID, 2 * z)).is_identity()] == [105]
 
 
 def test_slot_signs_cancel_across_slots():
-    # (-I) (x) (-I) (x) I is the identity and (-I) (x) I (x) I is not.
-    # No pool word carries a sign outside the 11-slot (R5^3 = I, and Z, X
-    # give only powers of zeta_p), so the two signs are fed to the
-    # exponent sum through a filled slot-phase table: -1 is zeta_330^165
-    def unexpected(p, wa, wb):
-        raise AssertionError(f"slot {p} compared {wa} with {wb}")
+    # S (x) S (x) I squares to (-I) (x) (-I) (x) I, the identity, and
+    # S (x) I (x) I squares to (-I) (x) I (x) I, which is not.  No pool
+    # entry squares to -I outside the 11-slot (R5^3 = I, and Z, X give
+    # only powers of zeta_p), so a stub slot law supplies S with
+    # S S = zeta_330^165 I in the 3- and 5-slots
+    def mul(p, a, b):
+        if a == b == "S":
+            return _ID[_PRIMES.index(p)], 165
+        if b == _ID[_PRIMES.index(p)]:
+            return a, 0
+        if a == _ID[_PRIMES.index(p)]:
+            return b, 0
+        raise AssertionError(f"slot {p} multiplied {a} by {b}")
 
-    neg = ("neg",)
-    stub = SimpleNamespace(_phases={(3, neg, ()): 165, (5, neg, ()): 165},
-                           _slot_phase=unexpected)
-    stub.phase_exponent = MethodType(FactorMap.phase_exponent, stub)
-    assert TensorTriple(stub, (neg, neg, ())).is_identity()
-    assert not any(TensorTriple(stub, (neg, (), ()), z).is_identity()
+    stub = SimpleNamespace(_mul=mul)
+    both = TensorTriple(stub, ("S", "S", _ID[2]))
+    one = TensorTriple(stub, ("S", _ID[1], _ID[2]))
+    assert (both @ both).is_identity()
+    assert not any((one @ one @ TensorTriple(stub, _ID, 2 * z)).is_identity()
                    for z in range(165))
-    assert not TensorTriple(stub, (neg, neg, ()), 1).is_identity()
+    assert not (both @ both @ TensorTriple(stub, _ID, 2)).is_identity()
+
+
+def _counting_products(monkeypatch):
+    """A list that records every packed and every dense matrix product."""
+    calls = []
+    for cls in (CycMatrix, ExactMatrix):
+        matmul = cls.__matmul__
+        monkeypatch.setattr(cls, "__matmul__",
+                            lambda a, b, f=matmul: calls.append(b) or f(a, b))
+    return calls
 
 
 def test_slot_phase_multiplies_no_matrices(built, monkeypatch):
-    # a slot-memo miss reads the two normal forms alone, matched or not:
-    # no word is multiplied out on the packed route
-    fm, r = built.factors, (0, 0, 1)
-    calls = []
-    word_matrix, matmul = fm.word_matrix, CycMatrix.__matmul__
-    monkeypatch.setattr(fm, "word_matrix",
-                        lambda p, w: calls.append(w) or word_matrix(p, w))
-    monkeypatch.setattr(CycMatrix, "__matmul__",
-                        lambda a, b: calls.append(b) or matmul(a, b))
-    monkeypatch.setattr(fm, "_phases", {})
-    assert fm._slot_phase(3, ((1, 0),), ((0, 1),)) is None
-    assert fm._slot_phase(11, (r,), ((0, 0, 2),)) is None
-    assert fm._slot_phase(11, (r, r), (r,)) is None
+    # products and comparisons of triples read keys and exponents alone:
+    # no slot is multiplied out, packed or dense
+    fm = built.factors
+    calls = _counting_products(monkeypatch)
+    r = TensorTriple(fm, _R11)
+    x3 = TensorTriple(fm, ((1, 0), (0, 0, 0), (0, 0, 0)))
+    z3 = TensorTriple(fm, ((0, 1), (0, 0, 0), (0, 0, 0)))
+    assert x3.equal_up_to_phase(z3) is None
+    assert r.equal_up_to_phase(
+        TensorTriple(fm, ((0, 0), (0, 0, 0), (0, 0, 2)))) is None
+    assert (r @ r).equal_up_to_phase(r) is None
     # R11^3 = -zeta_11^2 = zeta_330^(165 + 60)
-    assert fm._slot_phase(11, (r, r, r), ()) == 225
-    t = TensorTriple(fm, ((), (), (r, r, r)))
-    assert fm.phase_exponent(t, TensorTriple(fm, ((), (), ()))) == 225
-    assert list(fm._phases.values()) == [225]
+    assert (r @ r @ r).equal_up_to_phase(TensorTriple(fm, _ID)) == \
+        fm.zetas[225]
     assert calls == []
 
 
+def _packed(fm, p, word):
+    """The packed product of a word of p-slot pool keys."""
+    pool = fm.fast[p]
+    m = pool[word[0]]
+    for key in word[1:]:
+        m = m @ pool[key]
+    return m
+
+
+def _folded(fm, p, word):
+    """(key, j) with the product of the word == zeta_330^j pool[key],
+    by _mul over the word."""
+    key, j = word[0], 0
+    for b in word[1:]:
+        key, jb = fm._mul(p, key, b)
+        j += jb
+    return key, j % 330
+
+
 def _packed_disagreements(fm, p, words):
-    """The words whose normal form (key, j) the packed route refutes: the
+    """The words whose folded (key, j) the packed route refutes: the
     multiplied-out word must equal zeta_330^j times pool[key]."""
     out = []
     for w in words:
-        key, j = fm._normal(p, w)
-        c = fm.word_matrix(p, w).equal_up_to_phase(fm.fast[p][key])
+        key, j = _folded(fm, p, w)
+        c = _packed(fm, p, w).equal_up_to_phase(fm.fast[p][key])
         if c is None or fm._power.get(
                 PhasedScalar.of(c).promote(330).key()) != j:
             out.append(w)
@@ -245,8 +282,26 @@ def test_normal_form_matches_packed_products(built):
     assert _packed_disagreements(fm, 11, words) == []
 
 
+def test_slot_law_is_associative(built):
+    # (a b) c and a (b c) name the same key and phase, wraps of R^3
+    # included; identity keys take both pass-through branches
+    fm = built.factors
+    rng = random.Random(5)
+    for p in (3, 5, 11):
+        keys = sorted(fm.fast[p])
+        e = keys[0]
+        for _ in range(2_000):
+            a, b, c = (rng.choice(keys) for _ in range(3))
+            ab, j1 = fm._mul(p, a, b)
+            left, j2 = fm._mul(p, ab, c)
+            bc, j3 = fm._mul(p, b, c)
+            right, j4 = fm._mul(p, a, bc)
+            assert (left, (j1 + j2) % 330) == (right, (j3 + j4) % 330)
+            assert fm._mul(p, e, a) == fm._mul(p, a, e) == (a, 0)
+
+
 def test_distinct_pool_keys_are_never_proportional(built):
-    # what lets _slot_phase answer None whenever the keys differ
+    # what lets equal_up_to_phase answer None whenever the keys differ
     pool = built.factors.fast[5]
     keys = sorted(pool)
     for i, a in enumerate(keys):
@@ -263,21 +318,22 @@ def test_broken_normal_form_is_caught(built, monkeypatch, mutation):
     else:
         monkeypatch.setitem(fm._wrap, 11, fm._wrap[11] + 1)
     assert _packed_disagreements(fm, 11, _long_words(fm))
-    # a fresh memo, so the report reads the broken normal form
-    monkeypatch.setattr(fm, "_phases", {})
     assert not verify_counterexample(built).cross_ok
 
 
-def test_triple_product_passes_identity_slots_through(built):
+def test_triple_product_passes_identity_slots_through(built, monkeypatch):
     fm = built.factors
     ident = fm.triple(built.quotient.identity)
-    assert ident.words == ((), (), ()) and ident.z == 0
-    a = TensorTriple(fm, (((1, 0),), (), ()), 7)
-    b = TensorTriple(fm, ((), (), ((0, 0, 1),)), 160)
+    assert ident.keys == _ID and ident.j == 0
+    a = TensorTriple(fm, ((1, 0), (0, 0, 0), (0, 0, 0)), 14)
+    b = TensorTriple(fm, _R11, 320)
+    assert (a @ a).keys == ((2, 0), (0, 0, 0), (0, 0, 0)) and (a @ a).j == 28
+    # an identity key is passed through without reading the twist tables
+    monkeypatch.setattr(fm, "_gamma", {})
     t = a @ b
-    assert t.words == (((1, 0),), (), ((0, 0, 1),)) and t.z == 2
-    assert (a @ ident).words == a.words and (ident @ b).words == b.words
-    assert (a @ a).words == (((1, 0), (1, 0)), (), ()) and (a @ a).z == 14
+    assert t.keys == ((1, 0), (0, 0, 0), (0, 0, 1)) and t.j == 4
+    assert (a @ ident).keys == a.keys and (a @ ident).j == a.j
+    assert (ident @ b).keys == b.keys and (ident @ b).j == b.j
 
 
 def _twisted_members(built, rng, n):
@@ -335,7 +391,6 @@ def test_triple_products_match_dense_members(built):
     for g, h in _twisted_pairs(built):
         gh = G.compose(g, h)
         prod = fm.triple(g) @ fm.triple(h)
-        assert all(len(w) == 2 for w in prod.words)
         c = prod.equal_up_to_phase(fm.triple(gh))
         assert c is not None and c.is_unit_modulus()
         lhs, rhs = member(g) @ member(h), member(gh)
@@ -357,66 +412,46 @@ def test_triple_products_match_dense_members(built):
     assert c is not None and c == want
 
 
-def test_slot_memo_warm_and_cold_agree(built, report):
-    # nothing resets the memo: a map that has run the whole report and a
-    # fresh one give the same answers, mismatched pairs included
-    warm = built.factors
-    assert warm._phases
-    cold = FactorMap(built.conj5, built.conj11)
-    assert not cold._phases
-    G = built.group
-    pairs = _twisted_pairs(built, seed=7, n=100)
-    checks = [(g, h, G.compose(g, h)) for g, h in pairs]
-    checks += [(g, h, G.compose(h, g)) for g, h in pairs]
-    checks += [(g, h, g) for g, h in pairs[:20]]
-
-    def answers(fm):
-        out = []
-        for g, h, k in checks:
-            c = (fm.triple(g) @ fm.triple(h)).equal_up_to_phase(fm.triple(k))
-            out.append(None if c is None else c.key())
-        return out
-
-    first = answers(cold)
-    assert None in first and any(c is not None for c in first)
-    assert answers(cold) == first
-    assert answers(warm) == first
-
-
 def test_empty_slot_words_trace_without_products(built, monkeypatch):
+    # the identity keys trace as the product of the slot dimensions
     fm = built.factors
-    calls = []
-    word_matrix = fm.word_matrix
-
-    def counting(p, word):
-        calls.append((p, word))
-        return word_matrix(p, word)
-
-    monkeypatch.setattr(fm, "word_matrix", counting)
-    assert TensorTriple(fm, ((), (), ())).trace() == 165
-    assert TensorTriple(fm, ((), (), ()), 55).trace() == \
-        PhasedScalar.zeta(3) * 165
+    calls = _counting_products(monkeypatch)
+    assert TensorTriple(fm, _ID).trace() == 165
+    assert TensorTriple(fm, _ID, 110).trace() == PhasedScalar.zeta(3) * 165
     assert calls == []
 
 
-def test_product_words_trace_as_phase_times_product(built):
-    # rho(g) rho(h) holds two-key words, traced through word_matrix;
-    # h = g^-1 c with c central makes the trace of rho(gh) = rho(c) nonzero
+def test_product_words_trace_as_phase_times_product(built, monkeypatch):
+    # rho(g) rho(h) traces as omega tr(rho(gh)), read from its keys with no
+    # packed product; h = g^-1 c with c central makes the trace of
+    # rho(gh) = rho(c) nonzero.  The test-local packed product of the
+    # slots is the independent route
     fm, G = built.factors, built.group
     rng = random.Random(29)
     pairs = [(g, G.compose(G.inverse(g), c))
              for g in _twisted_members(built, rng, 3)
              for c in (G.identity, built.center_generator)]
     pairs += _twisted_pairs(built, seed=29, n=6)
-    nonzero = 0
-    for g, h in pairs:
-        p, gh = fm.triple(g) @ fm.triple(h), fm.triple(G.compose(g, h))
-        assert all(len(w) == 2 for w in p.words)
+    products = [(fm.triple(g), fm.triple(h), fm.triple(G.compose(g, h)))
+                for g, h in pairs]
+    calls = _counting_products(monkeypatch)
+    traces = []
+    for a, b, gh in products:
+        p = a @ b
         omega = p.equal_up_to_phase(gh)
         assert omega is not None
-        assert fm.trace(p) == omega * fm.trace(gh)
-        nonzero += not fm.trace(gh).is_zero()
+        assert p.trace() == omega * gh.trace()
+        traces.append(p.trace())
+    assert calls == []
+    nonzero = 0
+    for (a, b, gh), tr in zip(products, traces):
+        want = PhasedScalar.zeta(330, a.j + b.j)
+        for q, ka, kb in zip((3, 5, 11), a.keys, b.keys):
+            want = want * PhasedScalar.of(_packed(fm, q, (ka, kb)).trace())
+        assert tr == want
+        nonzero += not gh.trace().is_zero()
     assert nonzero == 6
+
 
 def test_triple_trace_and_dim(built):
     fm = built.factors

@@ -199,6 +199,17 @@ def test_unit_sqrt():
         PhasedScalar.of(2).unit_sqrt()
 
 
+def test_unit_sqrt_refuses_a_root_that_does_not_square_back(monkeypatch):
+    # a raised check, not an assert, so python -O keeps it: the root is
+    # built through PhasedScalar.of, tilted here by i so that s s = -v
+    v = PhasedScalar.zeta(3)
+    of, i = PhasedScalar.of, PhasedScalar.zeta(4)
+    monkeypatch.setattr(PhasedScalar, "of", staticmethod(
+        lambda value, order=1: of(value, order) * i))
+    with pytest.raises(ArithmeticError, match=r"\^2 !="):
+        v.unit_sqrt()
+
+
 def test_scalar_json_round_trip():
     declare_phase_symbol("t")
     t = PhasedScalar.symbol("t")
