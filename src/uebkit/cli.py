@@ -122,17 +122,18 @@ class RunReport:
                 "artifacts": self.artifacts, "ok": self.ok}
 
 
+_DUMPS = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def _emit(report: RunReport, fmt: str) -> None:
     if fmt == "pretty":
         print(json.dumps(report.document(), indent=2, sort_keys=True))
     else:
-        def dump(obj):
-            return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-        print(dump({"command": list(report.command), "seed": report.seed,
-                    "jobs": report.jobs}))
+        print(_DUMPS({"command": list(report.command), "seed": report.seed,
+                      "jobs": report.jobs}))
         for c in report.checks:
-            print(dump(c))
-        print(dump({"ok": report.ok, "artifacts": report.artifacts}))
+            print(_DUMPS(c))
+        print(_DUMPS({"ok": report.ok, "artifacts": report.artifacts}))
     for c in report.checks:
         line = f"  {c['check']}: {'pass' if c['ok'] else 'FAIL'}" \
                f" ({c['seconds']:.3f}s)"
@@ -148,7 +149,7 @@ def _emit_input_error(message: str, fmt: str) -> None:
     if fmt == "pretty":
         print(json.dumps(obj, indent=2, sort_keys=True))
     else:
-        print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+        print(_DUMPS(obj))
     print(f"error: {message}", file=sys.stderr)
 
 
@@ -177,15 +178,50 @@ def _read_json(path: str, report: RunReport, role: str = "in"):
     return obj
 
 
-def _write_json(path: str, obj, report: RunReport) -> None:
-    data = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+def _json_text(x, memo: dict) -> str:
+    """_DUMPS(x) for string-keyed x.  Each value holding no list is coded
+    once per object, as matrix_to_json shares one object per distinct
+    entry; memo holds ids of objects that x keeps alive."""
+    text = memo.get(id(x))
+    if text is None:
+        if type(x) is list:
+            return "[" + ",".join([_json_text(v, memo) for v in x]) + "]"
+        if type(x) is dict and list in map(type, x.values()):
+            return "{" + ",".join([_DUMPS(k) + ":" + _json_text(v, memo)
+                                   for k, v in sorted(x.items())]) + "}"
+        text = memo[id(x)] = _DUMPS(x)
+    return text
+
+
+def _json_pieces(obj: dict):
+    """_DUMPS(obj) and a newline in pieces, one per item of a list in obj, as
+    for a basis member, so the whole text is never held.  matrix_to_json
+    shares entries within one matrix, so each piece gets its own memo: one
+    memo for a whole induced basis left 12 MiB of heap that the next
+    decode did not reuse, and raised its peak by 6 MiB."""
+    for n, (k, v) in enumerate(sorted(obj.items())):
+        yield ("," if n else "{") + _DUMPS(k) + ":"
+        if type(v) is not list:
+            yield _json_text(v, {})
+            continue
+        for i, item in enumerate(v):
+            yield ("," if i else "[") + _json_text(item, {})
+        yield "]" if v else "[]"
+    yield "}\n"
+
+
+def _write_json(path: str, obj: dict, report: RunReport) -> None:
+    digest = hashlib.sha256()
     try:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(data)
+        with open(path, "wb") as f:
+            for piece in _json_pieces(obj):
+                data = piece.encode()
+                f.write(data)
+                digest.update(data)
     except OSError as e:
         raise InputError(f"cannot write {path}: {e}")
     report.artifacts.append({"role": "out", "path": path,
-                             "sha256": hashlib.sha256(data.encode()).hexdigest()})
+                             "sha256": digest.hexdigest()})
 
 
 def _parse(fn, obj, what: str):
@@ -305,6 +341,8 @@ def _pair_indexed_rep(basis: UnitaryErrorBasis, label: str) -> ProjectiveRep:
     if len(basis.members) != d * d:
         raise InputError(f"need {d * d} members for a Z_{d} x Z_{d} index, "
                          f"got {len(basis.members)}")
+    if any(m.rows != d or m.cols != d for m in basis.members):
+        raise InputError(f"every member must be {d} x {d}")
     table = {}
     for lab, m in zip(basis.labels, basis.members):
         if not (isinstance(lab, tuple) and len(lab) == 2

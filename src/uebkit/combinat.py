@@ -121,10 +121,6 @@ def check_complex_hadamard(m: ExactMatrix) -> HadamardCheck:
 # arrays of matrix objects.
 
 
-def latin_to_json(sq: LatinSquare) -> list:
-    return [list(r) for r in sq.cells]
-
-
 def latin_from_json(obj) -> LatinSquare:
     rows = [tuple(json_int(v, "a Latin square cell") for v in r) for r in obj]
     return LatinSquare(len(rows), tuple(rows))

@@ -351,7 +351,12 @@ def matrix_from_json(obj: dict) -> ExactMatrix:
     memo: dict = {}
     entries = []
     for e in obj["entries"]:
-        k = scalar_json_key(e)
+        # most entries are zeros, keyed by their order alone; the types come
+        # first, as 1.0 and true equal 1 as keys
+        if not (type(e) is dict and type(k := e.get("order")) is int
+                and e.get("coeffs") == {} == e.get("symbols")
+                and "terms" not in e):
+            k = scalar_json_key(e)
         v = memo.get(k)  # None, the key of a multi-term entry, is never stored
         if v is None:
             v = scalar_from_json(e)

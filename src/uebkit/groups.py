@@ -176,11 +176,6 @@ class HeisenbergGroup(FiniteGroup):
                 for z in range(d):
                     yield HeisenbergElement(d, x, y, z)
 
-    def random_element(self, rng):
-        d = self.d
-        return HeisenbergElement(d, rng.randrange(d), rng.randrange(d),
-                                 rng.randrange(d))
-
 
 def _require_odd_prime(d: int):
     if d < 3 or d % 2 == 0:
@@ -203,11 +198,6 @@ def beta_aut(g: HeisenbergElement) -> HeisenbergElement:
     d = g.d
     m = (d + 1) // 2
     return HeisenbergElement(d, g.x, (g.x + g.y) % d, (g.z + m * g.x * g.x) % d)
-
-
-def gamma_aut(g: HeisenbergElement) -> HeisenbergElement:
-    """beta . alpha . beta . alpha, applying alpha first."""
-    return beta_aut(alpha_aut(beta_aut(alpha_aut(g))))
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +288,6 @@ class DirectProduct(FiniteGroup):
     def elements(self):
         return itertools.product(*(f.elements() for f in self.factors))
 
-    def random_element(self, rng):
-        return tuple(f.random_element(rng) for f in self.factors)
-
 
 class SemidirectProduct(FiniteGroup):
     """Pairs (n, h) with (n1,h1)(n2,h2) = (n1 * act(h1, n2), h1 h2).
@@ -330,9 +317,6 @@ class SemidirectProduct(FiniteGroup):
         for n in self.N.elements():
             for h in self.H.elements():
                 yield (n, h)
-
-    def random_element(self, rng):
-        return (self.N.random_element(rng), self.H.random_element(rng))
 
     def center_structural(self):
         """Z(N) x Z(H) when the action fixes Z(N) pointwise and Z(H) acts

@@ -49,6 +49,7 @@ class UebReport:
     orthogonality_ok: bool
     pairs_checked: int
     failures: tuple = ()
+    pair_route: str = "matrix"
 
     @property
     def ok(self) -> bool:
@@ -59,17 +60,24 @@ class UebReport:
                 "unitary_ok": self.unitary_ok,
                 "orthogonality_ok": self.orthogonality_ok,
                 "pairs_checked": self.pairs_checked, "ok": self.ok,
+                "pair_route": self.pair_route,
                 "failures": [str(f) for f in self.failures[:8]]}
 
 
 def verify_ueb(basis: UnitaryErrorBasis) -> UebReport:
     """The definition, with zero tolerance: d^2 unitary members, pairwise
-    trace-orthogonal."""
-    d = basis.d
-    members = basis.members
+    trace-orthogonal.  Pairs are compared only if every member is d x d.
+
+    pair_route "monomial": every member is unitary and monomial, E[sigma_E[c],
+    c] = s_E v_E[c] with s_E its scale.  Then tr(E^dagger F) = s_E s_F sum
+    conj(v_E[c]) v_F[c] over the columns c with sigma_E[c] == sigma_F[c],
+    the only entries where both are nonzero.  The pair (0, 1) and every pair
+    this rejects are re-checked densely, so failures are the dense route's.
+    """
+    d, members, labels = basis.d, basis.members, basis.labels
     failures = []
-    cardinality_ok = len(members) == d * d and \
-        all(m.rows == d and m.cols == d for m in members)
+    square = all(m.rows == d and m.cols == d for m in members)
+    cardinality_ok = square and len(members) == d * d
     if not cardinality_ok:
         failures.append(("cardinality", len(members)))
 
@@ -77,22 +85,40 @@ def verify_ueb(basis: UnitaryErrorBasis) -> UebReport:
     for idx, m in enumerate(members):
         if m.is_scaled_unitary() != 1:
             unitary_ok = False
-            failures.append(("unitary", basis.labels[idx]))
+            failures.append(("unitary", labels[idx]))
 
-    orthogonality_ok = True
+    mono = [m.monomial_data() for m in members] if unitary_ok else [None]
+    route = "monomial" if square and all(mono) else "matrix"
+    conj = route == "monomial" and [[v.conj() for v in vs] for _, vs in mono]
+
+    def orthogonal(i, j):
+        if not conj:
+            return hs_inner(members[i], members[j]).is_zero()
+        acc = PhasedScalar.zero(1)
+        for s, t, a, b in zip(mono[i][0], mono[j][0], conj[i], mono[j][1]):
+            if s == t:
+                acc = acc + a * b
+        if (acc.terms or (i, j) == (0, 1)) and \
+                hs_inner(members[i], members[j]).is_zero() == bool(acc.terms):
+            raise ArithmeticError(
+                "monomial data disagrees with the dense inner product of "
+                f"members {labels[i]} and {labels[j]}")
+        return not acc.terms
+
+    orthogonality_ok = square
     pairs = 0
-    n = len(members)
+    n = len(members) if square else 0
     for i in range(n):
         for j in range(i + 1, n):
             pairs += 1
-            if not hs_inner(members[i], members[j]).is_zero():
+            if not orthogonal(i, j):
                 orthogonality_ok = False
-                failures.append(("orthogonality", basis.labels[i], basis.labels[j]))
+                failures.append(("orthogonality", labels[i], labels[j]))
                 if len(failures) > 32:
                     return UebReport(d, cardinality_ok, unitary_ok, False,
-                                     pairs, tuple(failures))
+                                     pairs, tuple(failures), route)
     return UebReport(d, cardinality_ok, unitary_ok, orthogonality_ok,
-                     pairs, tuple(failures))
+                     pairs, tuple(failures), route)
 
 
 def basis_from_rep(rep: ProjectiveRep) -> UnitaryErrorBasis:

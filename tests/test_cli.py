@@ -7,11 +7,11 @@ import os
 
 import pytest
 
-from uebkit.cli import InputError, RunReport, _read_json, main
-from uebkit.combinat import fourier_hadamard, latin_to_json, cyclic_latin
+from uebkit.cli import InputError, RunReport, _read_json, _write_json, main
+from uebkit.combinat import cyclic_latin, fourier_hadamard, h_alpha
 from uebkit.cyclo import PhasedScalar
 from uebkit.exactmat import ExactMatrix, matrix_to_json
-from uebkit.ueb import basis_from_json
+from uebkit.ueb import basis_from_json, basis_to_json, shift_and_multiply
 
 ONE = PhasedScalar.one()
 
@@ -101,7 +101,7 @@ def test_construct_sam_d3_pins_members(capsys, tmp_path):
 def test_construct_sam_from_files(capsys, tmp_path):
     lf = tmp_path / "latin.json"
     hf = tmp_path / "had.json"
-    lf.write_text(json.dumps(latin_to_json(cyclic_latin(3))))
+    lf.write_text(json.dumps(cyclic_latin(3).cells))
     hf.write_text(json.dumps(matrix_to_json(fourier_hadamard(3))))
     f = str(tmp_path / "basis.json")
     rc, lines, _ = run(capsys, ["construct", "sam", str(lf), str(hf),
@@ -151,7 +151,7 @@ def test_verify_latin_distinguishes_failure_from_parse_error(capsys, tmp_path):
     assert "must be an integer" in lines[0]["error"]
 
     good = tmp_path / "good.json"
-    good.write_text(json.dumps(latin_to_json(cyclic_latin(3))))
+    good.write_text(json.dumps(cyclic_latin(3).cells))
     assert main(["verify", "latin", str(good)]) == 0
     capsys.readouterr()
 
@@ -410,6 +410,69 @@ def test_degenerate_dimension_exits_2(capsys, tmp_path, kind, command):
     assert "error:" in err
 
 
+def _mixed_shapes(obj):
+    # one 3 x 3 member in a d = 2 file
+    obj["members"][1] = matrix_to_json(ExactMatrix.identity(3))
+
+
+@pytest.mark.parametrize("command", [("verify", "ueb"),
+                                     ("analyze", "wickedness")],
+                         ids="-".join)
+def test_mixed_shapes_fail_the_cardinality_check(capsys, tmp_path, command):
+    rc, lines, err = _verify_edited_pauli2(capsys, tmp_path, _mixed_shapes,
+                                           command)
+    assert rc == 1
+    check = checks_by_name(lines)["ueb-definition"]
+    assert not check["ok"]
+    assert check["details"]["cardinality_ok"] is False
+    assert check["details"]["pairs_checked"] == 0
+    assert "FAIL" in err
+
+
+@pytest.mark.parametrize("command", [("verify", "nice"),
+                                     ("analyze", "cocycle")],
+                         ids="-".join)
+def test_mixed_shapes_exit_2_where_members_are_indexed(capsys, tmp_path,
+                                                       command):
+    rc, lines, err = _verify_edited_pauli2(capsys, tmp_path, _mixed_shapes,
+                                           command)
+    assert rc == 2
+    assert lines[0]["error"] == "every member must be 2 x 2"
+    assert "error:" in err
+
+
+_MALFORMED_ZERO = {
+    "order-float": (lambda e: dict(e, order=1.0),
+                    "'order' must be an integer, not 1.0"),
+    "order-bool": (lambda e: dict(e, order=True),
+                   "'order' must be an integer, not True"),
+    "symbols-null": (lambda e: dict(e, symbols=None),
+                     "'coeffs' and 'symbols' must be JSON objects"),
+    "symbols-list": (lambda e: dict(e, symbols=[]),
+                     "'coeffs' and 'symbols' must be JSON objects"),
+    "coeffs-list": (lambda e: dict(e, coeffs=[]),
+                    "'coeffs' and 'symbols' must be JSON objects"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_MALFORMED_ZERO))
+def test_malformed_zero_after_a_valid_zero_exits_2(capsys, tmp_path, kind):
+    # the decoder memoizes entry 1, a zero of order 1, before it meets the
+    # malformed copy in entry 2; 1.0 and true equal 1 as dict keys
+    malform, message = _MALFORMED_ZERO[kind]
+
+    def edit(obj):
+        entries = obj["members"][0]["entries"]
+        assert entries[1] == entries[2] == {"order": 1, "coeffs": {},
+                                            "symbols": {}}
+        entries[2] = malform(entries[1])
+
+    rc, lines, err = _verify_edited_pauli2(capsys, tmp_path, edit)
+    assert rc == 2
+    assert lines[0]["error"] == f"cannot interpret basis file: {message}"
+    assert "error:" in err
+
+
 def test_sparsity_of_a_basis_without_members_exits_2(capsys, tmp_path):
     # an empty basis has no zero fraction, and is not monomial either
     for kind in ("sparsity", "monomial"):
@@ -449,12 +512,40 @@ def test_read_json_keeps_the_callers_gc_state(capsys, tmp_path, enabled):
      "dbdea2dd068f4f5bb43585f08e8e4f525bde0d28fd7cf95910782b03eba3593d"),
     (["analyze", "induce", "heisenberg:3"],
      "6ced9780ca3f61fb1c1929f320ecd1f3fcd39fad18a33965976da81e7f9b6368"),
+    (["construct", "pauli:12"],
+     "3ca45981b42baf9a79a0c34b7ef2cfb0d072ed9b918839ad7191664a47c28d49"),
+    (["analyze", "induce", "heisenberg:7"],
+     "3bd4031bf557e239636978d4f3795d35019b56048d4be9756f0c3036dcd36356"),
 ])
 def test_written_file_bytes_are_pinned(capsys, tmp_path, argv, sha256):
     f = tmp_path / "out.json"
     assert main(argv + ["--out", str(f)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(f.read_bytes()).hexdigest() == sha256
+
+
+def _bundle_like():
+    """Nested dicts that hold no list, a list of strings, and matrices
+    shared between two places, as in export_bundle."""
+    f = matrix_to_json(fourier_hadamard(3))
+    return {"dim": 3, "pools": {"3": {"0,1": f, "1,0": f}, "5": {}},
+            "conj": {"F": f, "order": 2, "action": [[1, 2], [0, 1]]},
+            "names": ["a", "b"], "note": "text \u00e9", "ratio": "1/3"}
+
+
+@pytest.mark.parametrize("obj", [
+    basis_to_json(shift_and_multiply(cyclic_latin(4), h_alpha())),
+    _bundle_like(),
+    {"d": 2, "labels": [], "members": []},
+], ids=["basis", "bundle-like", "no-members"])
+def test_streamed_writer_matches_json_dumps(tmp_path, obj):
+    f = tmp_path / "out.json"
+    report = RunReport(command=[], seed=0, jobs=1)
+    _write_json(str(f), obj, report)
+    want = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    assert f.read_bytes() == want.encode()
+    (artifact,) = report.artifacts
+    assert artifact["sha256"] == hashlib.sha256(f.read_bytes()).hexdigest()
 
 
 def test_usage_errors_exit_2(capsys):

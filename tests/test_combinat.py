@@ -7,7 +7,6 @@ from uebkit.combinat import (
     fourier_hadamard,
     h_alpha,
     latin_from_json,
-    latin_to_json,
     validate_latin,
 )
 from uebkit.cyclo import PhasedScalar
@@ -62,4 +61,4 @@ def test_hadamard_rejections():
 
 def test_latin_json():
     sq = cyclic_latin(5)
-    assert latin_from_json(latin_to_json(sq)) == sq
+    assert latin_from_json([list(r) for r in sq.cells]) == sq

@@ -23,6 +23,7 @@ from uebkit.cyclo import Cyclotomic, PhasedScalar
 from uebkit.exactmat import ExactMatrix, monomiality_report
 from uebkit.fastcyc import CycMatrix, from_exact
 from uebkit.groups import (
+    DirectProduct,
     HeisenbergElement,
     HeisenbergGroup,
     SL2Element,
@@ -336,12 +337,24 @@ def test_triple_product_passes_identity_slots_through(built, monkeypatch):
     assert (ident @ b).keys == b.keys and (ident @ b).j == b.j
 
 
+def _random_element(group, rng):
+    """A uniform element of a Heisenberg group or of a direct or
+    semidirect product of such groups."""
+    if isinstance(group, HeisenbergGroup):
+        d = group.d
+        return HeisenbergElement(d, rng.randrange(d), rng.randrange(d),
+                                 rng.randrange(d))
+    if isinstance(group, DirectProduct):
+        return tuple(_random_element(f, rng) for f in group.factors)
+    return (_random_element(group.N, rng), _random_element(group.H, rng))
+
+
 def _twisted_members(built, rng, n):
     """n seeded group elements with a nonzero central exponent and both
     R slots twisted (x3 and y3 nonzero)."""
     out = []
     while len(out) < n:
-        g = built.group.random_element(rng)
+        g = _random_element(built.group, rng)
         h = g[1]
         if h.x and h.y and FactorMap._keys(g)[3]:
             out.append(g)

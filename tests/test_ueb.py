@@ -9,8 +9,11 @@ from uebkit.combinat import (
     fourier_hadamard,
     h_alpha,
 )
-from uebkit.cyclo import PhasedScalar, declare_phase_symbol
+from uebkit import ueb
+from uebkit.cyclo import Cyclotomic, PhasedScalar, declare_phase_symbol
 from uebkit.exactmat import ExactMatrix, matrix_to_json
+from uebkit.groups import HeisenbergElement
+from uebkit.nice import heisenberg_rep
 from uebkit.ueb import (
     NormalizationError,
     UnitaryErrorBasis,
@@ -406,3 +409,146 @@ def test_monomial_route_witness_is_rechecked(monkeypatch):
     monkeypatch.setattr(ExactMatrix, "monomial_data", wrong)
     with pytest.raises(ArithmeticError, match="monomial data"):
         wickedness_witness(basis)
+
+
+def test_wickedness_recheck_without_verify_ueb(monkeypatch):
+    # the case above with the definition check skipped, so the witness
+    # re-check of wickedness_witness itself raises
+    basis = shift_and_multiply(cyclic_latin(4), h_alpha())
+    target = basis.members[0]
+    real = ExactMatrix.monomial_data
+
+    def wrong(self):
+        data = real(self)
+        if self is target:
+            sigma, values = data
+            return sigma, [-values[0]] + values[1:]
+        return data
+
+    monkeypatch.setattr(ExactMatrix, "monomial_data", wrong)
+    with pytest.raises(ArithmeticError, match="product of members"):
+        wickedness_witness(basis, assume_verified=True)
+
+
+# -- verify_ueb: the monomial pair route against the dense one ----------------
+
+
+def _edit_member(basis, k, f):
+    members = list(basis.members)
+    members[k] = f(members[k])
+    return UnitaryErrorBasis(basis.d, members, basis.labels)
+
+
+def _swap_columns(m, a, b):
+    ents = list(m.entries)
+    for i in range(m.rows):
+        ents[i * m.cols + a], ents[i * m.cols + b] = \
+            ents[i * m.cols + b], ents[i * m.cols + a]
+    return ExactMatrix(m.rows, m.cols, ents, m.scale)
+
+
+def _set_first_nonzero(f):
+    def edit(m):
+        ents = list(m.entries)
+        idx = next(i for i, e in enumerate(ents) if e.terms)
+        ents[idx] = f(ents[idx])
+        return ExactMatrix(m.rows, m.cols, ents, m.scale)
+    return edit
+
+
+def _heisenberg3_section():
+    rep = heisenberg_rep(3)
+    labels = [(x, y) for x in range(3) for y in range(3)]
+    return UnitaryErrorBasis(
+        3, [rep.matrix(HeisenbergElement(3, x, y, 0)) for x, y in labels],
+        labels)
+
+
+def _ueb_route_cases():
+    """(name, basis, the route verify_ueb should report)."""
+    p3, p5 = pauli_basis(3), pauli_basis(5)
+    one_plus_zeta = PhasedScalar.of(Cyclotomic.one(5) + Cyclotomic.zeta(5))
+    return [
+        *[(f"pauli:{d}", pauli_basis(d), "monomial") for d in range(2, 7)],
+        ("heisenberg:3", _heisenberg3_section(), "monomial"),
+        ("sam:cyclic:5,fourier:5",
+         shift_and_multiply(cyclic_latin(5), fourier_hadamard(5)), "monomial"),
+        ("sam:cyclic:4,alpha",
+         shift_and_multiply(cyclic_latin(4), h_alpha()), "monomial"),
+        # still unitary and monomial: the rejected pairs are re-checked
+        ("swapped columns",
+         _edit_member(p3, 1, lambda m: _swap_columns(m, 0, 1)), "monomial"),
+        ("entry times zeta", _edit_member(p3, 1, _set_first_nonzero(
+            lambda e: e * PhasedScalar.zeta(3))), "monomial"),
+        # a member that is not unitary sends the pairs to the dense route
+        ("scale 2", _edit_member(p3, 4, lambda m: m.scalar_mul(2)), "matrix"),
+        ("entry 1+zeta_5", _edit_member(p5, 1, _set_first_nonzero(
+            lambda e: one_plus_zeta)), "matrix"),
+    ]
+
+
+def test_ueb_routes_give_the_same_report(monkeypatch):
+    cases = _ueb_route_cases()
+    fast = {}
+    for name, basis, route in cases:
+        report = verify_ueb(basis)
+        assert report.pair_route == route, name
+        fast[name] = report
+    monkeypatch.setattr(ExactMatrix, "monomial_data", lambda self: None)
+    for name, basis, _ in cases:
+        slow = verify_ueb(basis)
+        assert slow.pair_route == "matrix"
+        assert slow.failures == fast[name].failures, name
+        want, got = fast[name].summary(), slow.summary()
+        want.pop("pair_route")
+        got.pop("pair_route")
+        assert want == got, name
+    assert not fast["swapped columns"].orthogonality_ok
+    assert not fast["entry times zeta"].orthogonality_ok
+
+
+def test_ueb_failures_past_the_cap_match(monkeypatch):
+    # more than 32 failures: both routes stop at the same pair
+    p = pauli_basis(4)
+    basis = UnitaryErrorBasis(4, [p.members[0]] * 10 + list(p.members[10:]),
+                              p.labels)
+    fast = verify_ueb(basis)
+    monkeypatch.setattr(ExactMatrix, "monomial_data", lambda self: None)
+    slow = verify_ueb(basis)
+    assert fast.pair_route == "monomial" and slow.pair_route == "matrix"
+    assert len(fast.failures) > 32
+    assert (fast.failures, fast.pairs_checked) == \
+        (slow.failures, slow.pairs_checked)
+
+
+def test_monomial_route_takes_one_dense_inner_product(monkeypatch):
+    calls = []
+    real = ueb.hs_inner
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(ueb, "hs_inner", counting)
+    report = verify_ueb(pauli_basis(5))
+    assert report.ok and report.pair_route == "monomial"
+    assert report.pairs_checked == 300
+    assert len(calls) == 1
+
+
+def test_monomial_route_sample_pair_is_rechecked(monkeypatch):
+    # members 0 and 1 are equal, so not orthogonal; data that moves member
+    # 1 to another permutation would pass the pair without the dense
+    # re-check of the pair (0, 1)
+    second = ExactMatrix.identity(2)
+    basis = UnitaryErrorBasis(2, [ExactMatrix.identity(2), second],
+                              ["a", "b"])
+    real = ExactMatrix.monomial_data
+
+    def wrong(self):
+        sigma, values = real(self)
+        return (sigma[::-1], values) if self is second else (sigma, values)
+
+    monkeypatch.setattr(ExactMatrix, "monomial_data", wrong)
+    with pytest.raises(ArithmeticError, match="monomial data disagrees"):
+        verify_ueb(basis)
