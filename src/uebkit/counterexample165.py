@@ -137,10 +137,9 @@ class ConjugatorSet:
     """Verified conjugation data for one Heisenberg factor.
 
     F is the unnormalized Fourier matrix (unitarity scale p); R is the
-    order-3 twist word rescaled to honest unitarity.  alpha, beta and
-    gamma are automorphism lifts: alpha and beta of conjugation by F
-    and B with the dagger on the left, gamma of forward conjugation by
-    R, the direction the semidirect action composes with."""
+    order-3 twist word rescaled to honest unitarity.  gamma is the
+    automorphism lift of forward conjugation by R, the direction the
+    semidirect action composes with."""
     p: int
     e: int
     F: ExactMatrix
@@ -150,13 +149,8 @@ class ConjugatorSet:
     r_cubed: PhasedScalar
     action: SL2Element
     action_order: int
-    alpha: dict
-    beta: dict
     gamma: dict
-    alpha_action: SL2Element
-    beta_action: SL2Element
     group: HeisenbergGroup
-    checks: dict
 
 
 def build_conjugators(p: int, e: int = 3) -> ConjugatorSet:
@@ -197,31 +191,21 @@ def build_conjugators(p: int, e: int = 3) -> ConjugatorSet:
 
     gamma = conjugation_automorphism(group, R, forward=True)
     action = _exponent_action(gamma, p)
-    sl2 = SL2Group(p)
-    order = element_order(sl2, action)
+    order = element_order(SL2Group(p), action)
     require(order == 3, f"induced action has order {order}, want 3")
     require(acts_irreducibly(action),
             "induced action has an eigenvector over F_p")
 
-    alpha = conjugation_automorphism(group, F, forward=False)
-    beta = conjugation_automorphism(group, B, forward=False)
-    alpha_action = _exponent_action(alpha, p)
-    beta_action = _exponent_action(beta, p)
-    require(alpha_action == sl2_alpha(p), "alpha action is not ((0,-1),(1,0))")
-    require(beta_action == sl2_beta(p), "beta action is not ((1,0),(1,1))")
-
-    checks = {
-        "conjugation_identities": True,
-        "r_unitary": True,
-        "r_cubed_scalar": str(r_cubed),
-        "action_is_alpha_beta":
-            action == sl2.compose(alpha_action, beta_action),
-        "automorphisms_checked": True,
-    }
+    # the lifts of conjugation by F and B, dagger on the left
+    alpha = _exponent_action(conjugation_automorphism(group, F, forward=False),
+                             p)
+    beta = _exponent_action(conjugation_automorphism(group, B, forward=False),
+                            p)
+    require(alpha == sl2_alpha(p), "alpha action is not ((0,-1),(1,0))")
+    require(beta == sl2_beta(p), "beta action is not ((1,0),(1,1))")
     return ConjugatorSet(p=p, e=e, F=F, D=D, B=B, R=R, r_cubed=r_cubed,
-                         action=action, action_order=order, alpha=alpha,
-                         beta=beta, gamma=gamma, alpha_action=alpha_action,
-                         beta_action=beta_action, group=group, checks=checks)
+                         action=action, action_order=order, gamma=gamma,
+                         group=group)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +263,7 @@ class TensorTriple:
             t = self.fm.tr[p][key]
             if t.is_zero():
                 return PhasedScalar.zero(1)
-            out = out * PhasedScalar.of(t)
+            out = out * t
         return out * self.fm.zetas[self.j] if self.j else out
 
     def equal_up_to_phase(self, other: "TensorTriple"):
@@ -291,14 +275,9 @@ class TensorTriple:
         return f"TensorTriple({self.keys!r}, j={self.j})"
 
 
-def _mask_monomial(a: CycMatrix) -> bool:
-    mask = a.canon_array().any(axis=2)
-    return bool((mask.sum(axis=0) == 1).all() and (mask.sum(axis=1) == 1).all())
-
-
 def _slot_values(m: ExactMatrix):
     """(nonzero, values) for a slot matrix.  Slot matrices are pool
-    entries, which from_exact has packed, so no entry carries a symbol.
+    entries, which _verify_pools packs, so no entry carries a symbol.
 
     nonzero lists (i, j, t) per nonzero entry, t indexing values, which
     holds each distinct entry once in integer form: its (exponent lifted
@@ -377,28 +356,27 @@ class FactorMap:
     so quotient representatives (central exponents zero) hit the pools
     directly.
 
-    Every pool entry is verified unitary at build time (packed integer
-    route for all entries, dense exact route on a seeded sample), which
-    is what entitles every TensorTriple to unitarity scale 1.
+    Every pool entry is verified unitary at build time (_verify_pools),
+    which is what entitles every TensorTriple to unitarity scale 1.
 
     Slot products multiply no matrices: _mul names the pool entry and
     the phase of a product of two pool entries by the Heisenberg law
     and the verified twist.  Packed products of pool entries are the
-    independent route verify_counterexample checks it against."""
+    independent route verify_counterexample checks it against; the
+    pools themselves are held exact only."""
 
     def __init__(self, conj5: ConjugatorSet, conj11: ConjugatorSet,
                  seed: int = 0):
         self.conj5, self.conj11 = conj5, conj11
-        rng = random.Random(seed)
-        # per-prime tables, each keyed by p and then by pool key
-        self.exact, self.fast = {}, {}
-        for p, r in ((3, None), (5, conj5.R), (11, conj11.R)):
-            self.exact[p], self.fast[p] = self._pool(p, r)
-        self.tr = {p: {k: m.trace() for k, m in pool.items()}
-                   for p, pool in self.fast.items()}
-        self.mono = {p: {k: _mask_monomial(m) for k, m in pool.items()}
-                     for p, pool in self.fast.items()}
-        self._verify_pools(rng)
+        # per-prime tables, each keyed by p and then by pool key; traces
+        # at conductor p, as the packed route gives them
+        self.exact = {p: self._pool(p, r) for p, r in
+                      ((3, None), (5, conj5.R), (11, conj11.R))}
+        self.tr = {p: {k: m.trace().promote(p) for k, m in pool.items()}
+                   for p, pool in self.exact.items()}
+        self.nnz = {p: {k: m.nonzero_count() for k, m in pool.items()}
+                    for p, pool in self.exact.items()}
+        self._verify_pools(random.Random(seed))
         self.zetas = [PhasedScalar.zeta(330, j) for j in range(330)]
         self._power = {c.key(): j for j, c in enumerate(self.zetas)}
         # per prime: [id, gamma, gamma^2] on H_p and as (x, y) -> (x', y', z')
@@ -422,24 +400,25 @@ class FactorMap:
                 for k in range(len(rp)):
                     key = (xx, yy, k) if r is not None else (xx, yy)
                     exact[key] = base @ rp[k] if k else base
-        return exact, {key: from_exact(m, p) for key, m in exact.items()}
+        return exact
 
     def _verify_pools(self, rng):
+        """Unitarity and the trace of every entry on the packed route,
+        each packed copy then dropped; dense unitarity on a sample."""
         for p, exact in self.exact.items():
-            fast = self.fast[p]
             ident = CycMatrix.identity(p, p)
-            for key, cm in fast.items():
+            for key, m in exact.items():
+                cm = from_exact(m, p)
                 if not (cm @ cm.dagger() == ident):
                     raise ArithmeticError(f"pool entry {key} (p={p}) is not "
                                           "unitary")
+                if not (PhasedScalar.of(cm.trace()) == self.tr[p][key]):
+                    raise ArithmeticError(f"trace routes disagree at {key} "
+                                          f"(p={p})")
             for key in rng.sample(sorted(exact), min(8, len(exact))):
                 if exact[key].is_scaled_unitary() != 1:
                     raise ArithmeticError(f"dense unitarity check failed at "
                                           f"{key} (p={p})")
-                if not (PhasedScalar.of(fast[key].trace())
-                        == exact[key].trace()):
-                    raise ArithmeticError(f"trace routes disagree at {key} "
-                                          f"(p={p})")
         # the Heisenberg law of the 3-slot normal form; build_conjugators
         # checks the same relation at p = 5 and 11
         x3, z3 = self.exact[3][1, 0], self.exact[3][0, 1]
@@ -503,9 +482,14 @@ class FactorMap:
         return ((x + u) % p, (y + v) % p, k), j % 330
 
     def slot_monomial(self, g) -> bool:
+        """Whether the member of g is monomial.  A p x p unitary has at
+        least p nonzero entries, one per column, and exactly p when it is
+        monomial, as its columns are independent.  The member's count is
+        the product of the slot counts, so it is 165 exactly when every
+        slot is monomial, which is when the member is."""
         k3, k5, k11, _ = self._keys(g)
-        mono = self.mono
-        return mono[3][k3] and mono[5][k5] and mono[11][k11]
+        nnz = self.nnz
+        return nnz[3][k3] * nnz[5][k5] * nnz[11][k11] == 165
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +541,7 @@ class Quotient165(CentralQuotientGroup):
         carrier = [((e5[x5][y5], e11[x11][y11]), e3[x3][y3])
                    for x5, y5, x11, y11, x3, y3 in itertools.product(
                        *(range(p) for p in (5, 5, 11, 11, 3, 3)))]
-        super().__init__(parent, subgroup, section, carrier=lambda: carrier)
+        super().__init__(parent, subgroup, section, carrier)
 
     def compose(self, a, b):
         (n5, n11), (_, hx, hy, _) = a
@@ -677,20 +661,18 @@ def _check_generators(G, factors: FactorMap) -> bool:
     """The six generator images must equal the pinned tensor factors
     entrywise: I(x)X5(x)I, I(x)Z5(x)I, I(x)I(x)X11, I(x)I(x)Z11,
     X3(x)R5(x)I, Z3(x)I(x)R11."""
-    f5 = from_exact(factors.conj5.R, 5)
-    f11 = from_exact(factors.conj11.R, 11)
-    i3, i5, i11 = (CycMatrix.identity(p, p) for p in _PRIMES)
+    i3, i5, i11 = (ExactMatrix.identity(p) for p in _PRIMES)
     want = [
-        (i3, from_exact(shift_matrix(5), 5), i11),
-        (i3, from_exact(clock_matrix(5), 5), i11),
-        (i3, i5, from_exact(shift_matrix(11), 11)),
-        (i3, i5, from_exact(clock_matrix(11), 11)),
-        (from_exact(shift_matrix(3), 3), f5, i11),
-        (from_exact(clock_matrix(3), 3), i5, f11),
+        (i3, shift_matrix(5), i11),
+        (i3, clock_matrix(5), i11),
+        (i3, i5, shift_matrix(11)),
+        (i3, i5, clock_matrix(11)),
+        (shift_matrix(3), factors.conj5.R, i11),
+        (clock_matrix(3), i5, factors.conj11.R),
     ]
     for gen, slots in zip(G.generators, want):
         got = factors.triple(gen)
-        if got.j or not all(factors.fast[p][key] == b for p, key, b
+        if got.j or not all(factors.exact[p][key] == b for p, key, b
                             in zip(_PRIMES, got.keys, slots)):
             return False
     # one dense witness: the first twisted generator materializes to
@@ -823,23 +805,25 @@ def verify_counterexample(g: G165, seed: int = DEFAULT_SEED
     cross_ok = all(agree)
 
     # dual-route agreement: packed slot algebra against the dense layer,
-    # and the key and phase _mul names for each product against it
+    # and the key and phase _mul names for each product against it; the
+    # pool entries are packed here, as the FactorMap keeps none
     cross = 0
     for p in (5, 11):
-        fast, exact = fm.fast[p], fm.exact[p]
+        exact = fm.exact[p]
         keys = sorted(exact)
         for _ in range(10):
             ka, kb = rng.choice(keys), rng.choice(keys)
-            fprod = fast[ka] @ fast[kb]
+            key, j = fm._mul(p, ka, kb)
+            fa, fb, fkey = (from_exact(exact[k], p) for k in (ka, kb, key))
+            fprod = fa @ fb
             eprod = exact[ka] @ exact[kb]
             if to_exact(fprod) != eprod:
                 cross_ok = False
-            key, j = fm._mul(p, ka, kb)
-            c = fprod.equal_up_to_phase(fast[key])
+            c = fprod.equal_up_to_phase(fkey)
             if (c is None or j != fm._power.get(
                     PhasedScalar.of(c).promote(330).key())):
                 cross_ok = False
-            fphase = fprod.equal_up_to_phase(fast[kb])
+            fphase = fprod.equal_up_to_phase(fb)
             ephase = eprod.equal_up_to_phase(exact[kb])
             if (fphase is None) != (ephase is None):
                 cross_ok = False

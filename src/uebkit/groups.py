@@ -364,10 +364,10 @@ class SubgroupView(FiniteGroup):
 
 
 class CentralQuotientGroup(FiniteGroup):
-    """G/Z for central Z, working on canonical section representatives."""
+    """G/Z for central Z, on the section representatives listed in carrier."""
 
     def __init__(self, parent: FiniteGroup, subgroup: list, section,
-                 carrier=None):
+                 carrier: list):
         self.parent = parent
         self.subgroup = list(subgroup)
         self.section = section
@@ -386,13 +386,4 @@ class CentralQuotientGroup(FiniteGroup):
         return self.section(self.parent.inverse(a))
 
     def elements(self):
-        if self._carrier is not None:
-            return iter(self._carrier())
-        if self.parent.order > 1_000_000:
-            raise ValueError("quotient enumeration needs an explicit carrier")
-        seen = dict()
-        for g in self.parent.elements():
-            s = self.section(g)
-            if s not in seen:
-                seen[s] = None
-        return iter(seen)
+        return iter(self._carrier)

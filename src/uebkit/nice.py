@@ -175,44 +175,34 @@ def _phase_form(rep: ProjectiveRep, elems: list):
     return forms, [PhasedScalar.of(z) for z in zetas]
 
 
-@dataclass
-class Cocycle:
-    group: FiniteGroup
-    values: dict
+def cocycle_table(rep: ProjectiveRep) -> dict:
+    """omega(g, h) for every pair, with rho(g) rho(h) = omega(g, h) rho(gh);
+    raises CocycleError on a pair that is not a unit multiple of the
+    composed member, or on a zero member.
 
-    def __call__(self, g, h) -> PhasedScalar:
-        return self.values[(g, h)]
-
-    def validate(self, rng=None, samples: int = 300) -> bool:
-        """Cocycle identity w(g,h) w(gh,k) = w(h,k) w(g,hk) on sampled
-        (or, for tiny groups, all) triples."""
-        elems = list(self.group.elements())
-        n = len(elems)
-        if rng is None or n ** 3 <= samples:
-            triples = ((g, h, k) for g in elems for h in elems for k in elems)
-        else:
-            triples = ((rng.choice(elems), rng.choice(elems), rng.choice(elems))
-                       for _ in range(samples))
-        comp = self.group.compose
-        for g, h, k in triples:
-            lhs = self.values[(g, h)] * self.values[(comp(g, h), k)]
-            rhs = self.values[(h, k)] * self.values[(g, comp(h, k))]
-            if not (lhs == rhs):
-                return False
-        return True
-
-
-def cocycle_table(rep: ProjectiveRep) -> Cocycle:
+    The cocycle identity omega(g, h) omega(gh, k) = omega(h, k) omega(g, hk)
+    then holds for every triple, so none is sampled.  Bracket the product
+    rho(g) rho(h) rho(k) both ways:
+    (rho(g) rho(h)) rho(k) = omega(g, h) rho(gh) rho(k)
+    = omega(g, h) omega(gh, k) rho((gh)k), and
+    rho(g) (rho(h) rho(k)) = omega(h, k) rho(g) rho(hk)
+    = omega(h, k) omega(g, hk) rho(g(hk)).  Matrix products and the
+    index law are associative, so both scalars multiply the one matrix
+    rho(ghk), which is nonzero (checked here on every member), and they
+    are equal."""
     elems = list(rep.group.elements())
     if len(elems) ** 2 > MAX_FULL_PAIRS:
         raise ValueError("index group too large for a full cocycle table")
+    for g in elems:
+        if not rep.matrix(g).nonzero_count():
+            raise CocycleError(f"rho({g}) is the zero matrix")
 
     # pairs as in verify_nice: the phase route when every member is
     # monomial over roots of unity (exact, so a bad pair raises the same
     # CocycleError as on dense products), else dense products
     phase = _phase_form(rep, elems)
-    return Cocycle(rep.group, {(g, h): extract_cocycle(rep, g, h, phase)
-                               for g in elems for h in elems})
+    return {(g, h): extract_cocycle(rep, g, h, phase)
+            for g in elems for h in elems}
 
 
 @dataclass

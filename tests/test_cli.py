@@ -255,19 +255,29 @@ def test_analyze_cocycle_small_group_emits_table(capsys):
     details = checks_by_name(lines)["cocycle"]["details"]
     assert details["identity_holds"] is True
     assert details["pairs"] == 16
-    assert details["sampled"] is False
     assert len(details["table"]) == 16
 
 
-def test_analyze_cocycle_sampled_records_seed(capsys):
+def test_analyze_cocycle_proves_the_identity_unsampled(capsys):
     rc, lines, _ = run(capsys, ["analyze", "cocycle", "pauli:6", "--seed", "7"])
     assert rc == 0
-    header = lines[0]
-    assert header["seed"] == 7
+    assert lines[0]["seed"] == 7
     details = checks_by_name(lines)["cocycle"]["details"]
-    assert details["sampled"] is True
-    assert details["seed"] == 7
-    assert "table" not in details
+    assert details == {"pairs": 1296, "identity_holds": True}
+
+
+def test_analyze_cocycle_fails_on_a_zero_member(capsys, tmp_path):
+    f = tmp_path / "zero.json"
+    x, z = ExactMatrix.from_rows([[0, 1], [1, 0]]), ExactMatrix.zeros(2, 2)
+    f.write_text(json.dumps({
+        "d": 2,
+        "members": [matrix_to_json(m) for m in
+                    (ExactMatrix.identity(2), x, z, z)],
+        "labels": [[0, 0], [1, 0], [0, 1], [1, 1]]}))
+    rc, lines, _ = run(capsys, ["analyze", "cocycle", str(f)])
+    assert rc == 1
+    check = checks_by_name(lines)["cocycle"]
+    assert not check["ok"] and "zero matrix" in check["witness"]
 
 
 def test_analyze_cocycle_rejects_wrong_member_count(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -12,6 +13,7 @@ from uebkit.counterexample165 import (
     TensorTriple,
     _PRIMES,
     _check_law,
+    _exponent_action,
     _tensor165,
     build_conjugators,
     conjugation_automorphism,
@@ -49,14 +51,24 @@ from uebkit.nice import (
 # conjugators
 
 
-def test_conjugator_facts_p5(built):
+@pytest.fixture(scope="module")
+def alpha_beta(built):
+    """p -> (alpha, beta), the lifts of conjugation by F and by B with the
+    dagger on the left; build_conjugators checks their exponent actions
+    and keeps neither."""
+    return {c.p: tuple(conjugation_automorphism(c.group, u, forward=False)
+                       for u in (c.F, c.B))
+            for c in (built.conj5, built.conj11)}
+
+
+def test_conjugator_facts_p5(built, alpha_beta):
     c = built.conj5
     assert c.r_cubed.is_one()
     assert c.action == SL2Element(5, 4, 4, 1, 0)
     assert c.action_order == 3
-    assert c.alpha_action == sl2_alpha(5)
-    assert c.beta_action == sl2_beta(5)
-    assert c.checks["action_is_alpha_beta"]
+    alpha, beta = alpha_beta[5]
+    assert _exponent_action(alpha, 5) == sl2_alpha(5)
+    assert _exponent_action(beta, 5) == sl2_beta(5)
 
 
 def test_conjugator_facts_p11(built):
@@ -66,17 +78,17 @@ def test_conjugator_facts_p11(built):
     assert c.r_cubed.root_of_unity_order() == 22
     assert c.action == SL2Element(11, 10, 10, 1, 0)
     assert c.action_order == 3
-    assert c.checks["action_is_alpha_beta"]
 
 
-def test_alpha_beta_lifts_match_abstract_maps(built):
+def test_alpha_beta_lifts_match_abstract_maps(built, alpha_beta):
     for conj in (built.conj5, built.conj11):
+        alpha, beta = alpha_beta[conj.p]
         for g in conj.group.elements():
-            assert conj.alpha[g] == alpha_aut(g)
-            assert conj.beta[g] == beta_aut(g)
+            assert alpha[g] == alpha_aut(g)
+            assert beta[g] == beta_aut(g)
 
 
-def test_lifts_agree_with_conjugation_on_every_element(built):
+def test_lifts_agree_with_conjugation_on_every_element(built, alpha_beta):
     # rho(f(g)) == U rho(g) U^dagger / s for every g and each lift, dense
     # exact at p = 5 and packed at p = 11; conjugation_automorphism proves
     # it from the generators, this checks the whole group
@@ -86,9 +98,10 @@ def test_lifts_agree_with_conjugation_on_every_element(built):
         for g in conj.group.elements():
             m = weyl_matrix(p, g.x, g.y, g.z)
             rho[g] = from_exact(m, p) if packed else m
+        alpha, beta = alpha_beta[p]
         for f, u, forward in ((conj.gamma, conj.R, True),
-                              (conj.alpha, conj.F, False),
-                              (conj.beta, conj.B, False)):
+                              (alpha, conj.F, False),
+                              (beta, conj.B, False)):
             s = u.is_scaled_unitary()
             if packed:
                 u = from_exact(u, p)
@@ -229,9 +242,16 @@ def test_slot_phase_multiplies_no_matrices(built, monkeypatch):
     assert calls == []
 
 
+@functools.cache
+def _packed_pool(fm, p):
+    """The p-slot pool packed, once per FactorMap and prime: the
+    FactorMap holds its pools exact only."""
+    return {k: from_exact(m, p) for k, m in fm.exact[p].items()}
+
+
 def _packed(fm, p, word):
     """The packed product of a word of p-slot pool keys."""
-    pool = fm.fast[p]
+    pool = _packed_pool(fm, p)
     m = pool[word[0]]
     for key in word[1:]:
         m = m @ pool[key]
@@ -254,7 +274,7 @@ def _packed_disagreements(fm, p, words):
     out = []
     for w in words:
         key, j = _folded(fm, p, w)
-        c = _packed(fm, p, w).equal_up_to_phase(fm.fast[p][key])
+        c = _packed(fm, p, w).equal_up_to_phase(_packed_pool(fm, p)[key])
         if c is None or fm._power.get(
                 PhasedScalar.of(c).promote(330).key()) != j:
             out.append(w)
@@ -264,15 +284,15 @@ def _packed_disagreements(fm, p, words):
 def _long_words(fm, seed=11, n=1_000):
     """n seeded 11-slot words of 2 to 7 keys."""
     rng = random.Random(seed)
-    keys = sorted(fm.fast[11])
+    keys = sorted(fm.exact[11])
     return [tuple(rng.choice(keys) for _ in range(rng.randint(2, 7)))
             for _ in range(n)]
 
 
 def test_normal_form_matches_packed_products(built):
     fm = built.factors
-    two_key = {p: [(a, b) for a in sorted(fm.fast[p])
-                   for b in sorted(fm.fast[p])] for p in (3, 5)}
+    two_key = {p: [(a, b) for a in sorted(fm.exact[p])
+                   for b in sorted(fm.exact[p])] for p in (3, 5)}
     assert sum(map(len, two_key.values())) == 5_706
     for p, words in two_key.items():
         assert _packed_disagreements(fm, p, words) == []
@@ -289,7 +309,7 @@ def test_slot_law_is_associative(built):
     fm = built.factors
     rng = random.Random(5)
     for p in (3, 5, 11):
-        keys = sorted(fm.fast[p])
+        keys = sorted(fm.exact[p])
         e = keys[0]
         for _ in range(2_000):
             a, b, c = (rng.choice(keys) for _ in range(3))
@@ -303,7 +323,7 @@ def test_slot_law_is_associative(built):
 
 def test_distinct_pool_keys_are_never_proportional(built):
     # what lets equal_up_to_phase answer None whenever the keys differ
-    pool = built.factors.fast[5]
+    pool = _packed_pool(built.factors, 5)
     keys = sorted(pool)
     for i, a in enumerate(keys):
         for b in keys[i + 1:]:
@@ -597,6 +617,19 @@ def test_niceness_report(report):
     assert n.pairs_checked == 336_700
     # TensorTriple members: the sweep stays on the matrix route
     assert n.pair_route == "matrix"
+
+
+def test_slot_counts_decide_monomiality(built, report):
+    # the premise of FactorMap.slot_monomial on all 447 pool entries: a
+    # p x p unitary has at least p nonzero entries, exactly p when monomial
+    fm = built.factors
+    entries = [(p, k, m) for p in _PRIMES for k, m in fm.exact[p].items()]
+    assert len(entries) == 447
+    for p, k, m in entries:
+        n = m.nonzero_count()
+        assert fm.nnz[p][k] == n >= p, (p, k)
+        assert (n == p) == m.is_monomial(), (p, k)
+    assert report.monomial_members == 3_025
 
 
 def test_monomial_split(built, report):

@@ -261,10 +261,14 @@ def test_subgroup_view():
 def test_central_quotient():
     h = HeisenbergGroup(3)
     z = center(h)
-    q = CentralQuotientGroup(h, z, lambda g: HeisenbergElement(3, g.x, g.y, 0))
+    reps = [HeisenbergElement(3, x, y, 0) for x in range(3) for y in range(3)]
+    q = CentralQuotientGroup(h, z, lambda g: HeisenbergElement(3, g.x, g.y, 0),
+                             reps)
     assert q.order == 9
     elems = list(q.elements())
-    assert len(elems) == 9
+    assert elems == reps
+    # the carrier holds one section representative per coset
+    assert set(elems) == {q.section(g) for g in h.elements()}
     a, b = HeisenbergElement(3, 1, 0, 0), HeisenbergElement(3, 0, 1, 0)
     # the quotient is abelian even though h is not
     assert q.compose(a, b) == q.compose(b, a) == HeisenbergElement(3, 1, 1, 0)

@@ -120,12 +120,30 @@ def test_pauli_cocycle_value():
 
 
 def test_cocycle_identity():
-    rep = pauli_rep(2)
-    coc = cocycle_table(rep)
-    assert coc.validate()   # tiny group: all triples
-    rep3 = pauli_rep(3)
-    coc3 = cocycle_table(rep3)
-    assert coc3.validate(random.Random(0), samples=200)
+    # cocycle_table proves the identity from its pairs and nonzero
+    # members; the independent route multiplies it out on every triple
+    for d in (2, 3, 4):
+        rep = pauli_rep(d)
+        w = cocycle_table(rep)
+        elems = list(rep.group.elements())
+        comp = rep.group.compose
+        assert len(w) == len(elems) ** 2
+        for g in elems:
+            for h in elems:
+                gh = comp(g, h)
+                for k in elems:
+                    assert w[g, h] * w[gh, k] == w[h, k] * w[g, comp(h, k)]
+
+
+def test_cocycle_table_refuses_a_zero_member():
+    # with every member zero, every pair closes (0 = 1 * 0), and only the
+    # nonzero premise of the proof refuses the table
+    p2 = pauli_rep(2)
+    zero = ExactMatrix.zeros(2, 2)
+    for rep in (_replace(p2, (1, 1), zero),
+                ProjectiveRep(p2.group, 2, lambda g: zero)):
+        with pytest.raises(CocycleError, match="zero matrix"):
+            cocycle_table(rep)
 
 
 def test_verify_nice_small():
@@ -307,10 +325,10 @@ def test_cocycle_table_routes_agree(monkeypatch):
     reps = [pauli_rep(d) for d in range(2, 6)] + [heisenberg_rep(3)]
     for rep in reps:
         assert nice._phase_form(rep, list(rep.group.elements())) is not None
-    fast = [cocycle_table(rep).values for rep in reps]
+    fast = [cocycle_table(rep) for rep in reps]
     _matrix_route(monkeypatch)
     for rep, values in zip(reps, fast):
-        slow = cocycle_table(rep).values
+        slow = cocycle_table(rep)
         assert values.keys() == slow.keys()
         for pair, c in slow.items():
             assert values[pair] == c, (rep.label, pair)
