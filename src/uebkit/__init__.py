@@ -4,7 +4,7 @@ The modules split along the objects they own:
 
   cyclo             cyclotomic numbers and phased scalars, no floats
   exactmat          dense matrices over phased scalars
-  fastcyc           packed integer arrays, the check route of the 165 pools
+  fastcyc           packed integer arrays (numpy), a reference route for tests
   combinat          Latin squares and complex Hadamard matrices
   groups            finite groups: cyclic, Heisenberg, SL2, products
   nice              projective representations and the niceness checks

@@ -25,7 +25,6 @@ from fractions import Fraction
 from .cyclo import PhasedScalar, _reduce
 from .exactmat import (ExactMatrix, MonomialityReport, matrix_to_json,
                        monomiality_report)
-from .fastcyc import CycMatrix, from_exact, to_exact
 from .groups import (CentralQuotientGroup, DirectProduct, FiniteGroup,
                      HeisenbergElement, HeisenbergGroup, SL2Element, SL2Group,
                      SemidirectProduct, acts_irreducibly, element_order,
@@ -253,8 +252,8 @@ class TensorTriple:
         return self.j == 0 and self.keys == _IDENTITY_KEYS
 
     def is_scaled_unitary(self):
-        # every key is a pool entry, verified unitary when the FactorMap
-        # was built
+        # every key is a pool entry, unitary by the argument of
+        # FactorMap._verify_pools
         return Fraction(1)
 
     def trace(self) -> PhasedScalar:
@@ -277,7 +276,8 @@ class TensorTriple:
 
 def _slot_values(m: ExactMatrix):
     """(nonzero, values) for a slot matrix.  Slot matrices are pool
-    entries, which _verify_pools packs, so no entry carries a symbol.
+    entries, products of Weyl matrices and R, so no entry carries a
+    symbol.
 
     nonzero lists (i, j, t) per nonzero entry, t indexing values, which
     holds each distinct entry once in integer form: its (exponent lifted
@@ -356,20 +356,19 @@ class FactorMap:
     so quotient representatives (central exponents zero) hit the pools
     directly.
 
-    Every pool entry is verified unitary at build time (_verify_pools),
+    Every pool entry is unitary (the argument is in _verify_pools),
     which is what entitles every TensorTriple to unitarity scale 1.
 
     Slot products multiply no matrices: _mul names the pool entry and
     the phase of a product of two pool entries by the Heisenberg law
-    and the verified twist.  Packed products of pool entries are the
-    independent route verify_counterexample checks it against; the
-    pools themselves are held exact only."""
+    and the verified twist.  verify_counterexample checks it against
+    dense products of pool entries."""
 
     def __init__(self, conj5: ConjugatorSet, conj11: ConjugatorSet,
                  seed: int = 0):
         self.conj5, self.conj11 = conj5, conj11
         # per-prime tables, each keyed by p and then by pool key; traces
-        # at conductor p, as the packed route gives them
+        # promoted to conductor p, one conductor per slot
         self.exact = {p: self._pool(p, r) for p, r in
                       ((3, None), (5, conj5.R), (11, conj11.R))}
         self.tr = {p: {k: m.trace().promote(p) for k, m in pool.items()}
@@ -403,18 +402,17 @@ class FactorMap:
         return exact
 
     def _verify_pools(self, rng):
-        """Unitarity and the trace of every entry on the packed route,
-        each packed copy then dropped; dense unitarity on a sample."""
+        """Dense unitarity on a seeded sample, and the Heisenberg law of
+        the 3-slot.
+
+        Every pool entry is unitary, so no entry needs a sweep.  A 3-slot
+        entry is weyl_matrix(3, x, y): one root of unity in each row and
+        column, a unitary by construction.  A 5- or 11-slot entry is
+        W(x, y) R^k with k in {0, 1, 2}, W a Weyl matrix and R the twist,
+        whose R.is_scaled_unitary() == 1 build_conjugators requires.  A
+        product of unitaries is unitary, and exact arithmetic makes the
+        stored entry that exact product."""
         for p, exact in self.exact.items():
-            ident = CycMatrix.identity(p, p)
-            for key, m in exact.items():
-                cm = from_exact(m, p)
-                if not (cm @ cm.dagger() == ident):
-                    raise ArithmeticError(f"pool entry {key} (p={p}) is not "
-                                          "unitary")
-                if not (PhasedScalar.of(cm.trace()) == self.tr[p][key]):
-                    raise ArithmeticError(f"trace routes disagree at {key} "
-                                          f"(p={p})")
             for key in rng.sample(sorted(exact), min(8, len(exact))):
                 if exact[key].is_scaled_unitary() != 1:
                     raise ArithmeticError(f"dense unitarity check failed at "
@@ -754,9 +752,9 @@ def verify_counterexample(g: G165, seed: int = DEFAULT_SEED
     Monomiality counts sweep the whole 27225-element index in factor
     form; the trace counts are read from the standard niceness verifier,
     which sweeps identity, unitarity and traces in full and samples
-    cocycle pairs; monomiality is recomputed on materialized 165 x 165
-    matrices for the generators and a seeded member sample and compared
-    against the factor-level answer."""
+    cocycle pairs; monomiality and the trace are recomputed on
+    materialized 165 x 165 matrices for the generators and a seeded
+    member sample and compared against the factor-level answer."""
     fm = g.factors
     rng = random.Random(seed)
     carrier = list(g.quotient.elements())
@@ -795,18 +793,18 @@ def verify_counterexample(g: G165, seed: int = DEFAULT_SEED
 
     def sampled_members():
         # members are not kept: each is compared with the factor-level
-        # answer as the report reads it
+        # answers as the report reads it
         for el in sample:
             m = fm.exact_matrix(el)
-            agree.append(m.is_monomial() == fm.slot_monomial(el))
+            agree.append(m.is_monomial() == fm.slot_monomial(el)
+                         and m.trace() == fm.triple(el).trace())
             yield m
 
     sampled_monomiality = monomiality_report(sampled_members())
     cross_ok = all(agree)
 
-    # dual-route agreement: packed slot algebra against the dense layer,
-    # and the key and phase _mul names for each product against it; the
-    # pool entries are packed here, as the FactorMap keeps none
+    # the key and phase _mul names for a product of two pool entries,
+    # against their dense product
     cross = 0
     for p in (5, 11):
         exact = fm.exact[p]
@@ -814,21 +812,8 @@ def verify_counterexample(g: G165, seed: int = DEFAULT_SEED
         for _ in range(10):
             ka, kb = rng.choice(keys), rng.choice(keys)
             key, j = fm._mul(p, ka, kb)
-            fa, fb, fkey = (from_exact(exact[k], p) for k in (ka, kb, key))
-            fprod = fa @ fb
-            eprod = exact[ka] @ exact[kb]
-            if to_exact(fprod) != eprod:
-                cross_ok = False
-            c = fprod.equal_up_to_phase(fkey)
-            if (c is None or j != fm._power.get(
-                    PhasedScalar.of(c).promote(330).key())):
-                cross_ok = False
-            fphase = fprod.equal_up_to_phase(fb)
-            ephase = eprod.equal_up_to_phase(exact[kb])
-            if (fphase is None) != (ephase is None):
-                cross_ok = False
-            elif fphase is not None and not (PhasedScalar.of(fphase)
-                                             == ephase):
+            c = (exact[ka] @ exact[kb]).equal_up_to_phase(exact[key])
+            if c is None or j != fm._power.get(c.promote(330).key()):
                 cross_ok = False
             cross += 1
 

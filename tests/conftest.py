@@ -1,7 +1,8 @@
 """Session-wide fixtures.
 
-The 165-dimensional pipeline takes most of a minute, so the build and
-its verification run once per session and every consumer shares them.
+The 165-dimensional pipeline takes about 5 s on a 2-core machine and
+dozens of tests read it, so the build and its verification run once per
+session and every consumer shares them.
 Wall-clock durations are kept for the acceptance budget check.
 """
 

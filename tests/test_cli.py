@@ -4,9 +4,12 @@ import gc
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import uebkit
 from uebkit.cli import InputError, RunReport, _read_json, _write_json, main
 from uebkit.combinat import cyclic_latin, fourier_hadamard, h_alpha
 from uebkit.cyclo import PhasedScalar
@@ -628,3 +631,15 @@ def test_cli_counterexample_bundle_missing_key_exits_2(counterexample_bundle,
     rc, lines, _ = run(capsys, ["verify", "counterexample165", str(f)])
     assert rc == 2
     assert "dim" in lines[0]["error"]
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy serves only the packed check route (uebkit.fastcyc), which
+    # the program never runs
+    src = os.path.dirname(os.path.dirname(uebkit.__file__))
+    code = ("import sys, uebkit, uebkit.cli; "
+            "assert 'numpy' not in sys.modules, 'numpy was imported'")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -342,6 +342,13 @@ def test_broken_normal_form_is_caught(built, monkeypatch, mutation):
     assert not verify_counterexample(built).cross_ok
 
 
+def test_wrong_factor_trace_is_caught(built, monkeypatch):
+    # the sampled dense members' traces refute a factor-form trace
+    monkeypatch.setattr(TensorTriple, "trace",
+                        lambda self: PhasedScalar.one(1))
+    assert not verify_counterexample(built).cross_ok
+
+
 def test_triple_product_passes_identity_slots_through(built, monkeypatch):
     fm = built.factors
     ident = fm.triple(built.quotient.identity)
@@ -630,6 +637,20 @@ def test_slot_counts_decide_monomiality(built, report):
         assert fm.nnz[p][k] == n >= p, (p, k)
         assert (n == p) == m.is_monomial(), (p, k)
     assert report.monomial_members == 3_025
+
+
+def test_pool_entries_are_unitary_on_the_packed_route(built):
+    # FactorMap._verify_pools proves this; the packed route checks all
+    # 447 entries, and their traces against the exact ones
+    fm = built.factors
+    n = 0
+    for p in _PRIMES:
+        ident = CycMatrix.identity(p, p)
+        for key, cm in _packed_pool(fm, p).items():
+            assert cm @ cm.dagger() == ident, (p, key)
+            assert PhasedScalar.of(cm.trace()) == fm.tr[p][key], (p, key)
+            n += 1
+    assert n == 447
 
 
 def test_monomial_split(built, report):
