@@ -345,7 +345,7 @@ def _pair_indexed_rep(basis: UnitaryErrorBasis, label: str) -> ProjectiveRep:
     table = {}
     for lab, m in zip(basis.labels, basis.members):
         if not (isinstance(lab, tuple) and len(lab) == 2
-                and all(isinstance(v, int) and 0 <= v < d for v in lab)):
+                and all(type(v) is int and 0 <= v < d for v in lab)):
             raise InputError(f"label {lab!r} does not index Z_{d} x Z_{d}")
         table[lab] = m
     if len(table) != d * d:

@@ -70,7 +70,10 @@ def transversal(G: FiniteGroup, subgroup: list) -> list:
     return out
 
 
-def is_automorphism(G: FiniteGroup, f, pair_limit: int = 4_500_000) -> bool:
+MAX_AUTOMORPHISM_PAIRS = 4_500_000
+
+
+def is_automorphism(G: FiniteGroup, f) -> bool:
     """Exact automorphism check on the declared generators S.
 
     f must be a bijection with f(e) = e and f(g s) = f(g) f(s) for every
@@ -81,10 +84,10 @@ def is_automorphism(G: FiniteGroup, f, pair_limit: int = 4_500_000) -> bool:
     such a word provided S generates G.  That premise is checked exactly
     by closing {e} under right multiplication by S; a smaller closure
     raises ValueError.  Groups declaring no generators use S = G, the
-    full pair sweep.  Costs |G| |S| compositions, which pair_limit
-    bounds."""
+    full pair sweep.  Costs |G| |S| compositions, which
+    MAX_AUTOMORPHISM_PAIRS bounds."""
     gens = list(G.generators)
-    if G.order * (len(gens) or G.order) > pair_limit:
+    if G.order * (len(gens) or G.order) > MAX_AUTOMORPHISM_PAIRS:
         raise ValueError("group too large for the generator check")
     elems = list(G.elements())
     gens = gens or elems

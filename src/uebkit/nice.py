@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from math import lcm
 from typing import Callable
 
@@ -104,16 +105,15 @@ def heisenberg_rep(d: int) -> ProjectiveRep:
 def extract_cocycle(rep: ProjectiveRep, g, h, phase=None) -> PhasedScalar:
     """omega(g, h) with rho(g) rho(h) = omega(g, h) rho(gh); raises
     CocycleError when the product is not a unit multiple of rho(gh).
-    Given phase = _phase_form(...), no dense product is formed."""
+    Given phase = _phase_form(...), a pair the phase route accepts forms
+    no dense product; one it rejects is re-checked densely, and
+    ArithmeticError is raised if the dense product accepts it."""
     gh = rep.group.compose(g, h)
-    if phase is None:
-        c = (rep.matrix(g) @ rep.matrix(h)).equal_up_to_phase(rep.matrix(gh))
-    else:
+    if phase is not None:
         forms, zetas = phase
         sg, eg, pg, qg = forms[g]
         sh, eh, ph, qh = forms[h]
         sgh, egh, pgh, qgh = forms[gh]
-        c = None
         # lists: tuple(map(...)) would fill the interpreter's free list of
         # d-tuples, which peak RSS showed as about 1 MiB over d = 2..12
         if (pg * ph * qgh == pgh * qg * qh
@@ -121,10 +121,14 @@ def extract_cocycle(rep: ProjectiveRep, g, h, phase=None) -> PhasedScalar:
             n = len(zetas)
             shifts = {(eg[s] + e - f) % n for s, e, f in zip(sh, eh, egh)}
             if len(shifts) == 1:
-                c = zetas[shifts.pop()]
+                return zetas[shifts.pop()]
+    c = (rep.matrix(g) @ rep.matrix(h)).equal_up_to_phase(rep.matrix(gh))
     if c is None:
         raise CocycleError(f"rho({g}) rho({h}) is not a unit multiple of the "
                            f"composed member")
+    if phase is not None:
+        raise ArithmeticError(f"the phase form rejects rho({g}) rho({h}), "
+                              f"which the dense product accepts")
     return c
 
 
@@ -198,8 +202,9 @@ def cocycle_table(rep: ProjectiveRep) -> dict:
             raise CocycleError(f"rho({g}) is the zero matrix")
 
     # pairs as in verify_nice: the phase route when every member is
-    # monomial over roots of unity (exact, so a bad pair raises the same
-    # CocycleError as on dense products), else dense products
+    # monomial over roots of unity, else dense products; extract_cocycle
+    # re-checks a phase rejection densely, so a bad pair raises the same
+    # CocycleError on either route
     phase = _phase_form(rep, elems)
     return {(g, h): extract_cocycle(rep, g, h, phase)
             for g in elems for h in elems}
@@ -246,8 +251,8 @@ def verify_nice(rep: ProjectiveRep, pair_mode: str = "all", seed: int | None = N
     pairs in both orders plus sample_size seeded random pairs.  The
     identity, unitarity and trace conditions are always swept in full.
     pair_route "phase": every member is monomial over roots of unity and
-    each pair was checked on permutations and exponents (_phase_form);
-    "matrix": dense products, also re-run when the phase route fails.
+    each pair was checked on permutations and exponents (_phase_form),
+    and re-checked densely if rejected; "matrix": dense products.
     """
     G = rep.group
     elems = list(G.elements())
@@ -273,28 +278,18 @@ def verify_nice(rep: ProjectiveRep, pair_mode: str = "all", seed: int | None = N
         failures.append(("trace", G.identity))
 
     pairs = _pair_source(G, elems, pair_mode, seed, sample_size)
-
-    def sweep(phase):
-        # None when the phase route meets a bad pair: the matrix route
-        # then re-runs the sweep, so one code path collects the failures
-        ok, checked = True, 0
-        for g, h in pairs():
-            checked += 1
-            try:
-                extract_cocycle(rep, g, h, phase)
-            except CocycleError:
-                if phase is not None:
-                    return None
-                ok = False
-                failures.append(("cocycle", g, h))
-                if len(failures) > 32:
-                    break
-        return ok, checked
-
     phase = _phase_form(rep, elems)
-    result = None if phase is None else sweep(phase)
-    pair_route = "matrix" if result is None else "phase"
-    cocycle_ok, pairs_checked = result or sweep(None)
+    pair_route = "matrix" if phase is None else "phase"
+    cocycle_ok, pairs_checked = True, 0
+    for g, h in pairs:
+        pairs_checked += 1
+        try:
+            extract_cocycle(rep, g, h, phase)
+        except CocycleError:
+            cocycle_ok = False
+            failures.append(("cocycle", g, h))
+            if len(failures) > 32:
+                break
 
     return NicenessReport(
         label=rep.label, dim=rep.dim, group_order=G.order,
@@ -305,15 +300,15 @@ def verify_nice(rep: ProjectiveRep, pair_mode: str = "all", seed: int | None = N
 
 
 def _pair_source(G, elems, pair_mode, seed, sample_size):
-    """A function giving a fresh iterator over the same pairs each call."""
+    """An iterator over the pairs, drawing sampled ones as it goes."""
     if pair_mode == "all":
         if len(elems) ** 2 > MAX_FULL_PAIRS:
             raise ValueError("full pair sweep too large; use pair_mode='sampled'")
-        return lambda: ((g, h) for g in elems for h in elems)
+        return ((g, h) for g in elems for h in elems)
     if pair_mode != "sampled":
         raise ValueError(f"unknown pair_mode {pair_mode!r}")
     rng = random.Random(seed)
-    pairs = [(g, h) for g in G.generators for h in elems]
-    pairs += [(h, g) for g in G.generators for h in elems]
-    pairs += [(rng.choice(elems), rng.choice(elems)) for _ in range(sample_size)]
-    return lambda: iter(pairs)
+    return chain(((g, h) for g in G.generators for h in elems),
+                 ((h, g) for g in G.generators for h in elems),
+                 ((rng.choice(elems), rng.choice(elems))
+                  for _ in range(sample_size)))

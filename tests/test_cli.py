@@ -385,6 +385,20 @@ def test_malformed_member_scale_exits_2(capsys, tmp_path, scale):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", [("verify", "nice"),
+                                     ("analyze", "cocycle")])
+def test_boolean_pair_label_exits_2(capsys, tmp_path, command):
+    # true and false are JSON booleans, not the indices 1 and 0
+    def edit(obj):
+        k = obj["labels"].index([1, 0])
+        obj["labels"][k] = [True, False]
+
+    rc, lines, err = _verify_edited_pauli2(capsys, tmp_path, edit, command)
+    assert rc == 2
+    assert "does not index" in lines[0]["error"]
+    assert "error:" in err
+
+
 @pytest.mark.parametrize("kind", sorted(_NON_INTEGER_SHAPE))
 def test_non_integer_basis_shape_exits_2(capsys, tmp_path, kind):
     rc, lines, err = _verify_edited_pauli2(capsys, tmp_path,

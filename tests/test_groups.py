@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from uebkit import groups
 from uebkit.groups import (
     CentralQuotientGroup,
     CyclicGroup,
@@ -143,7 +144,7 @@ def test_generator_check_accepts_random_automorphism_words():
             assert is_automorphism(h, f) and _full_pair_sweep(h, f)
 
 
-def test_generator_check_needs_generating_set():
+def test_generator_check_needs_generating_set(monkeypatch):
     c6 = CyclicGroup(6)
     c6.generators = (2,)
     with pytest.raises(ValueError):
@@ -155,8 +156,9 @@ def test_generator_check_needs_generating_set():
     # no declared generators: the full sweep over all elements
     z = SubgroupView(HeisenbergGroup(3), center(HeisenbergGroup(3)))
     assert is_automorphism(z, lambda g: z.compose(g, g))
+    monkeypatch.setattr(groups, "MAX_AUTOMORPHISM_PAIRS", 100)
     with pytest.raises(ValueError):
-        is_automorphism(HeisenbergGroup(5), alpha_aut, pair_limit=100)
+        is_automorphism(HeisenbergGroup(5), alpha_aut)
 
 
 def _filtered_center(G):

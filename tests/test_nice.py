@@ -232,12 +232,12 @@ def _route_cases():
     p3, p5 = pauli_rep(3), pauli_rep(5)
     x, z = p3.matrix((1, 0)), p3.matrix((1, 1))
     cases += [
-        # bad pairs send the sweep back to the matrix route
+        # bad pairs stay on the phase route, each re-checked densely
         ("swapped columns", _replace(p3, (1, 0), _swap_columns(x, 0, 1)),
-         "matrix"),
+         "phase"),
         ("entry times zeta", _replace(p3, (1, 0), _set_first_nonzero(
-            x, lambda e: e * PhasedScalar.zeta(3))), "matrix"),
-        ("scale 2", _replace(p3, (1, 1), z.scalar_mul(2)), "matrix"),
+            x, lambda e: e * PhasedScalar.zeta(3))), "phase"),
+        ("scale 2", _replace(p3, (1, 1), z.scalar_mul(2)), "phase"),
         # a sign is a unit phase: still nice, still the phase route
         ("scale -1", _replace(p3, (1, 1), z.scalar_mul(-1)), "phase"),
         # not a root of unity, or a formal symbol: not eligible
@@ -315,7 +315,7 @@ def test_failures_match_the_matrix_route(monkeypatch):
     fast = verify_nice(bad, pair_mode="all")
     _matrix_route(monkeypatch)
     slow = verify_nice(bad, pair_mode="all")
-    assert fast.pair_route == slow.pair_route == "matrix"
+    assert fast.pair_route == "phase" and slow.pair_route == "matrix"
     assert len(fast.failures) == 33 and fast.pairs_checked < 4 ** 4
     assert fast.failures == slow.failures
     assert fast.pairs_checked == slow.pairs_checked
@@ -351,12 +351,56 @@ def test_sampled_pairs_replay_identically():
     rep = pauli_rep(3)
     G = rep.group
     elems = list(G.elements())
-    for seed in (None, 5):
-        pairs = nice._pair_source(G, elems, "sampled", seed, 40)
-        first = list(pairs())
-        assert first == list(pairs())
-        assert len(first) == 2 * len(G.generators) * 9 + 40
+    first = list(nice._pair_source(G, elems, "sampled", 5, 40))
+    assert first == list(nice._pair_source(G, elems, "sampled", 5, 40))
+    assert len(first) == 2 * len(G.generators) * 9 + 40
     rng = random.Random(5)
     tail = [(rng.choice(elems), rng.choice(elems)) for _ in range(40)]
-    assert list(nice._pair_source(G, elems, "sampled", 5, 40)())[-40:] == tail
+    assert first[-40:] == tail
 
+
+def _listed_pairs(G, elems, seed, sample_size):
+    # the sampled pairs as one list, generators first, then seeded draws
+    rng = random.Random(seed)
+    pairs = [(g, h) for g in G.generators for h in elems]
+    pairs += [(h, g) for g in G.generators for h in elems]
+    pairs += [(rng.choice(elems), rng.choice(elems))
+              for _ in range(sample_size)]
+    return pairs
+
+
+def test_pair_source_streams_the_listed_pairs():
+    rep = pauli_rep(3)
+    G, elems = rep.group, list(rep.group.elements())
+    pairs = nice._pair_source(G, elems, "sampled", 5, 40)
+    assert iter(pairs) is pairs
+    assert list(pairs) == _listed_pairs(G, elems, 5, 40)
+    everything = nice._pair_source(G, elems, "all", None, 0)
+    assert iter(everything) is everything
+    assert list(everything) == [(g, h) for g in elems for h in elems]
+
+
+def test_pair_source_streams_the_listed_165_pairs(built):
+    G = built.rep.group
+    elems = list(G.elements())
+    pairs = nice._pair_source(G, elems, "sampled", 1650, 10_000)
+    assert iter(pairs) is pairs
+    assert list(pairs) == _listed_pairs(G, elems, 1650, 10_000)
+
+
+def test_phase_rejection_of_a_good_pair_raises(monkeypatch):
+    # rho((1, 0))'s exponents shifted at one position only, so pairs
+    # through (1, 0) look bad to the phase route but are not
+    rep = pauli_rep(3)
+    forms, zetas = nice._phase_form(rep, list(rep.group.elements()))
+    sigma, exps, p, q = forms[(1, 0)]
+    forged = dict(forms)
+    forged[(1, 0)] = (sigma, [(exps[0] + 1) % len(zetas)] + exps[1:], p, q)
+    phase = forged, zetas
+    with pytest.raises(ArithmeticError, match="dense product accepts"):
+        extract_cocycle(rep, (1, 0), (0, 1), phase)
+    monkeypatch.setattr(nice, "_phase_form", lambda rep, elems: phase)
+    with pytest.raises(ArithmeticError, match=r"rho\(\(1, 0\)\)"):
+        verify_nice(rep, pair_mode="all")
+    with pytest.raises(ArithmeticError):
+        cocycle_table(rep)
