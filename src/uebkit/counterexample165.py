@@ -25,7 +25,7 @@ from fractions import Fraction
 from .cyclo import PhasedScalar, _reduce
 from .exactmat import (ExactMatrix, MonomialityReport, matrix_to_json,
                        monomiality_report)
-from .groups import (CentralQuotientGroup, DirectProduct, FiniteGroup,
+from .groups import (DirectProduct, FiniteGroup,
                      HeisenbergElement, HeisenbergGroup, SL2Element, SL2Group,
                      SemidirectProduct, acts_irreducibly, element_order,
                      is_automorphism, sl2_alpha, sl2_beta)
@@ -212,19 +212,18 @@ def build_conjugators(p: int, e: int = 3) -> ConjugatorSet:
 
 
 _PRIMES = (3, 5, 11)
-_IDENTITY_KEYS = ((0, 0), (0, 0, 0), (0, 0, 0))
 
 
 class TensorTriple:
     """A unitary on the 165-dimensional space in slot normal form.
 
-    keys holds one 3-, 5- and 11-slot pool key of the owning FactorMap;
+    keys holds one 3-, 5- and 11-slot int key of the owning FactorMap;
     the member is zeta_330^j times the tensor product of the three pool
     entries.  A product multiplies the keys slot by slot by the group
-    law (FactorMap._mul) and adds the exponents, with no matrix
-    arithmetic.  Every phase that arises is a power of zeta_330: slot
-    phases are +-zeta_p^k and a central exponent z gives
-    zeta_165^z = zeta_330^(2z).  Distinct keys are never proportional
+    law (FactorMap._mul, tabulated for the 3- and 5-slots) and adds the
+    exponents, with no matrix arithmetic.  Every phase that arises is a
+    power of zeta_330: slot phases are +-zeta_p^k and a central exponent
+    z gives zeta_165^z = zeta_330^(2z).  Distinct keys are never proportional
     (_mul), so the slice of the matrix interface that the niceness
     verifier consumes (identity and unitarity tests, trace, comparison
     up to a unit phase) reads keys and exponents alone."""
@@ -238,18 +237,18 @@ class TensorTriple:
         self.j = j % 330
 
     def __matmul__(self, other: "TensorTriple") -> "TensorTriple":
-        mul = self.fm._mul
+        fm = self.fm
         (a3, a5, a11), (b3, b5, b11) = self.keys, other.keys
-        k3, j3 = mul(3, a3, b3)
-        k5, j5 = mul(5, a5, b5)
-        k11, j11 = mul(11, a11, b11)
-        return TensorTriple(self.fm, (k3, k5, k11),
+        k3, j3 = fm._table3[a3][b3]
+        k5, j5 = fm._table5[a5][b5]
+        k11, j11 = fm._mul(11, a11, b11)
+        return TensorTriple(fm, (k3, k5, k11),
                             self.j + other.j + j3 + j5 + j11)
 
     def is_identity(self) -> bool:
         # the slot signs are folded into j, so (-I) (x) (-I) (x) I, the
         # identity of the product, has j = 0 as well
-        return self.j == 0 and self.keys == _IDENTITY_KEYS
+        return self.j == 0 and not any(self.keys)
 
     def is_scaled_unitary(self):
         # every key is a pool entry, unitary by the argument of
@@ -264,6 +263,16 @@ class TensorTriple:
                 return PhasedScalar.zero(1)
             out = out * t
         return out * self.fm.zetas[self.j] if self.j else out
+
+    def is_monomial(self) -> bool:
+        """A p x p unitary has at least p nonzero entries, one per
+        column, and exactly p when it is monomial, as its columns are
+        independent.  The member's count is the product of the slot
+        counts, so it is 165 exactly when every slot is monomial, which
+        is when the member is."""
+        k3, k5, k11 = self.keys
+        nnz = self.fm.nnz
+        return nnz[3][k3] * nnz[5][k5] * nnz[11][k11] == 165
 
     def equal_up_to_phase(self, other: "TensorTriple"):
         if self.keys != other.keys:
@@ -354,7 +363,8 @@ class FactorMap:
     products.  A group element ((n5, n11), h) maps to the three pool
     keys and the central exponent 55 h.z + 33 n5.z + 15 n11.z mod 165,
     so quotient representatives (central exponents zero) hit the pools
-    directly.
+    directly.  A TensorTriple holds int keys k, keys[p][k] in sorted
+    order: 3 x + y in the 3-slot and 3 (p x + y) + k in the p-slot.
 
     Every pool entry is unitary (the argument is in _verify_pools),
     which is what entitles every TensorTriple to unitarity scale 1.
@@ -367,26 +377,32 @@ class FactorMap:
     def __init__(self, conj5: ConjugatorSet, conj11: ConjugatorSet,
                  seed: int = 0):
         self.conj5, self.conj11 = conj5, conj11
-        # per-prime tables, each keyed by p and then by pool key; traces
-        # promoted to conductor p, one conductor per slot
+        # per prime: the pool by pool key, and by int key the pool keys,
+        # traces promoted to conductor p (one per slot) and nonzero counts
         self.exact = {p: self._pool(p, r) for p, r in
                       ((3, None), (5, conj5.R), (11, conj11.R))}
-        self.tr = {p: {k: m.trace().promote(p) for k, m in pool.items()}
-                   for p, pool in self.exact.items()}
-        self.nnz = {p: {k: m.nonzero_count() for k, m in pool.items()}
-                    for p, pool in self.exact.items()}
+        self.keys = {p: sorted(pool) for p, pool in self.exact.items()}
+        self.tr = {p: [self.exact[p][k].trace().promote(p) for k in keys]
+                   for p, keys in self.keys.items()}
+        self.nnz = {p: [self.exact[p][k].nonzero_count() for k in keys]
+                    for p, keys in self.keys.items()}
         self._verify_pools(random.Random(seed))
         self.zetas = [PhasedScalar.zeta(330, j) for j in range(330)]
         self._power = {c.key(): j for j, c in enumerate(self.zetas)}
-        # per prime: [id, gamma, gamma^2] on H_p and as (x, y) -> (x', y', z')
-        # maps, both shared with build_g165, and the zeta_330 exponent of R^3
+        # per prime: [id, gamma, gamma^2] on H_p, shared with build_g165,
+        # and as lists taking p x + y to the (x', y', z') of the image of
+        # (x, y, 0), shared with Quotient165; the zeta_330 exponent of R^3
         self.powers = {c.p: _aut_powers(c.group, c.gamma)
                        for c in (conj5, conj11)}
-        self._gamma = {c.p: [{(g.x, g.y): f[g][1:] for g in f if not g.z}
-                             for f in self.powers[c.p]]
-                       for c in (conj5, conj11)}
+        self._gamma = {p: [[f[HeisenbergElement(p, x, y, 0)][1:]
+                            for x in range(p) for y in range(p)]
+                           for f in self.powers[p]] for p in (5, 11)}
         self._wrap = {c.p: self._power[c.r_cubed.promote(330).key()]
                       for c in (conj5, conj11)}
+        # _mul tabulated for the small slots: 81 and 5,625 entries
+        self._table3, self._table5 = (
+            [[self._mul(p, a, b) for b in range(n)] for a in range(n)]
+            for p, n in ((3, 9), (5, 75)))
 
     def _pool(self, p: int, r: ExactMatrix | None):
         rp = [ExactMatrix.identity(p)]
@@ -432,8 +448,16 @@ class FactorMap:
                 (55 * h.z + 33 * n5.z + 15 * n11.z) % 165)
 
     def triple(self, g) -> TensorTriple:
-        k3, k5, k11, z = self._keys(g)
-        return TensorTriple(self, (k3, k5, k11), 2 * z)
+        """The member of g in G: its coset's times zeta_165^z (_keys)."""
+        return TensorTriple(self, self.member(Quotient165.index(g)).keys,
+                            2 * self._keys(g)[3])
+
+    def member(self, i: int) -> TensorTriple:
+        """The member of Quotient165 position i = 1089 a5 + 9 a11 + a3,
+        whose slot keys are a3, 3 a5 + x3 and 3 a11 + y3, with j = 0."""
+        a5, r = divmod(i, 1089)
+        a11, a3 = divmod(r, 9)
+        return TensorTriple(self, (a3, 3 * a5 + a3 // 3, 3 * a11 + a3 % 3))
 
     def exact_matrix(self, g) -> ExactMatrix:
         """The dense 165 x 165 member, for export and dense checks."""
@@ -441,14 +465,14 @@ class FactorMap:
         exact = self.exact
         return _tensor165(exact[3][k3], exact[5][k5], exact[11][k11], z)
 
-    def _mul(self, p: int, a: tuple, b: tuple):
+    def _mul(self, p: int, a: int, b: int):
         """(key, j) with pool[a] pool[b] == zeta_330^j pool[key] in the
-        p-slot.
+        p-slot, keys as ints.
 
-        Key (x, y) of the 3-slot is rho(x, y, 0), and the keys multiply
+        Key 3 x + y of the 3-slot is rho(x, y, 0), and the keys multiply
         by the Heisenberg law, which rho obeys by the X Z = zeta Z X
-        guards in build_conjugators and _verify_pools.  Key (x, y, k) of
-        the 5- and 11-slots is W(x, y) R^k, and
+        guards in build_conjugators and _verify_pools.  Key
+        3 (p x + y) + k of the 5- and 11-slots is W(x, y) R^k, and
         W(h) R^k W(h') R^k' = W(h gamma^k(h')) R^(k+k'), as
         R rho(h) R^dagger = rho(gamma(h)) for every h
         (conjugation_automorphism); when k + k' reaches 3,
@@ -460,34 +484,22 @@ class FactorMap:
         k != k', R^j for j = 1 or 2 would be a multiple of a Weyl matrix;
         conjugation by a Weyl matrix fixes every (x, y) exponent, but the
         exponent action of gamma has order 3 (action_order, checked)."""
-        if p == 3:                      # no twist: the Heisenberg law alone
-            if b == (0, 0):
-                return a, 0
-            if a == (0, 0):
-                return b, 0
-            u, v = b
-            return ((a[0] + u) % 3, (a[1] + v) % 3), 110 * a[0] * v % 330
-        if b == (0, 0, 0):
+        if not b:
             return a, 0
-        if a == (0, 0, 0):
+        if not a:
             return b, 0
-        x, y, k = a
-        u, v, c = self._gamma[p][k][b[0], b[1]]
+        if p == 3:                      # no twist: the Heisenberg law alone
+            (x, y), (u, v) = divmod(a, 3), divmod(b, 3)
+            return (x + u) % 3 * 3 + (y + v) % 3, 110 * x * v % 330
+        xy, k = divmod(a, 3)
+        uv, t = divmod(b, 3)
+        u, v, c = self._gamma[p][k][uv]
+        x, y = divmod(xy, p)
         j = 330 // p * (c + x * v)
-        k += b[2]
+        k += t
         if k >= 3:
             k, j = k - 3, j + self._wrap[p]
-        return ((x + u) % p, (y + v) % p, k), j % 330
-
-    def slot_monomial(self, g) -> bool:
-        """Whether the member of g is monomial.  A p x p unitary has at
-        least p nonzero entries, one per column, and exactly p when it is
-        monomial, as its columns are independent.  The member's count is
-        the product of the slot counts, so it is 165 exactly when every
-        slot is monomial, which is when the member is."""
-        k3, k5, k11, _ = self._keys(g)
-        nnz = self.nnz
-        return nnz[3][k3] * nnz[5][k5] * nnz[11][k11] == 165
+        return ((x + u) % p * p + (y + v) % p) * 3 + k, j % 330
 
 
 # ---------------------------------------------------------------------------
@@ -518,56 +530,84 @@ def _aut_powers(group: HeisenbergGroup, images: dict) -> list:
     return [ident, images, sq]
 
 
-class Quotient165(CentralQuotientGroup):
-    """G/Z(G) on section representatives (z = 0), composed in (x, y).
+class Quotient165(FiniteGroup):
+    """G/Z(G), each coset coded as the position of its representative
+    ((n5, n11), h) with z = 0: 1089 a5 + 9 a11 + a3, a5 = 5 x5 + y5,
+    a11 = 11 x11 + y11, a3 = 3 x3 + y3, which nests x5, y5, x11, y11,
+    x3, y3 in that order.  index maps G onto positions; label inverts it.
 
-    tables = (T5, T11), T_p[j] = FactorMap._gamma[p][j] mapping (x, y) to
-    the (x, y, z) of gamma_p^j(x, y, 0).  ((n5, n11), h) ((m5, m11), k)
+    tables = (T5, T11), T_p[k] = FactorMap._gamma[p][k] taking p x + y to
+    the (x, y, z) of gamma_p^k(x, y, 0).  ((n5, n11), h) ((m5, m11), k)
     is n5 + T5[h.x](m5) mod 5, n11 + T11[h.y](m11) mod 11 and h + k mod 3
-    in (x, y), with z = 0: section(G.compose(a, b)) for every pair, as G
-    gives ((n5 gamma_5^h.x(m5), n11 gamma_11^h.y(m11)), h k), Heisenberg
-    composition adds x and y mod p, z never feeds back into them, and
-    section only zeroes z.  _check_law confirms the tables.  The carrier
-    nests x5, y5, x11, y11, x3, y3 in that order."""
+    in (x, y), with z = 0: G gives ((n5 gamma_5^h.x(m5),
+    n11 gamma_11^h.y(m11)), h k), and z never feeds back into x and y.
+    compose reads these sums as positions from 3 x 25 x 25 and
+    3 x 121 x 121 tables picked by x3 and y3 and a 9 x 9 one for h k.
+    _check_law confirms T_p and the law against G."""
 
-    def __init__(self, parent, subgroup, section, gamma: dict):
+    identity = 0
+
+    def __init__(self, parent, center: list, gamma: dict):
+        self.parent, self.order = parent, parent.order // len(center)
+        self.generators = tuple(map(self.index, parent.generators))
         self.tables = (gamma[5], gamma[11])
-        # _el[i][x][y] is (x, y, 0) mod p for x, y < 2p - 1: sums need no mod
-        self._el = e3, e5, e11 = [
-            [[HeisenbergElement(p, x % p, y % p, 0) for y in range(2 * p - 1)]
-             for x in range(2 * p - 1)] for p in _PRIMES]
-        carrier = [((e5[x5][y5], e11[x11][y11]), e3[x3][y3])
-                   for x5, y5, x11, y11, x3, y3 in itertools.product(
-                       *(range(p) for p in (5, 5, 11, 11, 3, 3)))]
-        super().__init__(parent, subgroup, section, carrier)
 
-    def compose(self, a, b):
-        (n5, n11), (_, hx, hy, _) = a
-        (m5, m11), k = b
-        (t5, t11), (e3, e5, e11) = self.tables, self._el
-        x, y, _ = t5[hx][m5.x, m5.y]
-        u, v, _ = t11[hy][m11.x, m11.y]
-        return ((e5[n5.x + x][n5.y + y], e11[n11.x + u][n11.y + v]),
-                e3[hx + k.x][hy + k.y])
+        def sums(p, place):
+            # sums[k][a][b]: place times the position of a + gamma^k(b)
+            scaled = [place * q for q in range(p * p)]
+            return [[[scaled[(a // p + u) % p * p + (a + v) % p]
+                      for u, v, _ in row] for a in range(p * p)]
+                    for row in gamma[p]]
+
+        s5, s11 = sums(5, 1089), sums(11, 9)
+        # by a3 = 3 x3 + y3: the 5-part twists by x3, the 11-part by y3
+        self._t5 = [s5[a3 // 3] for a3 in range(9)]
+        self._t11 = [s11[a3 % 3] for a3 in range(9)]
+        self._t3 = [[(a // 3 + b // 3) % 3 * 3 + (a + b) % 3 for b in range(9)]
+                    for a in range(9)]
+
+    @staticmethod
+    def index(g) -> int:
+        (n5, n11), h = g
+        return (5 * n5.x + n5.y) * 1089 + (11 * n11.x + n11.y) * 9 \
+            + 3 * h.x + h.y
+
+    def label(self, i: int):
+        a5, r = divmod(i, 1089)
+        a11, a3 = divmod(r, 9)
+        return ((HeisenbergElement(5, *divmod(a5, 5), 0),
+                 HeisenbergElement(11, *divmod(a11, 11), 0)),
+                HeisenbergElement(3, *divmod(a3, 3), 0))
+
+    def elements(self):
+        return iter(range(self.order))
+
+    def compose(self, i: int, j: int) -> int:
+        a5, r = divmod(i, 1089)
+        a11, a3 = divmod(r, 9)
+        b5, r = divmod(j, 1089)
+        b11, b3 = divmod(r, 9)
+        return self._t5[a3][a5][b5] + self._t11[a3][a11][b11] \
+            + self._t3[a3][b3]
 
 
 def _check_law(Q: Quotient165, conj5: ConjugatorSet, conj11: ConjugatorSet):
     """Raise ArithmeticError unless each entry of Q's tables is the (x, y)
     image under the matching power of the exponent action, and Q composes
-    the 36 ordered pairs of generating cosets as section(G.compose)."""
+    the 36 ordered pairs of generating cosets as the parent G does."""
     for c, table in zip((conj5, conj11), Q.tables):
         p, sl2 = c.p, SL2Group(c.p)
         powers = [sl2.identity, c.action, sl2.compose(c.action, c.action)]
         bad = [(j, x, y) for j, m in enumerate(powers)
                for x, y in itertools.product(range(p), repeat=2)
-               if table[j][x, y][:2] != ((m.a * x + m.b * y) % p,
-                                         (m.c * x + m.d * y) % p)]
+               if table[j][p * x + y][:2] != ((m.a * x + m.b * y) % p,
+                                              (m.c * x + m.d * y) % p)]
         if bad:
             raise ArithmeticError(f"table entry (j, x, y) = {bad[0]} (p={p}) "
                                   "is not the exponent action's")
-    gens, G = Q.generators, Q.parent
-    bad = [(s, t) for s in gens for t in gens
-           if Q.compose(s, t) != Q.section(G.compose(s, t))]
+    gens, G, label = Q.generators, Q.parent, Q.label
+    bad = [(label(s), label(t)) for s in gens for t in gens
+           if Q.compose(s, t) != Q.index(G.compose(label(s), label(t)))]
     if bad:
         raise ArithmeticError(f"quotient law disagrees with G at {bad[0]}")
 
@@ -587,9 +627,9 @@ def build_g165(seed: int = DEFAULT_SEED) -> G165:
     every generator word: verify_counterexample, which construct and
     verify counterexample165 always run, checks rho(q) rho(s) ~ rho(q s)
     for every coset q and generating coset s.  Induct on k with
-    rho(g) ~ rho(section(g)) (_keys reads z only into the central
-    exponent) and section(g t) = section(section(g) t) (section is
-    constant on central cosets)."""
+    rho(g) ~ member(Q.index(g)) (triple reads z only into the phase) and
+    Q.index(g t) = Q.compose(Q.index(g), Q.index(t)) (the law of
+    Quotient165, as index only forgets z)."""
     conj5 = build_conjugators(5, 3)
     conj11 = build_conjugators(11, 3)
     H5, H11, H3 = conj5.group, conj11.group, HeisenbergGroup(3)
@@ -611,22 +651,15 @@ def build_g165(seed: int = DEFAULT_SEED) -> G165:
     if element_order(G, zc) != 165:
         raise ArithmeticError("center has no element of order 165")
 
-    def section(g):
-        (n5, n11), h = g
-        return ((HeisenbergElement(5, n5.x, n5.y, 0),
-                 HeisenbergElement(11, n11.x, n11.y, 0)),
-                HeisenbergElement(3, h.x, h.y, 0))
-
-    quotient = Quotient165(G, center, section, factors._gamma)
-    carrier = list(quotient.elements())
-    if quotient.order != 27_225 or len(carrier) != 27_225:
-        raise ArithmeticError("quotient carrier size is off")
+    quotient = Quotient165(G, center, factors._gamma)
+    if quotient.order != 27_225:
+        raise ArithmeticError("quotient order is off")
     _check_law(quotient, conj5, conj11)
 
     # the structural center is all of Z(G): a coset commuting with the
     # six generating cosets must be the identity coset, and the 165
     # structural elements commute with the generators exactly
-    central_cosets = [g for g in carrier
+    central_cosets = [g for g in quotient.elements()
                       if all(quotient.compose(g, t) == quotient.compose(t, g)
                              for t in quotient.generators)]
     if central_cosets != [quotient.identity]:
@@ -638,7 +671,7 @@ def build_g165(seed: int = DEFAULT_SEED) -> G165:
                 raise ArithmeticError("structural center element fails to "
                                       "commute with a generator")
 
-    rep = ProjectiveRep(quotient, 165, factors.triple, label="g165")
+    rep = ProjectiveRep(quotient, 165, factors.member, label="g165")
 
     checks = {
         "group_order": G.order,
@@ -670,8 +703,8 @@ def _check_generators(G, factors: FactorMap) -> bool:
     ]
     for gen, slots in zip(G.generators, want):
         got = factors.triple(gen)
-        if got.j or not all(factors.exact[p][key] == b for p, key, b
-                            in zip(_PRIMES, got.keys, slots)):
+        if got.j or not all(factors.exact[p][factors.keys[p][key]] == b
+                            for p, key, b in zip(_PRIMES, got.keys, slots)):
             return False
     # one dense witness: the first twisted generator materializes to
     # X3 (x) R5 (x) I11 entrywise
@@ -747,24 +780,24 @@ class CounterexampleReport:
 
 def verify_counterexample(g: G165, seed: int = DEFAULT_SEED
                           ) -> CounterexampleReport:
-    """Run every checkable claim about the built basis.
+    """Run every checkable claim about the built basis, its members read
+    by Quotient165 position and reported by label.
 
-    Monomiality counts sweep the whole 27225-element index in factor
-    form; the trace counts are read from the standard niceness verifier,
-    which sweeps identity, unitarity and traces in full and samples
-    cocycle pairs; monomiality and the trace are recomputed on
-    materialized 165 x 165 matrices for the generators and a seeded
-    member sample and compared against the factor-level answer."""
-    fm = g.factors
+    The niceness verifier sweeps identity, unitarity and traces in full
+    and proves the cocycle condition on every pair (cocycle_exhaustive),
+    so the members are pairwise trace-orthogonal: rho(g)^dagger rho(h) is
+    a unit multiple of rho(g^-1 h), of trace 0 for g != h.  Monomiality
+    counts sweep all 27225 members in factor form; they and the traces
+    are recomputed on dense generators and a seeded member sample."""
+    fm, Q, member = g.factors, g.quotient, g.rep.matrix
     rng = random.Random(seed)
-    carrier = list(g.quotient.elements())
 
     niceness = verify_nice(g.rep, pair_mode="sampled", seed=seed,
                            sample_size=_PAIR_SAMPLES)
-    # verify_nice sweeps every trace and records ("trace", g) for each
-    # non-identity member whose trace is nonzero
-    e = g.quotient.identity
-    e_trace = g.rep.matrix(e).trace()
+    # verify_nice sweeps every trace and records ("trace", Q.label(i)) for
+    # each non-identity member whose trace is nonzero
+    e = Q.label(Q.identity)
+    e_trace = member(Q.identity).trace()
     nonzero = {f[1] for f in niceness.failures if f[0] == "trace"} - {e}
     identity_trace_ok = not nonzero and e_trace == 165
     if not e_trace.is_zero():
@@ -781,23 +814,23 @@ def verify_counterexample(g: G165, seed: int = DEFAULT_SEED
         if c is None or c.is_one() or not c.is_unit_modulus():
             center_scalars_ok = False
 
-    monomial = sum(1 for el in carrier if fm.slot_monomial(el))
-    nonmonomial = len(carrier) - monomial
-    witness = next((t for t in g.group.generators if not fm.slot_monomial(t)),
-                   None)
+    monomial = sum(1 for i in Q.elements() if member(i).is_monomial())
+    nonmonomial = Q.order - monomial
+    witness = next((Q.label(s) for s in Q.generators
+                    if not member(s).is_monomial()), None)
 
     generator_monomiality = monomiality_report(
         fm.exact_matrix(t) for t in g.group.generators)
-    sample = rng.sample(carrier, _MONOMIAL_SAMPLES)
+    sample = rng.sample(range(Q.order), _MONOMIAL_SAMPLES)
     agree = []
 
     def sampled_members():
         # members are not kept: each is compared with the factor-level
         # answers as the report reads it
-        for el in sample:
-            m = fm.exact_matrix(el)
-            agree.append(m.is_monomial() == fm.slot_monomial(el)
-                         and m.trace() == fm.triple(el).trace())
+        for i in sample:
+            m = fm.exact_matrix(Q.label(i))
+            agree.append(m.is_monomial() == member(i).is_monomial()
+                         and m.trace() == member(i).trace())
             yield m
 
     sampled_monomiality = monomiality_report(sampled_members())
@@ -807,12 +840,11 @@ def verify_counterexample(g: G165, seed: int = DEFAULT_SEED
     # against their dense product
     cross = 0
     for p in (5, 11):
-        exact = fm.exact[p]
-        keys = sorted(exact)
+        pool = [fm.exact[p][k] for k in fm.keys[p]]
         for _ in range(10):
-            ka, kb = rng.choice(keys), rng.choice(keys)
+            ka, kb = rng.choice(range(len(pool))), rng.choice(range(len(pool)))
             key, j = fm._mul(p, ka, kb)
-            c = (exact[ka] @ exact[kb]).equal_up_to_phase(exact[key])
+            c = (pool[ka] @ pool[kb]).equal_up_to_phase(pool[key])
             if c is None or j != fm._power.get(c.promote(330).key()):
                 cross_ok = False
             cross += 1
@@ -834,8 +866,8 @@ def verify_counterexample(g: G165, seed: int = DEFAULT_SEED
         dim=165, group_order=g.group.order, quotient_order=g.quotient.order,
         center_order=len(g.center),
         center_cyclic=g.checks["center_cyclic_witness_order"] == 165,
-        trace_zero_count=len(carrier) - len(nonzero),
-        trace_nonzero_labels=tuple(el for el in carrier if el in nonzero),
+        trace_zero_count=Q.order - len(nonzero),
+        trace_nonzero_labels=tuple(sorted(nonzero, key=Q.index)),
         identity_trace_ok=identity_trace_ok, niceness=niceness,
         center_scalars_ok=center_scalars_ok, monomial_members=monomial,
         nonmonomial_members=nonmonomial,

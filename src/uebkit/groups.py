@@ -29,6 +29,10 @@ class FiniteGroup:
     def elements(self) -> Iterator:
         raise NotImplementedError
 
+    def label(self, g):
+        """The element as reports name it; coded elements override this."""
+        return g
+
 
 def element_order(G: FiniteGroup, g) -> int:
     x = g
@@ -73,6 +77,24 @@ def transversal(G: FiniteGroup, subgroup: list) -> list:
 MAX_AUTOMORPHISM_PAIRS = 4_500_000
 
 
+def generated_order(G: FiniteGroup, gens) -> int:
+    """The order of the subgroup gens generate: {e} closed under right
+    multiplication by gens, which is that subgroup as G is finite."""
+    comp = G.compose
+    reached = {G.identity}
+    frontier = [G.identity]
+    while frontier:
+        grown = []
+        for g in frontier:
+            for s in gens:
+                gs = comp(g, s)
+                if gs not in reached:
+                    reached.add(gs)
+                    grown.append(gs)
+        frontier = grown
+    return len(reached)
+
+
 def is_automorphism(G: FiniteGroup, f) -> bool:
     """Exact automorphism check on the declared generators S.
 
@@ -81,38 +103,24 @@ def is_automorphism(G: FiniteGroup, f) -> bool:
     length of h: f(g e) = f(g) f(e) because f(e) = e, and if
     f(g h) = f(g) f(h) for all g, then
     f(g h s) = f(g h) f(s) = f(g) f(h) f(s) = f(g) f(h s).  Every h is
-    such a word provided S generates G.  That premise is checked exactly
-    by closing {e} under right multiplication by S; a smaller closure
-    raises ValueError.  Groups declaring no generators use S = G, the
-    full pair sweep.  Costs |G| |S| compositions, which
+    such a word provided S generates G, which generated_order checks
+    exactly; a smaller closure raises ValueError.  Groups declaring no
+    generators use S = G, the full pair sweep.  Costs |G| |S|
+    compositions for the pairs and as many for the closure, which
     MAX_AUTOMORPHISM_PAIRS bounds."""
     gens = list(G.generators)
     if G.order * (len(gens) or G.order) > MAX_AUTOMORPHISM_PAIRS:
         raise ValueError("group too large for the generator check")
+    if gens and generated_order(G, gens) != G.order:
+        raise ValueError("declared generators do not generate the group")
     elems = list(G.elements())
     gens = gens or elems
     images = {g: f(g) for g in elems}
-    hom = (set(images.values()) == set(elems)
-           and images[G.identity] == G.identity)
+    if set(images.values()) != set(elems) or images[G.identity] != G.identity:
+        return False
     comp = G.compose
-    gen_images = [(s, images[s]) for s in gens]
-    reached = {G.identity}
-    frontier = [G.identity]
-    while frontier:
-        grown = []
-        for g in frontier:
-            fg = images[g]
-            for s, fs in gen_images:
-                gs = comp(g, s)
-                if hom and images[gs] != comp(fg, fs):
-                    hom = False
-                if gs not in reached:
-                    reached.add(gs)
-                    grown.append(gs)
-        frontier = grown
-    if len(reached) != G.order:
-        raise ValueError("declared generators do not generate the group")
-    return hom
+    return all(images[comp(g, s)] == comp(images[g], images[s])
+               for g in elems for s in gens)
 
 
 # ---------------------------------------------------------------------------
@@ -364,29 +372,3 @@ class SubgroupView(FiniteGroup):
 
     def elements(self):
         return iter(self._elements)
-
-
-class CentralQuotientGroup(FiniteGroup):
-    """G/Z for central Z, on the section representatives listed in carrier."""
-
-    def __init__(self, parent: FiniteGroup, subgroup: list, section,
-                 carrier: list):
-        self.parent = parent
-        self.subgroup = list(subgroup)
-        self.section = section
-        if parent.order % len(self.subgroup):
-            raise ValueError("subgroup size does not divide group order")
-        self.order = parent.order // len(self.subgroup)
-        self.identity = section(parent.identity)
-        self.generators = tuple(dict.fromkeys(
-            section(g) for g in parent.generators))
-        self._carrier = carrier
-
-    def compose(self, a, b):
-        return self.section(self.parent.compose(a, b))
-
-    def inverse(self, a):
-        return self.section(self.parent.inverse(a))
-
-    def elements(self):
-        return iter(self._carrier)

@@ -19,7 +19,8 @@ from typing import Callable
 
 from .cyclo import Cyclotomic, PhasedScalar
 from .exactmat import ExactMatrix
-from .groups import CyclicGroup, DirectProduct, FiniteGroup, HeisenbergGroup
+from .groups import (CyclicGroup, DirectProduct, FiniteGroup, HeisenbergGroup,
+                     generated_order)
 
 
 def weyl_matrix(d: int, x: int, y: int, z: int = 0) -> ExactMatrix:
@@ -219,6 +220,7 @@ class NicenessReport:
     unitary_ok: bool
     trace_ok: bool
     cocycle_ok: bool
+    cocycle_exhaustive: bool
     pair_mode: str
     pair_route: str
     pairs_checked: int
@@ -236,6 +238,7 @@ class NicenessReport:
             "label": self.label, "dim": self.dim, "group_order": self.group_order,
             "identity_ok": self.identity_ok, "unitary_ok": self.unitary_ok,
             "trace_ok": self.trace_ok, "cocycle_ok": self.cocycle_ok,
+            "cocycle_exhaustive": self.cocycle_exhaustive,
             "pair_mode": self.pair_mode, "pair_route": self.pair_route,
             "pairs_checked": self.pairs_checked,
             "elements_checked": self.elements_checked, "seed": self.seed,
@@ -253,6 +256,11 @@ def verify_nice(rep: ProjectiveRep, pair_mode: str = "all", seed: int | None = N
     pair_route "phase": every member is monomial over roots of unity and
     each pair was checked on permutations and exponents (_phase_form),
     and re-checked densely if rejected; "matrix": dense products.
+    Failures name elements by G.label.  cocycle_exhaustive: every pair
+    passes, as "all" checks, or as the sampled pairs (g, s), s a declared
+    generator, prove once rho(e) = I and the generators generate G: by
+    induction on h, rho(g h s) ~ rho(g h) rho(s) ~ rho(g) rho(h) rho(s)
+    ~ rho(g) rho(h s), ~ meaning up to a unit phase.
     """
     G = rep.group
     elems = list(G.elements())
@@ -261,7 +269,7 @@ def verify_nice(rep: ProjectiveRep, pair_mode: str = "all", seed: int | None = N
     m1 = rep.matrix(G.identity)
     identity_ok = m1.is_identity()
     if not identity_ok:
-        failures.append(("identity", G.identity))
+        failures.append(("identity", G.label(G.identity)))
 
     unitary_ok = True
     trace_ok = True
@@ -269,13 +277,13 @@ def verify_nice(rep: ProjectiveRep, pair_mode: str = "all", seed: int | None = N
         m = rep.matrix(g)
         if m.is_scaled_unitary() != 1:
             unitary_ok = False
-            failures.append(("unitary", g))
+            failures.append(("unitary", G.label(g)))
         if g != G.identity and not m.trace().is_zero():
             trace_ok = False
-            failures.append(("trace", g))
+            failures.append(("trace", G.label(g)))
     if not rep.matrix(G.identity).trace() == rep.dim:
         trace_ok = False
-        failures.append(("trace", G.identity))
+        failures.append(("trace", G.label(G.identity)))
 
     pairs = _pair_source(G, elems, pair_mode, seed, sample_size)
     phase = _phase_form(rep, elems)
@@ -287,14 +295,17 @@ def verify_nice(rep: ProjectiveRep, pair_mode: str = "all", seed: int | None = N
             extract_cocycle(rep, g, h, phase)
         except CocycleError:
             cocycle_ok = False
-            failures.append(("cocycle", g, h))
+            failures.append(("cocycle", G.label(g), G.label(h)))
             if len(failures) > 32:
                 break
+    exhaustive = cocycle_ok and (pair_mode == "all" or (
+        identity_ok and generated_order(G, G.generators) == G.order))
 
     return NicenessReport(
         label=rep.label, dim=rep.dim, group_order=G.order,
         identity_ok=identity_ok, unitary_ok=unitary_ok, trace_ok=trace_ok,
-        cocycle_ok=cocycle_ok, pair_mode=pair_mode, pair_route=pair_route,
+        cocycle_ok=cocycle_ok, cocycle_exhaustive=exhaustive,
+        pair_mode=pair_mode, pair_route=pair_route,
         pairs_checked=pairs_checked, elements_checked=len(elems), seed=seed,
         failures=tuple(failures))
 

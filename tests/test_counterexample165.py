@@ -1,5 +1,6 @@
 import cmath
 import functools
+import itertools
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -7,9 +8,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from uebkit import counterexample165
 from uebkit.counterexample165 import (
     ConjugatorError,
     FactorMap,
+    Quotient165,
     TensorTriple,
     _PRIMES,
     _check_law,
@@ -169,8 +172,8 @@ def test_weyl_decompose_rejects_dense_and_zero():
 # tensor triples
 
 
-_ID = ((0, 0), (0, 0, 0), (0, 0, 0))     # the identity keys
-_R11 = ((0, 0), (0, 0, 0), (0, 0, 1))    # I (x) I (x) R11
+_ID = (0, 0, 0)     # the identity keys
+_R11 = (0, 0, 1)    # I (x) I (x) R11: 11-slot key (0, 0, 1)
 
 
 def test_triple_identity_needs_cancelling_phases(built):
@@ -194,18 +197,16 @@ def test_slot_signs_cancel_across_slots():
     # S (x) S (x) I squares to (-I) (x) (-I) (x) I, the identity, and
     # S (x) I (x) I squares to (-I) (x) I (x) I, which is not.  No pool
     # entry squares to -I outside the 11-slot (R5^3 = I, and Z, X give
-    # only powers of zeta_p), so a stub slot law supplies S with
+    # only powers of zeta_p), so stub slot tables supply S with
     # S S = zeta_330^165 I in the 3- and 5-slots
-    def mul(p, a, b):
-        if a == b == "S":
-            return _ID[_PRIMES.index(p)], 165
-        if b == _ID[_PRIMES.index(p)]:
-            return a, 0
-        if a == _ID[_PRIMES.index(p)]:
-            return b, 0
-        raise AssertionError(f"slot {p} multiplied {a} by {b}")
+    e = 0
+    table = {"S": {"S": (e, 165), e: ("S", 0)}, e: {"S": ("S", 0), e: (e, 0)}}
 
-    stub = SimpleNamespace(_mul=mul)
+    def mul(p, a, b):
+        assert (p, a, b) == (11, e, e), f"slot {p} multiplied {a} by {b}"
+        return e, 0
+
+    stub = SimpleNamespace(_table3=table, _table5=table, _mul=mul)
     both = TensorTriple(stub, ("S", "S", _ID[2]))
     one = TensorTriple(stub, ("S", _ID[1], _ID[2]))
     assert (both @ both).is_identity()
@@ -230,11 +231,10 @@ def test_slot_phase_multiplies_no_matrices(built, monkeypatch):
     fm = built.factors
     calls = _counting_products(monkeypatch)
     r = TensorTriple(fm, _R11)
-    x3 = TensorTriple(fm, ((1, 0), (0, 0, 0), (0, 0, 0)))
-    z3 = TensorTriple(fm, ((0, 1), (0, 0, 0), (0, 0, 0)))
+    x3 = TensorTriple(fm, (3, 0, 0))     # 3-slot key (1, 0)
+    z3 = TensorTriple(fm, (1, 0, 0))     # 3-slot key (0, 1)
     assert x3.equal_up_to_phase(z3) is None
-    assert r.equal_up_to_phase(
-        TensorTriple(fm, ((0, 0), (0, 0, 0), (0, 0, 2)))) is None
+    assert r.equal_up_to_phase(TensorTriple(fm, (0, 0, 2))) is None
     assert (r @ r).equal_up_to_phase(r) is None
     # R11^3 = -zeta_11^2 = zeta_330^(165 + 60)
     assert (r @ r @ r).equal_up_to_phase(TensorTriple(fm, _ID)) == \
@@ -244,9 +244,9 @@ def test_slot_phase_multiplies_no_matrices(built, monkeypatch):
 
 @functools.cache
 def _packed_pool(fm, p):
-    """The p-slot pool packed, once per FactorMap and prime: the
-    FactorMap holds its pools exact only."""
-    return {k: from_exact(m, p) for k, m in fm.exact[p].items()}
+    """The p-slot pool packed and listed by int key, once per FactorMap
+    and prime: the FactorMap holds its pools exact only."""
+    return [from_exact(fm.exact[p][k], p) for k in fm.keys[p]]
 
 
 def _packed(fm, p, word):
@@ -284,22 +284,26 @@ def _packed_disagreements(fm, p, words):
 def _long_words(fm, seed=11, n=1_000):
     """n seeded 11-slot words of 2 to 7 keys."""
     rng = random.Random(seed)
-    keys = sorted(fm.exact[11])
+    keys = range(len(fm.keys[11]))
     return [tuple(rng.choice(keys) for _ in range(rng.randint(2, 7)))
             for _ in range(n)]
 
 
 def test_normal_form_matches_packed_products(built):
     fm = built.factors
-    two_key = {p: [(a, b) for a in sorted(fm.exact[p])
-                   for b in sorted(fm.exact[p])] for p in (3, 5)}
+    two_key = {p: [(a, b) for a in range(len(fm.keys[p]))
+                   for b in range(len(fm.keys[p]))] for p in (3, 5)}
     assert sum(map(len, two_key.values())) == 5_706
     for p, words in two_key.items():
         assert _packed_disagreements(fm, p, words) == []
+    # the tables TensorTriple reads are _mul's
+    for p, table in ((3, fm._table3), (5, fm._table5)):
+        for a, b in two_key[p]:
+            assert table[a][b] == fm._mul(p, a, b), (p, a, b)
     # R11^3 = -zeta_11^2 = zeta_330^225 enters each time k reaches 3
     assert fm._wrap[11] == 225
     words = _long_words(fm)
-    assert sum(sum(k[2] for k in w) >= 3 for w in words) > 500
+    assert sum(sum(k % 3 for k in w) >= 3 for w in words) > 500
     assert _packed_disagreements(fm, 11, words) == []
 
 
@@ -309,7 +313,7 @@ def test_slot_law_is_associative(built):
     fm = built.factors
     rng = random.Random(5)
     for p in (3, 5, 11):
-        keys = sorted(fm.exact[p])
+        keys = range(len(fm.keys[p]))
         e = keys[0]
         for _ in range(2_000):
             a, b, c = (rng.choice(keys) for _ in range(3))
@@ -324,9 +328,8 @@ def test_slot_law_is_associative(built):
 def test_distinct_pool_keys_are_never_proportional(built):
     # what lets equal_up_to_phase answer None whenever the keys differ
     pool = _packed_pool(built.factors, 5)
-    keys = sorted(pool)
-    for i, a in enumerate(keys):
-        for b in keys[i + 1:]:
+    for a in range(len(pool)):
+        for b in range(a + 1, len(pool)):
             assert pool[a].equal_up_to_phase(pool[b]) is None, (a, b)
 
 
@@ -351,15 +354,15 @@ def test_wrong_factor_trace_is_caught(built, monkeypatch):
 
 def test_triple_product_passes_identity_slots_through(built, monkeypatch):
     fm = built.factors
-    ident = fm.triple(built.quotient.identity)
+    ident = fm.member(built.quotient.identity)
     assert ident.keys == _ID and ident.j == 0
-    a = TensorTriple(fm, ((1, 0), (0, 0, 0), (0, 0, 0)), 14)
+    a = TensorTriple(fm, (3, 0, 0), 14)  # 3-slot key (1, 0)
     b = TensorTriple(fm, _R11, 320)
-    assert (a @ a).keys == ((2, 0), (0, 0, 0), (0, 0, 0)) and (a @ a).j == 28
+    assert (a @ a).keys == (6, 0, 0) and (a @ a).j == 28
     # an identity key is passed through without reading the twist tables
     monkeypatch.setattr(fm, "_gamma", {})
     t = a @ b
-    assert t.keys == ((1, 0), (0, 0, 0), (0, 0, 1)) and t.j == 4
+    assert t.keys == (3, 0, 1) and t.j == 4
     assert (a @ ident).keys == a.keys and (a @ ident).j == a.j
     assert (ident @ b).keys == b.keys and (ident @ b).j == b.j
 
@@ -495,7 +498,7 @@ def test_product_words_trace_as_phase_times_product(built, monkeypatch):
 
 def test_triple_trace_and_dim(built):
     fm = built.factors
-    ident = fm.triple(built.quotient.identity)
+    ident = fm.member(built.quotient.identity)
     assert ident.dim == 165
     assert ident.trace() == 165
     # one twisted generator: the 3-slot trace vanishes
@@ -522,10 +525,10 @@ def test_generator_pairs_catch_a_broken_factor_map(built, monkeypatch):
     fm, Q = built.factors, built.quotient
     pairs = [(s, t) for s in Q.generators for t in Q.generators]
     assert len(pairs) == 36
-    keys = FactorMap._keys
+    member = fm.member
 
     def refused():
-        rep = ProjectiveRep(Q, 165, fm.triple)
+        rep = ProjectiveRep(Q, 165, fm.member)
         out = []
         for s, t in pairs:
             try:
@@ -536,11 +539,11 @@ def test_generator_pairs_catch_a_broken_factor_map(built, monkeypatch):
 
     assert refused() == []
 
-    def untwisted(g):
-        k3, (x5, y5, _), k11, z = keys(g)
-        return k3, (x5, y5, 0), k11, z
+    def untwisted(i):
+        k3, k5, k11 = member(i).keys      # k5 = 3 (5 x5 + y5) + x3
+        return TensorTriple(fm, (k3, k5 - k5 % 3, k11))
 
-    monkeypatch.setattr(fm, "_keys", untwisted)
+    monkeypatch.setattr(fm, "member", untwisted)
     twist = Q.generators[4]          # X3 (x) R5 (x) I11
     assert refused() == [(twist, Q.generators[0]), (twist, Q.generators[1])]
 
@@ -552,36 +555,116 @@ def _strip(g):
 
 
 def test_quotient_law_matches_the_parent_route(built):
-    # Quotient165 composes (x, y) coordinates; the parent route composes
-    # the full semidirect elements and strips z.  The tables and
-    # _check_law both read the _aut_powers dicts, so this is the check
-    # that covers them independently
+    # Quotient165 composes positions by table reads; the parent route
+    # composes the full semidirect elements of the labels and strips z.
+    # The tables and _check_law both read FactorMap._gamma, so this is the
+    # check that covers them independently
     Q, G = built.quotient, built.group
     carrier = list(Q.elements())
     twisted = Q.generators[4:]       # X3 (x) R5 (x) I11, Z3 (x) I5 (x) R11
-    assert [h[1] for h in twisted] == [HeisenbergElement(3, 1, 0, 0),
-                                       HeisenbergElement(3, 0, 1, 0)]
+    assert [Q.label(s)[1] for s in twisted] == [HeisenbergElement(3, 1, 0, 0),
+                                                HeisenbergElement(3, 0, 1, 0)]
+
+    def parent(a, b):
+        return _strip(G.compose(Q.label(a), Q.label(b)))
+
     for s in twisted:
         for g in carrier:
-            assert Q.compose(g, s) == _strip(G.compose(g, s)), (g, s)
-            assert Q.compose(s, g) == _strip(G.compose(s, g)), (s, g)
+            assert Q.label(Q.compose(g, s)) == parent(g, s), (g, s)
+            assert Q.label(Q.compose(s, g)) == parent(s, g), (s, g)
     rng = random.Random(13)
     for _ in range(5_000):
         a, b = rng.choice(carrier), rng.choice(carrier)
-        assert Q.compose(a, b) == _strip(G.compose(a, b)), (a, b)
+        assert Q.label(Q.compose(a, b)) == parent(a, b), (a, b)
 
 
-def test_swapped_quotient_table_is_caught(built, monkeypatch):
+def test_swapped_quotient_table_is_caught(built):
     Q, G = built.quotient, built.group
     _check_law(Q, built.conj5, built.conj11)
     t5, (ident, gamma, gamma2) = Q.tables
-    monkeypatch.setattr(Q, "tables", (t5, [ident, gamma2, gamma]))
+    bad = Quotient165(G, built.center, {5: t5, 11: [ident, gamma2, gamma]})
     with pytest.raises(ArithmeticError, match="exponent action"):
-        _check_law(Q, built.conj5, built.conj11)
+        _check_law(bad, built.conj5, built.conj11)
     # with the check bypassed, the law parts from the parent route
-    s = Q.generators[5]              # Z3 (x) I5 (x) R11
-    assert any(Q.compose(s, g) != _strip(G.compose(s, g))
-               for g in Q.elements())
+    s = bad.generators[5]            # Z3 (x) I5 (x) R11
+    assert any(bad.label(bad.compose(s, g))
+               != _strip(G.compose(bad.label(s), bad.label(g)))
+               for g in bad.elements())
+
+
+def test_index_and_label_are_inverse(built):
+    Q = built.quotient
+    labels = [Q.label(i) for i in Q.elements()]
+    assert len(labels) == len(set(labels)) == 27_225
+    assert [Q.index(g) for g in labels] == list(range(27_225))
+    assert all(_strip(g) == g for g in labels)
+    # index is constant on central cosets
+    rng = random.Random(7)
+    for _ in range(200):
+        g = _random_element(built.group, rng)
+        assert Q.index(g) == Q.index(_strip(g))
+        assert Q.label(Q.index(g)) == _strip(g)
+    assert Q.identity == 0
+    assert [Q.label(s) for s in Q.generators] == list(built.group.generators)
+
+
+def test_positions_follow_the_carrier_nesting(built):
+    # positions nest x5, y5, x11, y11, x3, y3, so a seeded draw over
+    # positions picks what the same draw over the labels in that order does
+    Q = built.quotient
+    nesting = itertools.product(*(range(p) for p in (5, 5, 11, 11, 3, 3)))
+    assert [Q.label(i) for i in Q.elements()] == [
+        ((HeisenbergElement(5, x5, y5, 0), HeisenbergElement(11, x11, y11, 0)),
+         HeisenbergElement(3, x3, y3, 0))
+        for x5, y5, x11, y11, x3, y3 in nesting]
+
+
+def test_dense_sample_members_are_pinned(built, report, monkeypatch):
+    # the 12 members verify_counterexample materializes at seed 1650, as
+    # (x5, y5, x11, y11, x3, y3); the niceness sweep, which draws from
+    # its own rng, is stubbed with the report fixture's
+    fm = built.factors
+    seen = []
+    exact = fm.exact_matrix
+    monkeypatch.setattr(fm, "exact_matrix",
+                        lambda g: seen.append(g) or exact(g))
+    monkeypatch.setattr(counterexample165, "verify_nice",
+                        lambda *args, **kwargs: report.niceness)
+    assert verify_counterexample(built, seed=1650).cross_ok
+    assert len(seen) == 3 + 6 + 12 + 1   # center, generators, sample, probe
+    assert [(n5.x, n5.y, n11.x, n11.y, h.x, h.y)
+            for (n5, n11), h in seen[9:21]] == [
+        (2, 4, 4, 9, 1, 1), (0, 1, 9, 7, 1, 0), (2, 0, 5, 1, 1, 1),
+        (2, 1, 4, 2, 1, 1), (2, 0, 9, 10, 0, 0), (4, 2, 1, 0, 1, 0),
+        (3, 0, 5, 3, 0, 1), (0, 4, 5, 4, 0, 2), (1, 4, 0, 4, 0, 0),
+        (0, 0, 7, 5, 2, 2), (1, 2, 5, 3, 2, 1), (2, 1, 2, 5, 0, 2)]
+
+
+def test_member_keys_match_the_parent_keys(built):
+    # the slot keys member reads from a position's digits against _keys
+    # of its label, on every position
+    fm, Q = built.factors, built.quotient
+    for i in Q.elements():
+        t = fm.member(i)
+        keys = tuple(fm.keys[p][k] for p, k in zip(_PRIMES, t.keys))
+        assert keys + (t.j,) == FactorMap._keys(Q.label(i)), i
+
+
+def test_failures_name_section_representatives(built):
+    # a broken member: the failures name labels, not positions
+    Q, fm = built.quotient, built.factors
+    broken = Q.generators[0]
+
+    def rho(i):
+        return fm.member(Q.identity if i == broken else i)
+
+    rep = verify_nice(ProjectiveRep(Q, 165, rho), pair_mode="sampled",
+                      seed=3, sample_size=0)
+    assert not rep.cocycle_ok and not rep.cocycle_exhaustive
+    failures = rep.summary()["failures"]
+    assert failures and all("HeisenbergElement" in f for f in failures)
+    assert ("trace", Q.label(broken)) in rep.failures
+    assert ("cocycle", Q.label(broken), Q.label(1)) in rep.failures
 
 
 def test_quotient_sweep_makes_no_heisenberg_compositions(built, monkeypatch):
@@ -612,7 +695,9 @@ def test_central_member_is_a_scalar_matrix(built):
 
 def test_trace_sweep(built, report):
     assert report.trace_zero_count == 27_224
-    assert report.trace_nonzero_labels == (built.quotient.identity,)
+    Q = built.quotient
+    assert report.trace_nonzero_labels == (Q.label(Q.identity),)
+    assert str(report.trace_nonzero_labels[0]).count("HeisenbergElement") == 3
     assert report.identity_trace_ok
 
 
@@ -627,10 +712,11 @@ def test_niceness_report(report):
 
 
 def test_slot_counts_decide_monomiality(built, report):
-    # the premise of FactorMap.slot_monomial on all 447 pool entries: a
+    # the premise of TensorTriple.is_monomial on all 447 pool entries: a
     # p x p unitary has at least p nonzero entries, exactly p when monomial
     fm = built.factors
-    entries = [(p, k, m) for p in _PRIMES for k, m in fm.exact[p].items()]
+    entries = [(p, k, fm.exact[p][key]) for p in _PRIMES
+               for k, key in enumerate(fm.keys[p])]
     assert len(entries) == 447
     for p, k, m in entries:
         n = m.nonzero_count()
@@ -646,7 +732,7 @@ def test_pool_entries_are_unitary_on_the_packed_route(built):
     n = 0
     for p in _PRIMES:
         ident = CycMatrix.identity(p, p)
-        for key, cm in _packed_pool(fm, p).items():
+        for key, cm in enumerate(_packed_pool(fm, p)):
             assert cm @ cm.dagger() == ident, (p, key)
             assert PhasedScalar.of(cm.trace()) == fm.tr[p][key], (p, key)
             n += 1
@@ -693,7 +779,7 @@ def test_dense_members_match_generic_tensor(built):
 
 def test_monomiality_report_reads_generators(built):
     fm = built.factors
-    members = list(built.group.generators) + [built.quotient.identity]
+    members = list(built.group.generators) + [built.group.identity]
     as_list = monomiality_report([fm.exact_matrix(t) for t in members])
     streamed = monomiality_report(fm.exact_matrix(t) for t in members)
     assert streamed == as_list

@@ -4,7 +4,6 @@ import pytest
 
 from uebkit import groups
 from uebkit.groups import (
-    CentralQuotientGroup,
     CyclicGroup,
     DirectProduct,
     HeisenbergElement,
@@ -18,6 +17,7 @@ from uebkit.groups import (
     beta_aut,
     center,
     element_order,
+    generated_order,
     is_automorphism,
     sl2_alpha,
     sl2_beta,
@@ -144,6 +144,21 @@ def test_generator_check_accepts_random_automorphism_words():
             assert is_automorphism(h, f) and _full_pair_sweep(h, f)
 
 
+def test_generated_order():
+    # the closure of {e} under right multiplication by the generators
+    h5 = HeisenbergGroup(5)
+    assert generated_order(h5, h5.generators) == 125
+    assert generated_order(h5, h5.generators[:1]) == 5
+    assert generated_order(h5, (HeisenbergElement(5, 0, 0, 1),)) == 5
+    assert generated_order(h5, ()) == 1
+    c6 = CyclicGroup(6)
+    assert generated_order(c6, (2,)) == 3
+    assert generated_order(c6, (2, 3)) == 6
+    g = DirectProduct(CyclicGroup(4), HeisenbergGroup(3))
+    assert generated_order(g, g.generators) == g.order == 108
+    assert generated_order(g, g.generators[1:]) == 27
+
+
 def test_generator_check_needs_generating_set(monkeypatch):
     c6 = CyclicGroup(6)
     c6.generators = (2,)
@@ -258,20 +273,3 @@ def test_subgroup_view():
     assert z.order == 3
     with pytest.raises(ValueError):
         SubgroupView(h, [h.identity, HeisenbergElement(3, 1, 0, 0)])
-
-
-def test_central_quotient():
-    h = HeisenbergGroup(3)
-    z = center(h)
-    reps = [HeisenbergElement(3, x, y, 0) for x in range(3) for y in range(3)]
-    q = CentralQuotientGroup(h, z, lambda g: HeisenbergElement(3, g.x, g.y, 0),
-                             reps)
-    assert q.order == 9
-    elems = list(q.elements())
-    assert elems == reps
-    # the carrier holds one section representative per coset
-    assert set(elems) == {q.section(g) for g in h.elements()}
-    a, b = HeisenbergElement(3, 1, 0, 0), HeisenbergElement(3, 0, 1, 0)
-    # the quotient is abelian even though h is not
-    assert q.compose(a, b) == q.compose(b, a) == HeisenbergElement(3, 1, 1, 0)
-    assert q.inverse(a) == HeisenbergElement(3, 2, 0, 0)

@@ -250,6 +250,54 @@ def _route_cases():
     return cases
 
 
+# -- cocycle_exhaustive -------------------------------------------------------
+
+
+def test_cocycle_exhaustive_agrees_with_the_full_sweep():
+    for rep in [pauli_rep(d) for d in range(2, 7)] + [heisenberg_rep(3)]:
+        full = verify_nice(rep, pair_mode="all")
+        sampled = verify_nice(rep, pair_mode="sampled", seed=5, sample_size=0)
+        assert full.cocycle_ok and full.cocycle_exhaustive, rep.label
+        assert sampled.cocycle_exhaustive, rep.label
+        assert sampled.summary()["cocycle_exhaustive"] is True
+    # mutated members: the generator pairs alone decide as the full sweep
+    for name, rep, _ in _route_cases():
+        full = verify_nice(rep, pair_mode="all")
+        sampled = verify_nice(rep, pair_mode="sampled", seed=5, sample_size=0)
+        assert full.cocycle_exhaustive == full.cocycle_ok, name
+        if sampled.identity_ok:
+            assert sampled.cocycle_exhaustive == full.cocycle_ok, name
+
+
+def test_broken_generator_pair_clears_both_flags():
+    p3 = pauli_rep(3)
+    mutant = _replace(p3, (1, 0), _swap_columns(p3.matrix((1, 0)), 0, 1))
+    for mode in ("all", "sampled"):
+        r = verify_nice(mutant, pair_mode=mode, seed=5, sample_size=0)
+        assert not r.cocycle_ok and not r.cocycle_exhaustive, mode
+        assert ("cocycle", (0, 1), (1, 0)) in r.failures
+
+
+def test_cocycle_exhaustive_needs_generating_generators():
+    # Z_4 x Z_4 declaring only (1, 0): scaling the coset of (0, 1) by 2
+    # keeps every sampled pair a unit multiple, but not (0, 1) (0, 1)
+    d = 4
+    rep = pauli_rep(d)
+    G = DirectProduct(CyclicGroup(d), CyclicGroup(d))
+    G.generators = ((1, 0),)
+    table = {g: rep.matrix(g).scalar_mul(2) if g[1] == 1 else rep.matrix(g)
+             for g in G.elements()}
+    scaled = ProjectiveRep(G, d, table.__getitem__)
+    sampled = verify_nice(scaled, pair_mode="sampled", seed=1, sample_size=0)
+    assert sampled.identity_ok and sampled.cocycle_ok
+    assert not sampled.cocycle_exhaustive
+    assert not verify_nice(scaled, pair_mode="all").cocycle_ok
+    # the same members over the declared Pauli generators
+    declared = ProjectiveRep(rep.group, d, table.__getitem__)
+    r = verify_nice(declared, pair_mode="sampled", seed=1, sample_size=0)
+    assert not r.cocycle_ok and not r.cocycle_exhaustive
+
+
 def _matrix_route(monkeypatch):
     monkeypatch.setattr(nice, "_phase_form", lambda rep, elems: None)
 
