@@ -273,15 +273,20 @@ def _hadamard_from_spec(spec: str, report: RunReport):
         f"unknown hadamard spec {spec!r} (fourier:<d>, alpha, or a file)")
 
 
+def _heisenberg_modulus(text: str) -> int:
+    d = _positive_int(text, "heisenberg modulus")
+    if d < 2:
+        raise InputError("heisenberg modulus must be at least 2")
+    return d
+
+
 def _rep_from_spec(spec: str) -> ProjectiveRep:
     head, _, rest = spec.partition(":")
+    if head == "heisenberg":
+        return heisenberg_rep(_heisenberg_modulus(rest))
     d = _positive_int(rest, f"{head or spec} dimension")
     if head == "pauli":
         return pauli_rep(d)
-    if head == "heisenberg":
-        if d < 2:
-            raise InputError("heisenberg modulus must be at least 2")
-        return heisenberg_rep(d)
     raise InputError(f"unknown representation spec {spec!r}")
 
 
@@ -358,25 +363,34 @@ def _pair_indexed_rep(basis: UnitaryErrorBasis, label: str) -> ProjectiveRep:
 # construct
 
 
-def _construct_counterexample(args, report: RunReport) -> None:
+def _g165_checks(args, report: RunReport, bundle=None):
+    """The build-g165 and counterexample checks, with bundle-matches-rebuild
+    between them when a bundle file's object is given.  Returns the build."""
     t0 = time.perf_counter()
     g = build_g165(seed=args.seed)
     report.check("build-g165", True, t0, details={
         "group_order": g.group.order, "center_order": len(g.center),
         "seed": args.seed, "checks": g.checks})
+    if bundle is not None:
+        t0 = time.perf_counter()
+        fresh = export_bundle(g, factors_only="generators_full" not in bundle)
+        same = json.loads(json.dumps(fresh)) == bundle
+        report.check("bundle-matches-rebuild", same, t0,
+                     witness=None if same else "file differs from rebuilt bundle")
     t0 = time.perf_counter()
     rep = verify_counterexample(g, seed=args.seed)
     report.check("counterexample", rep.ok, t0,
                  details={"seed": args.seed, **rep.summary()})
-    bundle = export_bundle(g, factors_only=args.factors_only)
-    _write_json(args.out, bundle, report)
+    return g
 
 
 def cmd_construct(args, report: RunReport) -> None:
     if args.kind == "counterexample165":
         if args.params:
             raise InputError("counterexample165 takes no extra parameters")
-        _construct_counterexample(args, report)
+        g = _g165_checks(args, report)
+        bundle = export_bundle(g, factors_only=args.factors_only)
+        _write_json(args.out, bundle, report)
         return
     if args.factors_only:
         raise InputError("--factors-only only applies to counterexample165")
@@ -407,20 +421,7 @@ def _verify_counterexample_file(args, report: RunReport) -> None:
                 "generators"):
         if key not in obj:
             raise InputError(f"bundle is missing key {key!r}")
-    t0 = time.perf_counter()
-    g = build_g165(seed=args.seed)
-    report.check("build-g165", True, t0, details={
-        "group_order": g.group.order, "center_order": len(g.center),
-        "seed": args.seed, "checks": g.checks})
-    t0 = time.perf_counter()
-    fresh = export_bundle(g, factors_only="generators_full" not in obj)
-    same = json.loads(json.dumps(fresh)) == obj
-    report.check("bundle-matches-rebuild", same, t0,
-                 witness=None if same else "file differs from rebuilt bundle")
-    t0 = time.perf_counter()
-    rep = verify_counterexample(g, seed=args.seed)
-    report.check("counterexample", rep.ok, t0,
-                 details={"seed": args.seed, **rep.summary()})
+    _g165_checks(args, report, obj)
 
 
 def cmd_verify(args, report: RunReport) -> None:
@@ -472,9 +473,7 @@ def _analyze_induce(args, report: RunReport) -> None:
     head, _, rest = spec.partition(":")
     if head != "heisenberg":
         raise InputError(f"unknown induce spec {spec!r} (heisenberg:<d>)")
-    d = _positive_int(rest, "heisenberg modulus")
-    if d < 2:
-        raise InputError("heisenberg modulus must be at least 2")
+    d = _heisenberg_modulus(rest)
     H = HeisenbergGroup(d)
     center = SubgroupView(H, [HeisenbergElement(d, 0, 0, z) for z in range(d)])
     zeta = PhasedScalar.zeta(d)

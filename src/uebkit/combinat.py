@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclo import Cyclotomic, PhasedScalar, declare_phase_symbol, json_int
+from .cyclo import Cyclotomic, PhasedScalar, json_int
 from .exactmat import ExactMatrix, matrix_from_json
 
 
@@ -77,7 +77,6 @@ def h_alpha() -> ExactMatrix:
     The symbol t stands for an arbitrary unit-modulus number; nothing
     about its multiplicative order is assumed.
     """
-    declare_phase_symbol(PHASE_SYMBOL)
     one = PhasedScalar.one()
     t = PhasedScalar.symbol(PHASE_SYMBOL)
     return ExactMatrix.from_rows([

@@ -10,12 +10,12 @@ tests and equality are comparisons of a dict and an int, and every
 product and sum runs on Python ints with no tolerance anywhere.  The
 coeffs view gives the same residue with Fraction coefficients.
 
-PhasedScalar extends the field by formal phase symbols registered with
-declare_phase_symbol.  A symbol stands for a unit-modulus complex number
-about which nothing else is assumed: conj(t) = t^-1, and no power of t
-with nonzero exponent has finite multiplicative order.  Scalars are
-finite Laurent combinations of symbol monomials with cyclotomic
-coefficients; the symbol-free case is the plain field element.
+PhasedScalar extends the field by formal phase symbols.  A symbol is any
+Python identifier and needs no declaration; it stands for a unit-modulus
+complex number about which nothing else is assumed: conj(t) = t^-1, and
+no power of t with nonzero exponent has finite multiplicative order.
+Scalars are finite Laurent combinations of symbol monomials with
+cyclotomic coefficients; the symbol-free case is the plain field element.
 
 Ambient orders are fixed by the caller and promoted to the lcm when
 mixed.  No automatic conductor minimization is attempted.
@@ -25,15 +25,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from types import MappingProxyType
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
-
-
-def lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 def _polydiv_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -302,6 +297,17 @@ class Cyclotomic:
                        self._den)
 
     def inverse(self) -> "Cyclotomic":
+        """self^-1, through the field norm outside two fast paths.
+
+        Gal(Q(zeta_n)/Q) = {sigma_k : gcd(k, n) = 1}, where sigma_k sends
+        zeta to zeta^k, so sigma_k(x) is one reduction of the exponents
+        times k.  The product of all conjugates sigma_k(x) is the norm
+        N(x); each sigma_j permutes the conjugates, so every sigma_j fixes
+        N(x), and the fixed field of the whole Galois group is Q.  N(x) is
+        nonzero for x != 0, because each sigma_k is a field automorphism
+        and sends a nonzero x to a nonzero conjugate.  With acc the
+        product over k != 1, x acc = N(x), so x^-1 = acc / N(x).
+        """
         if not self._num:
             raise ZeroDivisionError("inverse of zero")
         q = self.rational_value()
@@ -310,17 +316,16 @@ class Cyclotomic:
         c = self.conj()
         if (self * c).is_one():
             return c
-        # general case: extended gcd against Phi_n over Q[x]
-        n = self.order
-        phi = [Fraction(x) for x in cyclotomic_polynomial(n)]
-        coeffs = self.coeffs
-        a = [coeffs.get(i, _F0) for i in range(len(phi) - 1)]
-        g, u = _poly_xgcd(a, phi)
-        g0 = g[0]
-        inv = Cyclotomic(n, {i: ui / g0 for i, ui in enumerate(u)})
-        if not (self * inv).is_one():
-            raise ArithmeticError("inverse computation failed")
-        return inv
+        n, num, den = self.order, self._num, self._den
+        acc = Cyclotomic.one(n)
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                acc = acc * _reduce(n, {e * k: v for e, v in num.items()}, den)
+        norm = (self * acc).rational_value()
+        if not norm:
+            raise ArithmeticError(f"x times its other conjugates is {self * acc}, "
+                                  "not a nonzero rational")
+        return acc * (1 / norm)
 
     def __eq__(self, other):
         if not isinstance(other, Cyclotomic):
@@ -353,55 +358,8 @@ def _root_orders(n: int) -> MappingProxyType:
     return MappingProxyType({(z ** k).key(): m // gcd(k, m) for k in range(m)})
 
 
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = a[:]
-    q = [_F0] * max(1, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        c = a[k + len(b) - 1] * inv_lead
-        if c:
-            q[k] = c
-            for i, bi in enumerate(b):
-                a[k + i] -= c * bi
-    return _poly_trim(q), _poly_trim(a)
-
-
-def _poly_xgcd(a: list[Fraction], b: list[Fraction]):
-    """Return (g, u) with u*a = g mod b, g = gcd(a, b) up to a unit."""
-    r0, r1 = _poly_trim(a[:]), _poly_trim(b[:])
-    s0, s1 = [_F1], [_F0]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        qs = [_F0] * (len(q) + len(s1) - 1) if s1 else []
-        for i, qi in enumerate(q):
-            if qi:
-                for j, sj in enumerate(s1):
-                    qs[i + j] += qi * sj
-        s0, s1 = s1, _poly_trim([x - y for x, y in
-                                 zip(s0 + [_F0] * max(0, len(qs) - len(s0)),
-                                     qs + [_F0] * max(0, len(s0) - len(qs)))])
-    return r0, s0
-
-
 # ---------------------------------------------------------------------------
 # formal phase symbols
-
-
-_SYMBOLS: set[str] = set()
-
-
-def declare_phase_symbol(name: str) -> None:
-    """Register a formal unit-modulus phase symbol for use in PhasedScalar."""
-    if not name or not name.isidentifier():
-        raise ValueError(f"bad symbol name {name!r}")
-    _SYMBOLS.add(name)
 
 
 def _merge_keys(ka, kb):
@@ -440,9 +398,6 @@ class PhasedScalar:
                     c = Cyclotomic.from_rational(c, order)
                 c = c.promote(order)
                 key = tuple(sorted((s, e) for s, e in key if e))
-                for s, _ in key:
-                    if s not in _SYMBOLS:
-                        raise ValueError(f"undeclared phase symbol {s!r}")
                 if key in clean:
                     c = clean[key] + c
                 if c.is_zero():
@@ -484,8 +439,8 @@ class PhasedScalar:
 
     @staticmethod
     def symbol(name: str, exponent: int = 1, order: int = 1) -> "PhasedScalar":
-        if name not in _SYMBOLS:
-            raise ValueError(f"undeclared phase symbol {name!r}")
+        if not name.isidentifier():
+            raise ValueError(f"bad symbol name {name!r}")
         if exponent == 0:
             return PhasedScalar.one(order)
         return PhasedScalar(order, {((name, exponent),): Cyclotomic.one(order)},
@@ -747,7 +702,8 @@ def scalar_from_json(obj: dict) -> PhasedScalar:
         c = Cyclotomic(order, {int(k): Fraction(v) for k, v in coeffs})
         key = tuple(sorted((str(name), e) for name, e in symbols if e))
         for name, _ in key:
-            declare_phase_symbol(name)
+            if not name.isidentifier():
+                raise ValueError(f"bad symbol name {name!r}")
         if c.is_zero():
             return PhasedScalar.zero(order)
         return PhasedScalar(order, {key: c}, _canonical=True)

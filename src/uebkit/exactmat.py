@@ -20,12 +20,6 @@ _ZERO = PhasedScalar.zero(1)
 _F1 = Fraction(1)
 
 
-def _coerce(x, order: int = 1) -> PhasedScalar:
-    if isinstance(x, PhasedScalar):
-        return x
-    return PhasedScalar.of(x, order)
-
-
 class ExactMatrix:
     __slots__ = ("rows", "cols", "entries", "scale")
 
@@ -46,14 +40,14 @@ class ExactMatrix:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def from_rows(rows, scale=_F1, order: int = 1) -> "ExactMatrix":
+    def from_rows(rows, scale=_F1) -> "ExactMatrix":
         r = len(rows)
         c = len(rows[0]) if r else 0
         ents = []
         for row in rows:
             if len(row) != c:
                 raise ValueError("ragged rows")
-            ents.extend(_coerce(x, order) for x in row)
+            ents.extend(PhasedScalar.of(x) for x in row)
         return ExactMatrix(r, c, ents, scale)
 
     @staticmethod
@@ -63,7 +57,7 @@ class ExactMatrix:
         d = len(sigma)
         if sorted(sigma) != list(range(d)):
             raise ValueError("not a permutation")
-        values = [_coerce(v) for v in values]
+        values = [PhasedScalar.of(v) for v in values]
         if len(values) != d:
             raise ValueError(f"{len(values)} values for a permutation of {d}")
         ents = [_ZERO] * (d * d)
@@ -80,8 +74,8 @@ class ExactMatrix:
         return ExactMatrix(rows, cols, [_ZERO] * (rows * cols))
 
     @staticmethod
-    def diagonal(values, scale=_F1, order: int = 1) -> "ExactMatrix":
-        vals = [_coerce(v, order) for v in values]
+    def diagonal(values, scale=_F1) -> "ExactMatrix":
+        vals = [PhasedScalar.of(v) for v in values]
         return ExactMatrix.monomial(range(len(vals)), vals, scale)
 
     @staticmethod
@@ -140,7 +134,7 @@ class ExactMatrix:
         if isinstance(c, (int, Fraction)) and c:
             return ExactMatrix(self.rows, self.cols, self.entries,
                                self.scale * Fraction(c))
-        c = _coerce(c)
+        c = PhasedScalar.of(c)
         ents = [e * c if e.terms else _ZERO for e in self.entries]
         return ExactMatrix(self.rows, self.cols, ents, self.scale)
 

@@ -106,10 +106,12 @@ def heisenberg_rep(d: int) -> ProjectiveRep:
 def extract_cocycle(rep: ProjectiveRep, g, h, phase=None) -> PhasedScalar:
     """omega(g, h) with rho(g) rho(h) = omega(g, h) rho(gh); raises
     CocycleError when the product is not a unit multiple of rho(gh).
+    Messages name elements by G.label, as verify_nice's failures do.
     Given phase = _phase_form(...), a pair the phase route accepts forms
     no dense product; one it rejects is re-checked densely, and
     ArithmeticError is raised if the dense product accepts it."""
-    gh = rep.group.compose(g, h)
+    G = rep.group
+    gh = G.compose(g, h)
     if phase is not None:
         forms, zetas = phase
         sg, eg, pg, qg = forms[g]
@@ -125,11 +127,11 @@ def extract_cocycle(rep: ProjectiveRep, g, h, phase=None) -> PhasedScalar:
                 return zetas[shifts.pop()]
     c = (rep.matrix(g) @ rep.matrix(h)).equal_up_to_phase(rep.matrix(gh))
     if c is None:
-        raise CocycleError(f"rho({g}) rho({h}) is not a unit multiple of the "
-                           f"composed member")
+        raise CocycleError(f"rho({G.label(g)}) rho({G.label(h)}) is not a unit "
+                           f"multiple of the composed member")
     if phase is not None:
-        raise ArithmeticError(f"the phase form rejects rho({g}) rho({h}), "
-                              f"which the dense product accepts")
+        raise ArithmeticError(f"the phase form rejects rho({G.label(g)}) "
+                              f"rho({G.label(h)}), which the dense product accepts")
     return c
 
 
@@ -200,7 +202,7 @@ def cocycle_table(rep: ProjectiveRep) -> dict:
         raise ValueError("index group too large for a full cocycle table")
     for g in elems:
         if not rep.matrix(g).nonzero_count():
-            raise CocycleError(f"rho({g}) is the zero matrix")
+            raise CocycleError(f"rho({rep.group.label(g)}) is the zero matrix")
 
     # pairs as in verify_nice: the phase route when every member is
     # monomial over roots of unity, else dense products; extract_cocycle

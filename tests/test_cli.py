@@ -333,7 +333,9 @@ _MALFORMED = {
     "coeff-float": lambda e: dict(e, coeffs={"0": 1.0}),
     "key-underscore": lambda e: dict(e, coeffs={"0_0": "1"}),
     "key-space": lambda e: dict(e, coeffs={" 0": "1"}),
+    # symbols need no declaration, but a name must be an identifier
     "bad-symbol": lambda e: dict(e, symbols={"1bad": 1}),
+    "symbol-empty": lambda e: dict(e, symbols={"": 1}),
     "int-entry": lambda e: 5,
 }
 

@@ -667,6 +667,20 @@ def test_failures_name_section_representatives(built):
     assert ("cocycle", Q.label(broken), Q.label(1)) in rep.failures
 
 
+def test_extract_cocycle_names_section_representatives(built):
+    # the same broken member, called directly: the CocycleError names the
+    # pair by labels, not by positions
+    Q, fm = built.quotient, built.factors
+
+    def rho(i):
+        return fm.member(Q.identity if i == 5445 else i)
+
+    with pytest.raises(CocycleError) as err:
+        extract_cocycle(ProjectiveRep(Q, 165, rho), 5445, 1)
+    message = str(err.value)
+    assert "HeisenbergElement" in message and "rho(5445)" not in message
+
+
 def test_quotient_sweep_makes_no_heisenberg_compositions(built, monkeypatch):
     calls = []
     compose = HeisenbergGroup.compose

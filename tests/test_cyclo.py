@@ -9,7 +9,6 @@ from uebkit.cyclo import (
     Cyclotomic,
     PhasedScalar,
     cyclotomic_polynomial,
-    declare_phase_symbol,
     scalar_from_json,
     scalar_to_json,
 )
@@ -148,19 +147,20 @@ def test_rational_value():
 
 
 def test_phased_scalar_symbol_axioms():
-    declare_phase_symbol("t")
     t = PhasedScalar.symbol("t")
     assert (t * t.conj()).is_one()
     assert t.is_unit_modulus()
     assert t.root_of_unity_order() is None
     assert (t ** 3).root_of_unity_order() is None
     assert (t ** 3 * t ** -3).is_one()
-    with pytest.raises(ValueError):
-        PhasedScalar.symbol("never_declared")
+    # any identifier is a symbol, with no declaration; other names are refused
+    assert PhasedScalar.symbol("never_declared").is_unit_modulus()
+    for bad in ["", "1t", "a b"]:
+        with pytest.raises(ValueError):
+            PhasedScalar.symbol(bad)
 
 
 def test_phased_scalar_sums():
-    declare_phase_symbol("t")
     t = PhasedScalar.symbol("t")
     one = PhasedScalar.one()
     assert (one + t) + (-one) == t
@@ -171,7 +171,6 @@ def test_phased_scalar_sums():
 
 
 def test_phased_scalar_substitute():
-    declare_phase_symbol("t")
     t = PhasedScalar.symbol("t")
     i = PhasedScalar.zeta(4)
     s = (t ** 2 + 1).substitute({"t": i})
@@ -183,7 +182,6 @@ def test_phased_scalar_substitute():
 
 
 def test_unit_sqrt():
-    declare_phase_symbol("t")
     cases = [
         PhasedScalar.zeta(3),
         PhasedScalar.of(-1),
@@ -211,7 +209,6 @@ def test_unit_sqrt_refuses_a_root_that_does_not_square_back(monkeypatch):
 
 
 def test_scalar_json_round_trip():
-    declare_phase_symbol("t")
     t = PhasedScalar.symbol("t")
     cases = [
         PhasedScalar.zero(6),
@@ -264,6 +261,32 @@ def test_integer_form_matches_sympy_remainders():
             pa, pb = _sympy_poly(a.coeffs), _sympy_poly(b.coeffs)
             assert dict((a * b).coeffs) == _sympy_residue(pa * pb, n)
             assert dict((a + b).coeffs) == _sympy_residue(pa + pb, n)
+
+
+def test_inverse_matches_sympy_invert():
+    # independent route: sympy's inverse mod Phi_n over QQ, against the
+    # norm route on multi-term elements that are neither rational nor
+    # unit modulus, so neither fast path of inverse answers.  Exponents
+    # stay below deg Phi_n and coefficients small: sympy takes about 0.5 s
+    # on a 3-term residue at 165, and seconds on one dense in all 80
+    x = sympy.Symbol("x")
+    rng = random.Random(21)
+    for n in [7, 11, 15, 33, 55, 165]:
+        phi = sympy.cyclotomic_poly(n, x)
+        deg = len(cyclotomic_polynomial(n)) - 1
+        done = 0
+        while done < 2:
+            a = Cyclotomic(n, {rng.randrange(deg): Fraction(
+                rng.choice([-3, -2, -1, 1, 2, 3]), rng.randrange(1, 3))
+                for _ in range(rng.randrange(2, 4))})
+            if len(a.coeffs) < 2 or (a * a.conj()).is_one():
+                continue
+            inv = a.inverse()
+            assert (a * inv).is_one()
+            assert inv.inverse() == a
+            want = sympy.invert(_sympy_poly(a.coeffs), phi, x)
+            assert dict(inv.coeffs) == _sympy_residue(want, n)
+            done += 1
 
 
 def test_integer_form_cancels_denominators():

@@ -7,7 +7,6 @@ import pytest
 from uebkit.cyclo import (
     Cyclotomic,
     PhasedScalar,
-    declare_phase_symbol,
     scalar_from_json,
     scalar_to_json,
 )
@@ -107,7 +106,6 @@ def test_equal_up_to_phase():
     # scalar multiple that is not unit modulus does not count
     assert z.scalar_mul(2).equal_up_to_phase(z) is None
     # symbolic entries
-    declare_phase_symbol("t")
     t = PhasedScalar.symbol("t")
     m = ExactMatrix.diagonal([PhasedScalar.one(), t])
     c2 = m.scalar_mul(t).equal_up_to_phase(m)
@@ -117,7 +115,6 @@ def test_equal_up_to_phase():
 def test_equal_up_to_phase_multi_term_entries():
     # a multi-term entry has no inverse: the phase is read off the leading
     # terms and then checked on every entry
-    declare_phase_symbol("t")
     one, t = PhasedScalar.one(), PhasedScalar.symbol("t")
     a = ExactMatrix.diagonal([one + t, one - t])
     b = ExactMatrix.diagonal([t + t * t, t - t * t])
@@ -202,7 +199,6 @@ def test_power():
 
 
 def test_json_round_trip():
-    declare_phase_symbol("t")
     t = PhasedScalar.symbol("t")
     mats = [
         fourier(3),
@@ -218,7 +214,6 @@ def test_json_round_trip():
 def test_json_codec_matches_per_entry_route():
     # The matrix codec codes each distinct entry once; the plain per-entry
     # route through scalar_to_json / scalar_from_json must agree with it.
-    declare_phase_symbol("t")
     t = PhasedScalar.symbol("t")
     z6 = PhasedScalar.zero(6)
     mats = [

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from uebkit import fastcyc
-from uebkit.cyclo import Cyclotomic, PhasedScalar, declare_phase_symbol
+from uebkit.cyclo import Cyclotomic, PhasedScalar
 from uebkit.exactmat import ExactMatrix
 from uebkit.fastcyc import CycMatrix, from_exact, to_exact
 
@@ -132,7 +132,6 @@ def test_int64_route_up_to_the_guard(monkeypatch, d, p):
 
 
 def test_from_exact_rejects_bad_inputs():
-    declare_phase_symbol("t")
     t = PhasedScalar.symbol("t")
     sym = ExactMatrix.from_rows([[t, 0], [0, t]])
     with pytest.raises(ValueError, match="symbolic"):

@@ -10,7 +10,7 @@ from uebkit.combinat import (
     h_alpha,
 )
 from uebkit import ueb
-from uebkit.cyclo import Cyclotomic, PhasedScalar, declare_phase_symbol
+from uebkit.cyclo import Cyclotomic, PhasedScalar
 from uebkit.exactmat import ExactMatrix, matrix_to_json
 from uebkit.groups import HeisenbergElement
 from uebkit.nice import heisenberg_rep
@@ -323,7 +323,6 @@ def _column_phases():
     odd j.  Members share a permutation only within one j, where the
     ratios are roots of unity, so there is no witness; a pair from two
     different j would show t if its permutations were not compared."""
-    declare_phase_symbol("t")
     t = PhasedScalar.symbol("t")
     f = fourier_hadamard(4)
     g = f @ ExactMatrix.diagonal([ONE, ONE, t, t])
