@@ -13,6 +13,7 @@ Z_d x Z_d, which is what the construct command writes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import hashlib
 import json
@@ -63,7 +64,7 @@ from .nice import (
 )
 from .ueb import (
     UnitaryErrorBasis,
-    basis_from_json,
+    basis_from_fields,
     basis_from_rep,
     basis_to_json,
     pauli_basis,
@@ -156,25 +157,73 @@ def _emit_input_error(message: str, fmt: str) -> None:
 # file plumbing
 
 
-def _read_json(path: str, report: RunReport, role: str = "in"):
+_DECODER = json.JSONDecoder()
+_WS = json.decoder.WHITESPACE.match
+_INPUT_ERRORS = (KeyError, TypeError, ValueError, ZeroDivisionError)
+
+
+def _read_json(path: str, report: RunReport, decode=_DECODER.decode):
     try:
         with open(path, "rb") as f:
             data = f.read()
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}")
-    # json builds only acyclic objects, so a collection mid-decode frees nothing
+    sha256 = hashlib.sha256(data).hexdigest()
+    text = data.decode(json.detect_encoding(data), "surrogatepass")
+    del data
+    # the decoders build acyclic objects: a collection mid-decode frees nothing
     enabled = gc.isenabled()
     gc.disable()
     try:
-        obj = json.loads(data)
+        obj = decode(text)
     except json.JSONDecodeError as e:
         raise InputError(f"{path} is not valid JSON: {e}")
     finally:
         if enabled:
             gc.enable()
-    report.artifacts.append({"role": role, "path": path,
-                             "sha256": hashlib.sha256(data).hexdigest()})
+    report.artifacts.append({"role": "in", "path": path, "sha256": sha256})
     return obj
+
+
+def _expect(text: str, i: int, chars: str):
+    """The next non-whitespace character, one of chars, and the index past
+    it and the whitespace after it."""
+    i = _WS(text, i).end()
+    if not text.startswith(tuple(chars), i):
+        raise json.JSONDecodeError(f"Expecting one of {chars!r}", text, i)
+    return text[i], _WS(text, i + 1).end()
+
+
+def _basis_fields(text: str):
+    """json.loads(text) of a basis file and the function decoding a member.
+    If "members" is a nonempty list, each member goes to matrix_from_json as
+    soon as it is read, so at most one member's JSON graph is alive.  Other
+    text, a syntax error or a refused member stops the walk, and the text
+    is decoded whole: json.loads and basis_from_json meet what stopped it."""
+    with contextlib.suppress(*_INPUT_ERRORS):  # json's errors are ValueErrors
+        fields, (c, i) = {}, _expect(text, 0, "{")
+        while c != "}" and text.startswith('"', i):
+            key, i = json.decoder.scanstring(text, i + 1)
+            _, i = _expect(text, i, ":")
+            if key == "members":
+                c, i = _expect(text, i, "[")
+                fields[key] = []
+                while c != "]":
+                    item, i = _DECODER.raw_decode(text, i)
+                    fields[key].append(matrix_from_json(item))
+                    del item
+                    c, i = _expect(text, i, ",]")
+            else:
+                fields[key], i = _DECODER.raw_decode(text, i)
+            c, i = _expect(text, i, ",}")
+        if c == "}" and i == len(text):
+            return fields, lambda m: m
+    return _DECODER.decode(text), matrix_from_json
+
+
+def _read_basis(path: str, report: RunReport) -> UnitaryErrorBasis:
+    obj, member = _read_json(path, report, _basis_fields)
+    return _parse(lambda o: basis_from_fields(o, member), obj, "basis file")
 
 
 def _json_text(x, memo: dict) -> str:
@@ -226,7 +275,7 @@ def _write_json(path: str, obj: dict, report: RunReport) -> None:
 def _parse(fn, obj, what: str):
     try:
         return fn(obj)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+    except _INPUT_ERRORS as e:
         raise InputError(f"cannot interpret {what}: {e}")
 
 
@@ -334,7 +383,7 @@ def _basis_from_spec(spec: str, report: RunReport) -> UnitaryErrorBasis:
 
 def _load_basis(target: str, report: RunReport) -> UnitaryErrorBasis:
     if _looks_like_path(target):
-        return _parse(basis_from_json, _read_json(target, report), "basis file")
+        return _read_basis(target, report)
     return _basis_from_spec(target, report)
 
 
@@ -428,26 +477,26 @@ def cmd_verify(args, report: RunReport) -> None:
     if args.kind == "counterexample165":
         _verify_counterexample_file(args, report)
         return
-    obj = _read_json(args.path, report)
     if args.kind == "ueb":
-        basis = _parse(basis_from_json, obj, "basis file")
+        basis = _read_basis(args.path, report)
         t0 = time.perf_counter()
         ub = verify_ueb(basis)
         report.check("ueb-definition", ub.ok, t0, details=ub.summary())
     elif args.kind == "nice":
-        basis = _parse(basis_from_json, obj, "basis file")
+        basis = _read_basis(args.path, report)
         rep = _pair_indexed_rep(basis, label=f"file:{os.path.basename(args.path)}")
         t0 = time.perf_counter()
         nr = verify_nice(rep, pair_mode="all")
         report.check("niceness", nr.ok, t0, details=nr.summary())
     elif args.kind == "hadamard":
-        m = _parse(matrix_from_json, obj, "matrix file")
+        m = _parse(matrix_from_json, _read_json(args.path, report), "matrix file")
         t0 = time.perf_counter()
         hc = check_complex_hadamard(m)
         report.check("hadamard", hc.ok, t0, witness=hc.reason,
                      details={"rows": m.rows})
     elif args.kind == "latin":
-        sq = _parse(latin_from_json, obj, "latin square file")
+        sq = _parse(latin_from_json, _read_json(args.path, report),
+                    "latin square file")
         t0 = time.perf_counter()
         lc = validate_latin(sq)
         report.check("latin", lc.ok, t0, witness=lc.witness,

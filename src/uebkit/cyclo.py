@@ -438,12 +438,12 @@ class PhasedScalar:
         return PhasedScalar.of(Cyclotomic.zeta(order, k))
 
     @staticmethod
-    def symbol(name: str, exponent: int = 1, order: int = 1) -> "PhasedScalar":
+    def symbol(name: str, exponent: int = 1) -> "PhasedScalar":
         if not name.isidentifier():
             raise ValueError(f"bad symbol name {name!r}")
         if exponent == 0:
-            return PhasedScalar.one(order)
-        return PhasedScalar(order, {((name, exponent),): Cyclotomic.one(order)},
+            return PhasedScalar.one()
+        return PhasedScalar(1, {((name, exponent),): Cyclotomic.one(1)},
                             _canonical=True)
 
     # -- plumbing ---------------------------------------------------------

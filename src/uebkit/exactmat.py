@@ -74,9 +74,8 @@ class ExactMatrix:
         return ExactMatrix(rows, cols, [_ZERO] * (rows * cols))
 
     @staticmethod
-    def diagonal(values, scale=_F1) -> "ExactMatrix":
-        vals = [PhasedScalar.of(v) for v in values]
-        return ExactMatrix.monomial(range(len(vals)), vals, scale)
+    def diagonal(values) -> "ExactMatrix":
+        return ExactMatrix.monomial(range(len(values)), values)
 
     @staticmethod
     def from_permutation(sigma) -> "ExactMatrix":

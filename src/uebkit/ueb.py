@@ -369,10 +369,15 @@ def basis_to_json(basis: UnitaryErrorBasis) -> dict:
 
 
 def basis_from_json(obj: dict) -> UnitaryErrorBasis:
+    return basis_from_fields(obj, matrix_from_json)
+
+
+def basis_from_fields(obj: dict, member) -> UnitaryErrorBasis:
+    """basis_from_json(obj), with member(m) for each m in obj["members"]."""
     d = json_int(obj["d"], "'d'")
     if d < 1:
         raise ValueError(f"dimension 'd' must be positive, not {d}")
     return UnitaryErrorBasis(
         d,
-        tuple(matrix_from_json(m) for m in obj["members"]),
+        tuple(member(m) for m in obj["members"]),
         tuple(_label_from_json(l) for l in obj["labels"]))

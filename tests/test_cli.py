@@ -6,15 +6,19 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import uebkit
-from uebkit.cli import InputError, RunReport, _read_json, _write_json, main
+import uebkit.cli as cli
+from uebkit.cli import (InputError, RunReport, _basis_fields, _read_basis,
+                        _read_json, _write_json, main)
 from uebkit.combinat import cyclic_latin, fourier_hadamard, h_alpha
 from uebkit.cyclo import PhasedScalar
-from uebkit.exactmat import ExactMatrix, matrix_to_json
-from uebkit.ueb import basis_from_json, basis_to_json, shift_and_multiply
+from uebkit.exactmat import ExactMatrix, matrix_from_json, matrix_to_json
+from uebkit.ueb import (basis_from_fields, basis_from_json, basis_to_json,
+                        shift_and_multiply)
 
 ONE = PhasedScalar.one()
 
@@ -514,10 +518,20 @@ def test_sparsity_of_a_basis_without_members_exits_2(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
-def test_read_json_keeps_the_callers_gc_state(capsys, tmp_path, enabled):
+def test_read_json_keeps_the_callers_gc_state(capsys, tmp_path, enabled,
+                                              monkeypatch):
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
     good.write_text('{"a": [1, {"b": "c"}]}')
     bad.write_text('{"a": [1, ')
+    basis = _pauli_file(capsys, tmp_path, 3)
+    text = basis.read_text()
+    cut = tmp_path / "cut.json"  # a syntax error after member 2
+    cut.write_text(text[:_member_end(text, 2)] + ";")
+    refused = tmp_path / "refused.json"  # member 2 fails matrix_from_json
+    obj = json.loads(text)
+    member_2 = dict(obj["members"][2])
+    obj["members"][2]["rows"] = "x"
+    refused.write_text(json.dumps(obj))
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
@@ -529,9 +543,227 @@ def test_read_json_keeps_the_callers_gc_state(capsys, tmp_path, enabled):
         assert gc.isenabled() is enabled
         assert main(["verify", "ueb", str(bad)]) == 2
         assert gc.isenabled() is enabled
+        assert len(_read_basis(str(basis), report).members) == 9
+        assert gc.isenabled() is enabled
+        for f, match in ((cut, "not valid JSON"),
+                         (refused, "cannot interpret basis file")):
+            with pytest.raises(InputError, match=match):
+                _read_basis(str(f), report)
+            assert gc.isenabled() is enabled
+            assert main(["verify", "ueb", str(f)]) == 2
+            assert gc.isenabled() is enabled
+
+        def raise_on_member_2(m):
+            if m == member_2:
+                raise RuntimeError("member 2")
+            return matrix_from_json(m)
+
+        monkeypatch.setattr(cli, "matrix_from_json", raise_on_member_2)
+        with pytest.raises(RuntimeError, match="member 2"):
+            _read_basis(str(basis), report)
+        assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# basis files decoded member by member
+
+
+def _pauli_file(capsys, tmp_path, d):
+    f = tmp_path / f"pauli{d}.json"
+    assert main(["construct", f"pauli:{d}", "--out", str(f)]) == 0
+    capsys.readouterr()
+    return f
+
+
+def _member_end(text, k):
+    """The index past member k in a basis file written by the CLI."""
+    i = text.index('"members":[') + len('"members":')  # at the '['
+    for _ in range(k + 1):
+        i = json.JSONDecoder().raw_decode(text, i + 1)[1]  # past '[' or ','
+    return i
+
+
+def _old_route(path):
+    """The basis, or the error line, of json.loads and basis_from_json."""
+    try:
+        obj = json.loads(open(path, "rb").read())
+    except json.JSONDecodeError as e:
+        return f"{path} is not valid JSON: {e}"
+    try:
+        return basis_from_json(obj)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+        return f"cannot interpret basis file: {e}"
+
+
+def _streamed(path):
+    """The basis in the UTF-8 file at path, checking that its members were
+    decoded one at a time by the walk, not by the whole-text fallback."""
+    fields, member = _basis_fields(open(path, "rb").read().decode("utf-8"))
+    assert member is not matrix_from_json
+    assert all(type(m) is ExactMatrix for m in fields["members"])
+    return basis_from_fields(fields, member)
+
+
+def _same_basis(a, b):
+    return (a.d == b.d and a.labels == b.labels
+            and len(a.members) == len(b.members)
+            and all(x == y and x.scale == y.scale
+                    for x, y in zip(a.members, b.members)))
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "pauli:2"], ["construct", "pauli:3"],
+    ["construct", "pauli:12"], ["construct", "sam", "cyclic:3", "fourier:3"],
+    ["construct", "sam", "cyclic:4", "alpha"],
+    ["construct", "nice:heisenberg:3"], ["analyze", "induce", "heisenberg:3"],
+    ["analyze", "induce", "heisenberg:7"],
+], ids=" ".join)
+def test_streamed_basis_matches_json_loads(capsys, tmp_path, argv):
+    f = tmp_path / "basis.json"
+    assert main(argv + ["--out", str(f)]) == 0
+    capsys.readouterr()
+    assert _same_basis(_streamed(f), _old_route(f))
+
+
+_LAYOUTS = {
+    "indent-2": lambda obj: json.dumps(obj, indent=2).encode(),
+    "members-first": lambda obj: json.dumps(
+        {"members": obj["members"], "d": obj["d"],
+         "labels": obj["labels"]}).encode(),
+    "members-last": lambda obj: json.dumps(
+        {"labels": obj["labels"], "d": obj["d"],
+         "members": obj["members"]}).encode(),
+    "utf-8-bom": lambda obj: b"\xef\xbb\xbf" + json.dumps(obj).encode(),
+    "utf-16": lambda obj: json.dumps(obj).encode("utf-16"),
+    "utf-32-le": lambda obj: json.dumps(obj).encode("utf-32-le"),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+def test_basis_file_layouts_decode_the_same(capsys, tmp_path, layout):
+    f = _pauli_file(capsys, tmp_path, 3)
+    rc, want, _ = run(capsys, ["verify", "ueb", str(f)])
+    g = tmp_path / "variant.json"
+    g.write_bytes(_LAYOUTS[layout](json.loads(f.read_text())))
+    got = _read_basis(str(g), RunReport(command=[], seed=0, jobs=1))
+    assert _same_basis(got, _old_route(f))
+    if layout.startswith(("indent", "members")):
+        assert _same_basis(_streamed(g), got)
+    rc2, lines, _ = run(capsys, ["verify", "ueb", str(g)])
+    assert rc == rc2 == 0
+    assert strip_timing(lines[1:-1]) == strip_timing(want[1:-1])
+    (artifact,) = lines[-1]["artifacts"]
+    assert artifact["sha256"] == hashlib.sha256(g.read_bytes()).hexdigest()
+
+
+_FIRST_MEMBERS = {
+    "empty": lambda members: [],
+    "int": lambda members: 5,
+    "object": lambda members: {},
+    "one-good-member": lambda members: members[:1],
+    "malformed-member": lambda members: [members[0],
+                                         dict(members[1], rows=1.5)],
+}
+
+
+@pytest.mark.parametrize("first", sorted(_FIRST_MEMBERS))
+def test_repeated_members_key_last_wins(capsys, tmp_path, first):
+    f = _pauli_file(capsys, tmp_path, 2)
+    text = f.read_text()
+    first_members = _FIRST_MEMBERS[first](json.loads(text)["members"])
+    g = tmp_path / "repeated.json"
+    g.write_text('{"members":' + json.dumps(first_members) + "," + text[1:])
+    want = _old_route(f)
+    assert _same_basis(_read_basis(str(g), RunReport(command=[], seed=0,
+                                                     jobs=1)), want)
+    if first == "one-good-member":
+        assert _same_basis(_streamed(g), want)
+    rc, lines, _ = run(capsys, ["verify", "ueb", str(g)])
+    assert rc == 0
+
+
+def test_repeated_members_key_last_malformed_exits_2(capsys, tmp_path):
+    f = _pauli_file(capsys, tmp_path, 2)
+    text = f.read_text()
+    bad = json.loads(text)["members"]
+    bad[3] = dict(bad[3], rows=1.5)
+    g = tmp_path / "repeated.json"
+    g.write_text(text[:-2] + ',"members":' + json.dumps(bad) + "}\n")
+    rc, lines, err = run(capsys, ["verify", "ueb", str(g)])
+    assert rc == 2
+    assert lines[0]["error"] == _old_route(g)
+    assert "'rows' must be an integer" in lines[0]["error"]
+
+
+_MALFORMED_FILES = {
+    "top-level-array": lambda text, obj: json.dumps([obj]),
+    "trailing-data": lambda text, obj: text + "{}",
+    "cut-after-member-2": lambda text, obj: text[:_member_end(text, 2)],
+    "missing-labels": lambda text, obj: json.dumps(
+        {"d": obj["d"], "members": obj["members"]}),
+    "members-not-a-list": lambda text, obj: json.dumps(
+        dict(obj, members={"a": 1})),
+    "trailing-comma": lambda text, obj: text[:_member_end(text, 8)] + ",]}",
+    "bad-d-before-a-bad-member": lambda text, obj: json.dumps(
+        dict(obj, d="x", members=[{"rows": 1}] + obj["members"])),
+    "empty-object": lambda text, obj: "{}",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_MALFORMED_FILES))
+def test_malformed_basis_file_exits_2_as_json_loads(capsys, tmp_path, kind):
+    text = _pauli_file(capsys, tmp_path, 3).read_text()
+    g = tmp_path / "malformed.json"
+    g.write_text(_MALFORMED_FILES[kind](text, json.loads(text)))
+    want = _old_route(g)
+    assert isinstance(want, str)
+    for command in (["verify", "ueb"], ["verify", "nice"],
+                    ["analyze", "sparsity"]):
+        rc, lines, err = run(capsys, [*command, str(g)])
+        assert rc == 2
+        assert lines[0]["error"] == want
+        assert "error:" in err
+
+
+def test_members_are_decoded_before_a_later_syntax_error(capsys, tmp_path,
+                                                         monkeypatch):
+    text = _pauli_file(capsys, tmp_path, 3).read_text()
+    members = json.loads(text)["members"]
+    g = tmp_path / "late-error.json"
+    end = _member_end(text, 2)  # at the ',' after member 2
+    g.write_text(text[:end] + ";" + text[end + 1:])
+    seen = []
+
+    def hook(m):
+        seen.append(m)
+        return matrix_from_json(m)
+
+    monkeypatch.setattr(cli, "matrix_from_json", hook)
+    rc, lines, _ = run(capsys, ["verify", "ueb", str(g)])
+    assert rc == 2
+    assert lines[0]["error"] == _old_route(g)
+    assert "not valid JSON" in lines[0]["error"]
+    assert seen == members[:3]
+
+
+def test_reading_a_basis_file_peaks_below_four_times_its_size(capsys,
+                                                                tmp_path):
+    f = tmp_path / "induced5.json"
+    assert main(["analyze", "induce", "heisenberg:5", "--out", str(f)]) == 0
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert main(["analyze", "sparsity", str(f)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    size = f.stat().st_size
+    assert size > 2_500_000
+    assert peak < 4 * size, f"peak {peak} is {peak / size:.1f}x the file"
 
 
 @pytest.mark.parametrize("argv, sha256", [
