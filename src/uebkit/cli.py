@@ -169,7 +169,10 @@ def _read_json(path: str, report: RunReport, decode=_DECODER.decode):
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}")
     sha256 = hashlib.sha256(data).hexdigest()
-    text = data.decode(json.detect_encoding(data), "surrogatepass")
+    try:
+        text = data.decode(json.detect_encoding(data), "surrogatepass")
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path} is not UTF-8, UTF-16 or UTF-32 text: {e}")
     del data
     # the decoders build acyclic objects: a collection mid-decode frees nothing
     enabled = gc.isenabled()

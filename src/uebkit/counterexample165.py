@@ -320,8 +320,7 @@ def _entry165(v3, v5, v11, offset: int) -> PhasedScalar:
         for c, nc in t11:
             k = ab + c
             raw[k] = get(k, 0) + nab * nc
-    return PhasedScalar(165, {(): _reduce(165, raw, d3 * d5 * d11)},
-                        _canonical=True)
+    return PhasedScalar(165, {(): _reduce(165, raw, d3 * d5 * d11)})
 
 
 def _tensor165(e3: ExactMatrix, e5: ExactMatrix, e11: ExactMatrix,

@@ -119,6 +119,27 @@ def _reduce(n: int, raw: dict, den: int) -> "Cyclotomic":
     return _cyc(n, {k: c for k, c in acc.items() if c}, den)
 
 
+def _common(a, b):
+    """a and b at the lcm of their orders: Cyclotomic or PhasedScalar."""
+    if a.order == b.order:
+        return a, b
+    n = lcm(a.order, b.order)
+    return a.promote(n), b.promote(n)
+
+
+def _power(x, e: int):
+    """x ** e by repeated squaring; a negative e inverts x first."""
+    if e < 0:
+        x, e = x.inverse(), -e
+    out = type(x).one(x.order)
+    while e:
+        if e & 1:
+            out = out * x
+        x = x * x
+        e >>= 1
+    return out
+
+
 class Cyclotomic:
     """An element of Q(zeta_order), always in canonical residue form.
 
@@ -182,11 +203,7 @@ class Cyclotomic:
         return _reduce(order, {k * s: c for k, c in self._num.items()},
                        self._den)
 
-    def _common(self, other: "Cyclotomic"):
-        if self.order == other.order:
-            return self, other
-        n = lcm(self.order, other.order)
-        return self.promote(n), other.promote(n)
+    _common = _common
 
     def key(self):
         """Hashable canonical fingerprint.  Only comparable at equal order."""
@@ -241,9 +258,7 @@ class Cyclotomic:
     def __neg__(self):
         return _cyc(self.order, {k: -c for k, c in self._num.items()}, self._den)
 
-    def __sub__(self, other):
-        if not isinstance(other, Cyclotomic):
-            other = Cyclotomic.from_rational(other)
+    def __sub__(self, other):  # __add__ coerces -other
         return self + (-other)
 
     def __mul__(self, other):
@@ -279,17 +294,7 @@ class Cyclotomic:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = Cyclotomic.one(self.order)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+    __pow__ = _power
 
     def conj(self) -> "Cyclotomic":
         n = self.order
@@ -382,39 +387,26 @@ class PhasedScalar:
 
     terms maps a sorted tuple of (symbol, exponent) pairs, exponents
     nonzero, to a nonzero Cyclotomic coefficient.  The empty key is the
-    symbol-free part.  All coefficients share the ambient order.
+    symbol-free part.  All coefficients have the ambient order.  The
+    constructor stores terms as given and trusts them to be in that form:
+    build scalars with of, zero, one, zeta, symbol and the arithmetic.
     """
 
     __slots__ = ("order", "terms")
 
-    def __init__(self, order: int, terms: dict, *, _canonical: bool = False):
+    def __init__(self, order: int, terms: dict):
         self.order = order
-        if _canonical:
-            self.terms = terms
-        else:
-            clean: dict = {}
-            for key, c in terms.items():
-                if not isinstance(c, Cyclotomic):
-                    c = Cyclotomic.from_rational(c, order)
-                c = c.promote(order)
-                key = tuple(sorted((s, e) for s, e in key if e))
-                if key in clean:
-                    c = clean[key] + c
-                if c.is_zero():
-                    clean.pop(key, None)
-                else:
-                    clean[key] = c
-            self.terms = clean
+        self.terms = terms
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def zero(order: int = 1) -> "PhasedScalar":
-        return PhasedScalar(order, {}, _canonical=True)
+        return PhasedScalar(order, {})
 
     @staticmethod
     def one(order: int = 1) -> "PhasedScalar":
-        return PhasedScalar(order, {(): Cyclotomic.one(order)}, _canonical=True)
+        return PhasedScalar(order, {(): Cyclotomic.one(order)})
 
     @staticmethod
     def of(value, order: int = 1) -> "PhasedScalar":
@@ -426,12 +418,11 @@ class PhasedScalar:
             v = value.promote(n)
             if v.is_zero():
                 return PhasedScalar.zero(n)
-            return PhasedScalar(n, {(): v}, _canonical=True)
+            return PhasedScalar(n, {(): v})
         q = Fraction(value)
         if not q:
             return PhasedScalar.zero(order)
-        return PhasedScalar(order, {(): Cyclotomic.from_rational(q, order)},
-                            _canonical=True)
+        return PhasedScalar(order, {(): Cyclotomic.from_rational(q, order)})
 
     @staticmethod
     def zeta(order: int, k: int = 1) -> "PhasedScalar":
@@ -443,8 +434,7 @@ class PhasedScalar:
             raise ValueError(f"bad symbol name {name!r}")
         if exponent == 0:
             return PhasedScalar.one()
-        return PhasedScalar(1, {((name, exponent),): Cyclotomic.one(1)},
-                            _canonical=True)
+        return PhasedScalar(1, {((name, exponent),): Cyclotomic.one(1)})
 
     # -- plumbing ---------------------------------------------------------
 
@@ -452,14 +442,9 @@ class PhasedScalar:
         if order == self.order:
             return self
         return PhasedScalar(order,
-                            {k: c.promote(order) for k, c in self.terms.items()},
-                            _canonical=True)
+                            {k: c.promote(order) for k, c in self.terms.items()})
 
-    def _common(self, other: "PhasedScalar"):
-        if self.order == other.order:
-            return self, other
-        n = lcm(self.order, other.order)
-        return self.promote(n), other.promote(n)
+    _common = _common
 
     def key(self):
         return (self.order,
@@ -512,15 +497,12 @@ class PhasedScalar:
                     out[k] = s
             else:
                 out[k] = c
-        return PhasedScalar(a.order, out, _canonical=True)
+        return PhasedScalar(a.order, out)
 
     def __neg__(self):
-        return PhasedScalar(self.order, {k: -c for k, c in self.terms.items()},
-                            _canonical=True)
+        return PhasedScalar(self.order, {k: -c for k, c in self.terms.items()})
 
-    def __sub__(self, other):
-        if not isinstance(other, PhasedScalar):
-            other = PhasedScalar.of(other, self.order)
+    def __sub__(self, other):  # __add__ coerces -other
         return self + (-other)
 
     def __mul__(self, other):
@@ -540,27 +522,16 @@ class PhasedScalar:
                         out[k] = s
                 elif not p.is_zero():
                     out[k] = p
-        return PhasedScalar(a.order, out, _canonical=True)
+        return PhasedScalar(a.order, out)
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = PhasedScalar.one(self.order)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+    __pow__ = _power
 
     def conj(self) -> "PhasedScalar":
         return PhasedScalar(
             self.order,
-            {tuple((s, -e) for s, e in k): c.conj() for k, c in self.terms.items()},
-            _canonical=True)
+            {tuple((s, -e) for s, e in k): c.conj() for k, c in self.terms.items()})
 
     def inverse(self) -> "PhasedScalar":
         if not self.terms:
@@ -569,7 +540,7 @@ class PhasedScalar:
             raise ValueError("inverse supported for single-term scalars only")
         ((key, c),) = self.terms.items()
         nkey = tuple((s, -e) for s, e in key)
-        return PhasedScalar(self.order, {nkey: c.inverse()}, _canonical=True)
+        return PhasedScalar(self.order, {nkey: c.inverse()})
 
     def divide(self, other: "PhasedScalar") -> "PhasedScalar":
         if not isinstance(other, PhasedScalar):
@@ -589,10 +560,8 @@ class PhasedScalar:
             raise ValueError("coefficient is not a root of unity")
         j = next(j for j in range(m) if c == Cyclotomic.zeta(m) ** j)
         half = PhasedScalar.of(Cyclotomic.zeta(2 * m) ** j, self.order)
-        mono = PhasedScalar(half.order,
-                            {tuple((s, e // 2) for s, e in key):
-                             Cyclotomic.one(half.order)}, _canonical=True)
-        s = half * mono
+        s = PhasedScalar(half.order, {tuple((n, e // 2) for n, e in key):
+                                      half.terms[()]})
         if s * s != self:
             raise ArithmeticError(f"unit_sqrt: ({s})^2 != {self}")
         return s
@@ -608,13 +577,12 @@ class PhasedScalar:
                     v = values[s]
                     if not v.is_unit_modulus():
                         raise ValueError(f"substitution for {s!r} is not unit modulus")
-                    term = term * (v ** e if e >= 0 else v.conj() ** (-e))
+                    term = term * v ** e
                 else:
                     rest.append((s, e))
             if rest:
                 term = term * PhasedScalar(term.order,
-                                           {tuple(rest): Cyclotomic.one(term.order)},
-                                           _canonical=True)
+                                           {tuple(rest): Cyclotomic.one(term.order)})
             out = out + term
         return out
 
@@ -706,7 +674,7 @@ def scalar_from_json(obj: dict) -> PhasedScalar:
                 raise ValueError(f"bad symbol name {name!r}")
         if c.is_zero():
             return PhasedScalar.zero(order)
-        return PhasedScalar(order, {key: c}, _canonical=True)
+        return PhasedScalar(order, {key: c})
 
     if "terms" in obj:
         if not isinstance(obj["terms"], list):

@@ -40,7 +40,7 @@ class ExactMatrix:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def from_rows(rows, scale=_F1) -> "ExactMatrix":
+    def from_rows(rows) -> "ExactMatrix":
         r = len(rows)
         c = len(rows[0]) if r else 0
         ents = []
@@ -48,7 +48,7 @@ class ExactMatrix:
             if len(row) != c:
                 raise ValueError("ragged rows")
             ents.extend(PhasedScalar.of(x) for x in row)
-        return ExactMatrix(r, c, ents, scale)
+        return ExactMatrix(r, c, ents)
 
     @staticmethod
     def monomial(sigma, values, scale=_F1) -> "ExactMatrix":
@@ -187,30 +187,35 @@ class ExactMatrix:
     __hash__ = None
 
     def equal_up_to_phase(self, other: "ExactMatrix"):
-        """The unit-modulus c with self == c * other, else None."""
+        """The unit-modulus c with self == c * other, else None.
+
+        Scalars with symbols t_1..t_r form the Laurent ring
+        R = K[t_1^+-1, ..., t_r^+-1] over the field K of cyclotomic
+        coefficients.  A unit-modulus c has c * conj(c) = 1, so c is a unit
+        of R, and the units of R are single terms k * monomial with k != 0:
+        under a monomial order the highest and the lowest term of a product
+        are the products of those of the factors, so a product equal to 1
+        has factors whose highest and lowest terms coincide.  Multiplying by
+        one term maps the terms of an entry b one to one onto those of c * b.
+        Take b as other's first nonzero entry, the pivot, and a as self's
+        entry there: c times one fixed term of b is a term of a = c * b.
+        Each term of a thus gives one candidate; the one with candidate * b
+        == a is then checked for unit modulus and on every entry.
+        """
         if (self.rows, self.cols) != (other.rows, other.cols):
             return None
         idx = next((k for k, e in enumerate(other.entries) if e.terms), None)
         if idx is None:
             return PhasedScalar.one(1) if self.nonzero_count() == 0 else None
         a, b = self.entries[idx], other.entries[idx]
-        if not a.terms:
+        kb, cb = next(iter(b.terms.items()))
+        over = PhasedScalar(b.order, {kb: cb}).inverse()
+        for ka, ca in a.terms.items():
+            c = PhasedScalar(a.order, {ka: ca}) * over
+            if c * b == a:
+                break
+        else:
             return None
-        try:
-            c = a * b.inverse()
-        except ValueError:
-            # multi-term entry: divide leading terms, then verify below
-            (ka, ca) = sorted(a.terms.items())[0]
-            (kb, cb) = sorted(b.terms.items())[0]
-            key = dict(ka)
-            for s, e in kb:
-                key[s] = key.get(s, 0) - e
-            kk = tuple(sorted((s, e) for s, e in key.items() if e))
-            try:
-                coeff = ca * cb.inverse()
-            except (ValueError, ArithmeticError):
-                return None
-            c = PhasedScalar(coeff.order, {kk: coeff})
         ratio = self.scale / other.scale
         c = c * ratio
         if not c.is_unit_modulus():

@@ -728,6 +728,19 @@ def test_malformed_basis_file_exits_2_as_json_loads(capsys, tmp_path, kind):
         assert "error:" in err
 
 
+@pytest.mark.parametrize("command", [("verify", "ueb"), ("verify", "latin"),
+                                     ("analyze", "sparsity")])
+def test_file_that_is_not_text_exits_2(capsys, tmp_path, command):
+    # no NUL byte, so it reads as UTF-8, where 0xff starts no sequence
+    g = tmp_path / "not-text.json"
+    g.write_bytes(b'{"d": "\xff"}')
+    rc, lines, err = run(capsys, [*command, str(g)])
+    assert rc == 2
+    assert lines[0]["error"].startswith(
+        f"{g} is not UTF-8, UTF-16 or UTF-32 text: ")
+    assert "error:" in err
+
+
 def test_members_are_decoded_before_a_later_syntax_error(capsys, tmp_path,
                                                          monkeypatch):
     text = _pauli_file(capsys, tmp_path, 3).read_text()

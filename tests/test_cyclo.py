@@ -12,6 +12,7 @@ from uebkit.cyclo import (
     scalar_from_json,
     scalar_to_json,
 )
+from uebkit.exactmat import ExactMatrix
 
 
 def sympy_cyclotomic(n):
@@ -227,6 +228,63 @@ def test_scalar_json_round_trip():
     assert flat["symbols"] == {"t": 2}
     multi = scalar_to_json(PhasedScalar.one() + t)
     assert "terms" in multi
+
+
+def _assert_normal_form(s):
+    # the form PhasedScalar's constructor stores without checking
+    assert isinstance(s, PhasedScalar)
+    for key, c in s.terms.items():
+        assert type(key) is tuple and key == tuple(sorted(key))
+        assert len({name for name, _ in key}) == len(key)
+        assert all(type(name) is str and type(e) is int and e
+                   for name, e in key)
+        assert isinstance(c, Cyclotomic) and not c.is_zero()
+        assert c.order == s.order
+        assert Cyclotomic(c.order, dict(c.coeffs)).key() == c.key()
+
+
+def _random_phased(rng, order):
+    s = PhasedScalar.zero(order)
+    for _ in range(rng.randrange(4)):
+        term = PhasedScalar.of(random_cyclotomic(rng, order))
+        for name in rng.sample("tuv", rng.randrange(3)):
+            term = term * PhasedScalar.symbol(name, rng.choice([-2, -1, 1, 2]))
+        s = s + term
+    return s
+
+
+def _random_unit(rng, order):
+    k = rng.randrange(order)
+    return PhasedScalar.zeta(order, k) * PhasedScalar.symbol(
+        rng.choice("tuv"), rng.choice([-3, -1, 2]))
+
+
+def test_every_scalar_operation_returns_the_normal_form():
+    rng = random.Random(2023)
+    orders = [1, 2, 3, 4, 5, 12, 15]
+    for _ in range(60):
+        na, nb = rng.choice(orders), rng.choice(orders)
+        a, b = _random_phased(rng, na), _random_phased(rng, nb)
+        unit = _random_unit(rng, rng.choice(orders))
+        mono = unit * PhasedScalar.of(Fraction(rng.randrange(1, 5), 3))
+        results = [a, b, a + b, a - b, b - a, a * b, -a, a ** 0, a ** 2,
+                   b ** 3, a.conj(), a.promote(na * 7), mono.inverse(),
+                   mono ** -2, unit.conj(), (unit * unit).unit_sqrt(),
+                   PhasedScalar.of(random_cyclotomic(rng, na), nb),
+                   PhasedScalar.of(a, nb),
+                   PhasedScalar.of(rng.randrange(-2, 3), na),
+                   a.substitute({"t": unit, "v": PhasedScalar.zeta(8, 3)}),
+                   scalar_from_json(scalar_to_json(a)),
+                   scalar_from_json(scalar_to_json(a * b))]
+        if not b.is_zero():
+            # sides at different orders: the phase lives at their lcm
+            other = ExactMatrix.from_rows([[b.promote(nb * 11), a]])
+            mine = ExactMatrix.from_rows([[unit * b, unit * a]])
+            phase = mine.equal_up_to_phase(other)
+            assert phase == unit
+            results.append(phase)
+        for r in results:
+            _assert_normal_form(r)
 
 
 def _sympy_poly(coeffs):

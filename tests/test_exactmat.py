@@ -113,8 +113,8 @@ def test_equal_up_to_phase():
 
 
 def test_equal_up_to_phase_multi_term_entries():
-    # a multi-term entry has no inverse: the phase is read off the leading
-    # terms and then checked on every entry
+    # a multi-term entry has no inverse: the phase is a term of the pivot
+    # over a term of the other side, then checked on every entry
     one, t = PhasedScalar.one(), PhasedScalar.symbol("t")
     a = ExactMatrix.diagonal([one + t, one - t])
     b = ExactMatrix.diagonal([t + t * t, t - t * t])
@@ -125,6 +125,32 @@ def test_equal_up_to_phase_multi_term_entries():
     z5 = PhasedScalar.zeta(5)
     assert ExactMatrix.from_rows([[z5 * (one + t)]]).equal_up_to_phase(m) == z5
     assert ExactMatrix.from_rows([[(one + t) * 2]]).equal_up_to_phase(m) is None
+
+
+def test_equal_up_to_phase_tries_every_term_of_the_pivot():
+    # c times the first term of b is some term of a = c * b, not always the
+    # one with the smallest key: for b = t^-1 + 1, a = c * b sorts () first
+    one, t = PhasedScalar.one(), PhasedScalar.symbol("t")
+    ti = PhasedScalar.symbol("t", -1)
+    b = ExactMatrix.from_rows([[ti + one]])
+    assert ExactMatrix.from_rows([[t * (ti + one)]]).equal_up_to_phase(b) == t
+    assert ExactMatrix.from_rows([[t * ti + t]]).equal_up_to_phase(b) == t
+    # a zeta_4 factor, keys (), t and t^-1, and sides at orders 12 and 15
+    z3 = PhasedScalar.zeta(3)
+    rows = [[one + ti, z3 * t], [(t - ti * 2) * z3 * z3, t + ti + 3]]
+    c = PhasedScalar.zeta(4) * ti
+    a = ExactMatrix.from_rows([[c * x for x in row] for row in rows])
+    b = ExactMatrix.from_rows([[x.promote(15) for x in row] for row in rows])
+    assert (a.entry(0, 1).order, b.entry(0, 1).order) == (12, 15)
+    got = a.equal_up_to_phase(b)
+    assert got == c and got.order == 60
+    assert b.equal_up_to_phase(a) == c.conj()
+    # not proportional: off the pivot, and at the pivot
+    off = ExactMatrix.from_rows([[c * rows[0][0], c * rows[0][1]],
+                                 [c * rows[1][0], c * (t + ti + 2)]])
+    assert off.equal_up_to_phase(b) is None
+    assert ExactMatrix.from_rows([[t + one + ti * 2]]).equal_up_to_phase(
+        ExactMatrix.from_rows([[ti + one]])) is None
 
 
 def test_shape_must_not_be_negative():

@@ -313,7 +313,8 @@ def _alpha_times_hadamard():
     member is dense, and E W (F W)^dagger = E F^dagger, so the dense
     route meets the same witness."""
     w = ExactMatrix.from_rows([[1, 1, 1, 1], [1, -1, 1, -1],
-                               [1, 1, -1, -1], [1, -1, -1, 1]], Fraction(1, 2))
+                               [1, 1, -1, -1],
+                               [1, -1, -1, 1]]).scalar_mul(Fraction(1, 2))
     b = shift_and_multiply(cyclic_latin(4), h_alpha())
     return UnitaryErrorBasis(4, [m @ w for m in b.members], b.labels)
 
