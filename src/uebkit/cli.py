@@ -55,6 +55,7 @@ from .induce import (
     sparsity_check,
 )
 from .nice import (
+    MAX_FULL_PAIRS,
     CocycleError,
     ProjectiveRep,
     cocycle_table,
@@ -159,7 +160,8 @@ def _emit_input_error(message: str, fmt: str) -> None:
 
 _DECODER = json.JSONDecoder()
 _WS = json.decoder.WHITESPACE.match
-_INPUT_ERRORS = (KeyError, TypeError, ValueError, ZeroDivisionError)
+_INPUT_ERRORS = (KeyError, TypeError, ValueError, ZeroDivisionError,
+                 RecursionError)  # the decoders recurse once per level
 
 
 def _read_json(path: str, report: RunReport, decode=_DECODER.decode):
@@ -181,6 +183,8 @@ def _read_json(path: str, report: RunReport, decode=_DECODER.decode):
         obj = decode(text)
     except json.JSONDecodeError as e:
         raise InputError(f"{path} is not valid JSON: {e}")
+    except RecursionError as e:
+        raise InputError(f"{path} nests too deeply to decode: {e}")
     finally:
         if enabled:
             gc.enable()
@@ -364,7 +368,7 @@ def _basis_from_spec(spec: str, report: RunReport) -> UnitaryErrorBasis:
         else:
             basis = _section_basis(rep)
             rep = _pair_indexed_rep(basis, label=f"{rest}/center")
-        nr = verify_nice(rep, pair_mode="all")
+        nr = verify_nice(_full_sweep(rep), pair_mode="all")
         report.check("niceness", nr.ok, t0, details=nr.summary())
         t0 = time.perf_counter()
     elif head == "sam":
@@ -409,6 +413,14 @@ def _pair_indexed_rep(basis: UnitaryErrorBasis, label: str) -> ProjectiveRep:
         raise InputError("duplicate labels in basis")
     group = DirectProduct(CyclicGroup(d), CyclicGroup(d))
     return ProjectiveRep(group, d, table.__getitem__, label=label)
+
+
+def _full_sweep(rep: ProjectiveRep) -> ProjectiveRep:
+    """rep, unless its pairs are too many to check one by one."""
+    if (n := rep.group.order) ** 2 > MAX_FULL_PAIRS:
+        raise InputError(f"index group of order {n} has {n * n} pairs, more "
+                         f"than the {MAX_FULL_PAIRS} of a full pair sweep")
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +501,7 @@ def cmd_verify(args, report: RunReport) -> None:
         basis = _read_basis(args.path, report)
         rep = _pair_indexed_rep(basis, label=f"file:{os.path.basename(args.path)}")
         t0 = time.perf_counter()
-        nr = verify_nice(rep, pair_mode="all")
+        nr = verify_nice(_full_sweep(rep), pair_mode="all")
         report.check("niceness", nr.ok, t0, details=nr.summary())
     elif args.kind == "hadamard":
         m = _parse(matrix_from_json, _read_json(args.path, report), "matrix file")
@@ -528,8 +540,7 @@ def _analyze_induce(args, report: RunReport) -> None:
     d = _heisenberg_modulus(rest)
     H = HeisenbergGroup(d)
     center = SubgroupView(H, [HeisenbergElement(d, 0, 0, z) for z in range(d)])
-    zeta = PhasedScalar.zeta(d)
-    psi = class_function(center, lambda k: zeta ** (power * k.z))
+    psi = class_function(center, lambda k: PhasedScalar.zeta(d, power * k.z))
     ind = induce_representation(character_rep(psi, label=f"zeta^{power}z"), H)
 
     t0 = time.perf_counter()
@@ -590,7 +601,7 @@ def cmd_analyze(args, report: RunReport) -> None:
             details.update(w.summary())
         report.check("wickedness", True, t0, details=details)
     elif args.kind == "cocycle":
-        rep = _pair_indexed_rep(basis, label="analyze:cocycle")
+        rep = _full_sweep(_pair_indexed_rep(basis, label="analyze:cocycle"))
         t0 = time.perf_counter()
         try:
             table = cocycle_table(rep)

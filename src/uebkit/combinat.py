@@ -63,9 +63,8 @@ def fourier_hadamard(d: int) -> ExactMatrix:
     """The unnormalized Fourier matrix (zeta_d^(ij)), a complex Hadamard."""
     if d < 1:
         raise ValueError("d must be positive")
-    z = Cyclotomic.zeta(d) if d > 1 else Cyclotomic.one(1)
     return ExactMatrix.from_rows(
-        [[z ** (i * j) for j in range(d)] for i in range(d)])
+        [[Cyclotomic.zeta(d, i * j) for j in range(d)] for i in range(d)])
 
 
 PHASE_SYMBOL = "t"

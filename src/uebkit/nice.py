@@ -47,8 +47,8 @@ def clock_matrix(d: int) -> ExactMatrix:
 
 def quadratic_diag(d: int) -> ExactMatrix:
     """diag(zeta_d^(i(i-1)/2)); conjugation by it maps X to ZX."""
-    z = Cyclotomic.zeta(d) if d > 1 else Cyclotomic.one(1)
-    return ExactMatrix.diagonal([z ** ((i * (i - 1) // 2) % d) for i in range(d)])
+    return ExactMatrix.diagonal([Cyclotomic.zeta(d, i * (i - 1) // 2)
+                                 for i in range(d)])
 
 
 # the largest |G|^2 swept pair by pair: verify_nice's "all" mode and
@@ -198,8 +198,7 @@ def cocycle_table(rep: ProjectiveRep) -> dict:
     rho(ghk), which is nonzero (checked here on every member), and they
     are equal."""
     elems = list(rep.group.elements())
-    if len(elems) ** 2 > MAX_FULL_PAIRS:
-        raise ValueError("index group too large for a full cocycle table")
+    pairs = _pair_source(rep.group, elems, "all", None, 0)
     for g in elems:
         if not rep.matrix(g).nonzero_count():
             raise CocycleError(f"rho({rep.group.label(g)}) is the zero matrix")
@@ -209,8 +208,7 @@ def cocycle_table(rep: ProjectiveRep) -> dict:
     # re-checks a phase rejection densely, so a bad pair raises the same
     # CocycleError on either route
     phase = _phase_form(rep, elems)
-    return {(g, h): extract_cocycle(rep, g, h, phase)
-            for g in elems for h in elems}
+    return {(g, h): extract_cocycle(rep, g, h, phase) for g, h in pairs}
 
 
 @dataclass
@@ -267,6 +265,8 @@ def verify_nice(rep: ProjectiveRep, pair_mode: str = "all", seed: int | None = N
     G = rep.group
     elems = list(G.elements())
     failures = []
+    # a pair sweep too large for "all" is refused before any member is read
+    pairs = _pair_source(G, elems, pair_mode, seed, sample_size)
 
     m1 = rep.matrix(G.identity)
     identity_ok = m1.is_identity()
@@ -287,7 +287,6 @@ def verify_nice(rep: ProjectiveRep, pair_mode: str = "all", seed: int | None = N
         trace_ok = False
         failures.append(("trace", G.label(G.identity)))
 
-    pairs = _pair_source(G, elems, pair_mode, seed, sample_size)
     phase = _phase_form(rep, elems)
     pair_route = "matrix" if phase is None else "phase"
     cocycle_ok, pairs_checked = True, 0
@@ -316,7 +315,7 @@ def _pair_source(G, elems, pair_mode, seed, sample_size):
     """An iterator over the pairs, drawing sampled ones as it goes."""
     if pair_mode == "all":
         if len(elems) ** 2 > MAX_FULL_PAIRS:
-            raise ValueError("full pair sweep too large; use pair_mode='sampled'")
+            raise ValueError(f"{len(elems) ** 2} pairs are too many to sweep")
         return ((g, h) for g in elems for h in elems)
     if pair_mode != "sampled":
         raise ValueError(f"unknown pair_mode {pair_mode!r}")

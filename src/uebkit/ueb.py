@@ -233,7 +233,7 @@ def normalize_d2(basis: UnitaryErrorBasis) -> NormalizationResult:
     b_val, c_val = kinds[i_a][1], kinds[i_a][2]     # antidiag(b, c)
     try:
         c_d = a_val.inverse()
-        s = c_val.divide(b_val).unit_sqrt()
+        s = (c_val * b_val.inverse()).unit_sqrt()
         c_a = (b_val * s).inverse()
         c_b = (kinds[i_b][1] * s).inverse()         # after conjugation by w
     except (ValueError, ZeroDivisionError) as e:

@@ -15,10 +15,10 @@ import uebkit.cli as cli
 from uebkit.cli import (InputError, RunReport, _basis_fields, _read_basis,
                         _read_json, _write_json, main)
 from uebkit.combinat import cyclic_latin, fourier_hadamard, h_alpha
-from uebkit.cyclo import PhasedScalar
+from uebkit.cyclo import MAX_JSON_ORDER, PhasedScalar
 from uebkit.exactmat import ExactMatrix, matrix_from_json, matrix_to_json
-from uebkit.ueb import (basis_from_fields, basis_from_json, basis_to_json,
-                        shift_and_multiply)
+from uebkit.ueb import (UnitaryErrorBasis, basis_from_fields,
+                        basis_from_json, basis_to_json, shift_and_multiply)
 
 ONE = PhasedScalar.one()
 
@@ -741,6 +741,77 @@ def test_file_that_is_not_text_exits_2(capsys, tmp_path, command):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", [("verify", "ueb"), ("verify", "latin"),
+                                     ("analyze", "sparsity")])
+def test_deeply_nested_file_exits_2(capsys, tmp_path, command):
+    # json's decoder recurses once per level
+    g = tmp_path / "deep.json"
+    g.write_text("[" * 200_000)
+    rc, lines, err = run(capsys, [*command, str(g)])
+    assert rc == 2
+    assert lines[0]["error"].startswith(f"{g} nests too deeply to decode: ")
+    assert "error:" in err
+
+
+def test_deeply_nested_label_exits_2(capsys, tmp_path):
+    # json.loads reads a label 600 lists deep, but rebuilding it as nested
+    # tuples (ueb._label_from_json) recurses past the interpreter's limit
+    label = [0, 0]
+    for _ in range(599):
+        label = [label]
+    rc, lines, err = _verify_edited_pauli2(
+        capsys, tmp_path, lambda obj: obj["labels"].__setitem__(0, label))
+    assert rc == 2
+    assert lines[0]["error"].startswith("cannot interpret basis file: ")
+    assert "error:" in err
+
+
+def _unit_of_order(order):
+    return {"rows": 1, "cols": 1, "scale": "1",
+            "entries": [{"order": order, "coeffs": {"0": "1"}, "symbols": {}}]}
+
+
+@pytest.mark.parametrize("kind", ["ueb", "hadamard"])
+def test_order_above_the_bound_exits_2(capsys, tmp_path, kind):
+    # 2,053 is the least prime above the bound; Phi_2053 reduces x^2052
+    # alone, so a reader without the bound would accept the file at once
+    assert MAX_JSON_ORDER < 2053
+    assert not any(2053 % q == 0 for q in range(2, 46))
+    member = _unit_of_order(2053)
+    obj = {"ueb": {"d": 1, "members": [member], "labels": [[0, 0]]},
+           "hadamard": member}[kind]
+    g = tmp_path / "order.json"
+    g.write_text(json.dumps(obj))
+    rc, lines, err = run(capsys, ["verify", kind, str(g)])
+    assert rc == 2
+    assert lines[0]["error"].endswith(
+        f"'order' 2053 is above {MAX_JSON_ORDER}")
+    assert "error:" in err
+    g.write_text(json.dumps(obj).replace("2053", str(MAX_JSON_ORDER)))
+    assert run(capsys, ["verify", kind, str(g)])[0] == 0
+
+
+def test_index_group_too_large_for_a_full_sweep_exits_2(capsys, tmp_path):
+    # 23^4 pairs exceed nice.MAX_FULL_PAIRS.  The file's members are all
+    # the identity: its size and labels are what the refusal reads.
+    f = tmp_path / "d23.json"
+    ident = ExactMatrix.identity(23)
+    labels = tuple((i, j) for i in range(23) for j in range(23))
+    f.write_text(json.dumps(basis_to_json(
+        UnitaryErrorBasis(23, (ident,) * len(labels), labels))))
+    for argv in (["analyze", "cocycle", "pauli:23"],
+                 ["construct", "nice:pauli:23", "--out",
+                  str(tmp_path / "out.json")],
+                 ["verify", "nice", str(f)]):
+        rc, lines, err = run(capsys, argv)
+        assert rc == 2, argv
+        assert lines[0]["error"] == (
+            "index group of order 529 has 279841 pairs, more than the "
+            "250000 of a full pair sweep")
+        assert "error:" in err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_members_are_decoded_before_a_later_syntax_error(capsys, tmp_path,
                                                          monkeypatch):
     text = _pauli_file(capsys, tmp_path, 3).read_text()
@@ -869,6 +940,10 @@ def test_cli_counterexample_construct(counterexample_bundle, capsys):
     assert obj["center_order"] == 165
     assert "generators_full" not in obj
     assert len(obj["factor_pools"]["11"]) == 363
+    # the bundle's bytes: a change to them must be deliberate
+    with open(counterexample_bundle, "rb") as f:
+        assert hashlib.sha256(f.read()).hexdigest() == (
+            "b6bf04ca6ef2e8257cff3b4cff46732d4c22b402772a8b0fde38a223cd5a063f")
 
 
 def test_cli_counterexample_verify(counterexample_bundle, capsys):

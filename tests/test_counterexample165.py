@@ -57,9 +57,10 @@ from uebkit.nice import (
 @pytest.fixture(scope="module")
 def alpha_beta(built):
     """p -> (alpha, beta), the lifts of conjugation by F and by B with the
-    dagger on the left; build_conjugators checks their exponent actions
-    and keeps neither."""
-    return {c.p: tuple(conjugation_automorphism(c.group, u, forward=False)
+    dagger on the left, as conjugation by F^dagger and B^dagger;
+    build_conjugators reads their exponent actions off its identities
+    and lifts neither."""
+    return {c.p: tuple(conjugation_automorphism(c.group, u.dagger())
                        for u in (c.F, c.B))
             for c in (built.conj5, built.conj11)}
 

@@ -428,6 +428,18 @@ def test_pair_source_streams_the_listed_pairs():
     assert list(everything) == [(g, h) for g in elems for h in elems]
 
 
+def test_oversized_full_sweep_is_refused_before_any_member_is_read():
+    # 23^4 pairs exceed MAX_FULL_PAIRS
+    def rho(g):
+        raise AssertionError(f"member {g} was read")
+
+    rep = ProjectiveRep(DirectProduct(CyclicGroup(23), CyclicGroup(23)), 23,
+                        rho)
+    assert rep.group.order ** 2 > nice.MAX_FULL_PAIRS
+    with pytest.raises(ValueError, match="too many to sweep"):
+        verify_nice(rep, pair_mode="all")
+
+
 def test_pair_source_streams_the_listed_165_pairs(built):
     G = built.rep.group
     elems = list(G.elements())

@@ -288,7 +288,7 @@ def _dense_witness(basis):
                 continue
             for k in range(1, d):
                 try:
-                    r = diag[k].divide(diag[0])
+                    r = diag[k] * diag[0].inverse()
                 except (ValueError, ZeroDivisionError):
                     continue
                 if r.root_of_unity_order() is None:
