@@ -18,6 +18,7 @@ import gc
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -38,8 +39,8 @@ from .counterexample165 import (
     export_bundle,
     verify_counterexample,
 )
-from .cyclo import PhasedScalar, json_int
-from .exactmat import matrix_from_json
+from .cyclo import PhasedScalar, json_int, scalar_from_json
+from .exactmat import ExactMatrix, matrix_from_json
 from .groups import (
     CyclicGroup,
     DirectProduct,
@@ -201,10 +202,44 @@ def _expect(text: str, i: int, chars: str):
     return text[i], _WS(text, i + 1).end()
 
 
+# a member in the layout _DUMPS gives matrix_to_json ([0-9]: \d is Unicode)
+_HEAD = re.compile(r'\{"cols":([1-9][0-9]*),"entries":\[')
+_TAIL = re.compile(r'}}],"rows":([1-9][0-9]*),"scale":"([^"\\\x00-\x1f]*)"}')
+
+
+def _member_from_text(text: str, i: int, orders: set):
+    """matrix_from_json(m, orders) and the index past m, for the member m
+    at text[i] as the CLI writes it, or None.  Its entries, up to the first
+    '}}],"rows":', are split on '}},'; each distinct piece with '}}' put
+    back must decode as one whole value, which ends in '}' and so is an
+    object.  json reads a value from its first character to its last, so
+    the pieces are exactly the items json.loads reads from the array.  The
+    patterns fix the keys, their order, positive integer shapes and a scale
+    string with no escape or control character.  Anything else, or any
+    error, gives None: the caller's matrix_from_json then gives the same
+    matrix or error."""
+    head = _HEAD.match(text, i)
+    end = text.find('}}],"rows":', head.end()) if head else -1
+    if end < 0 or not (tail := _TAIL.match(text, end)):
+        return None
+    pieces = text[head.end():end].split("}},")
+    memo = dict.fromkeys(pieces)
+    seen = set(orders)  # joins orders only if the member is read here
+    try:
+        for piece in memo:
+            memo[piece] = scalar_from_json(_DECODER.decode(piece + "}}"), seen)
+        m = ExactMatrix(int(tail[1]), int(head[1]),
+                        map(memo.__getitem__, pieces), tail[2])
+    except _INPUT_ERRORS:
+        return None
+    orders |= seen
+    return m, tail.end()
+
+
 def _basis_fields(text: str):
     """json.loads(text) of a basis file and the function decoding a member.
-    If "members" is a nonempty list, each member goes to matrix_from_json as
-    soon as it is read, so at most one member's JSON graph is alive.  Other
+    If "members" is a nonempty list, each member is decoded once it is read:
+    by _member_from_text up to a decline, then by matrix_from_json.  Other
     text, a syntax error or a refused member stops the walk, and the text
     is decoded whole: json.loads and basis_from_json meet what stopped it."""
     with contextlib.suppress(*_INPUT_ERRORS):  # json's errors are ValueErrors
@@ -214,10 +249,12 @@ def _basis_fields(text: str):
             _, i = _expect(text, i, ":")
             if key == "members":
                 c, i = _expect(text, i, "[")
-                fields[key] = []
+                fields[key], orders, got = [], set(), True
                 while c != "]":
-                    item, i = _DECODER.raw_decode(text, i)
-                    fields[key].append(matrix_from_json(item))
+                    got = got and _member_from_text(text, i, orders)
+                    item, i = got or _DECODER.raw_decode(text, i)
+                    fields[key].append(
+                        item if got else matrix_from_json(item, orders))
                     del item
                     c, i = _expect(text, i, ",]")
             else:
@@ -225,7 +262,8 @@ def _basis_fields(text: str):
             c, i = _expect(text, i, ",}")
         if c == "}" and i == len(text):
             return fields, lambda m: m
-    return _DECODER.decode(text), matrix_from_json
+    orders = set()
+    return _DECODER.decode(text), lambda m: matrix_from_json(m, orders)
 
 
 def _read_basis(path: str, report: RunReport) -> UnitaryErrorBasis:

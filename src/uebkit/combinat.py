@@ -125,4 +125,5 @@ def latin_from_json(obj) -> LatinSquare:
 
 
 def hadamard_seq_from_json(obj) -> list[ExactMatrix]:
-    return [matrix_from_json(o) for o in obj]
+    orders: set = set()  # one lcm bound for the whole sequence
+    return [matrix_from_json(o, orders) for o in obj]

@@ -656,10 +656,17 @@ def scalar_json_key(obj: dict):
 MAX_JSON_ORDER = 2048
 
 
-def scalar_from_json(obj: dict) -> PhasedScalar:
+def scalar_from_json(obj: dict, orders=None) -> PhasedScalar:
+    """orders, a set of the orders read from one file, gains this one, and
+    their lcm is bounded too: arithmetic promotes mixed orders to it."""
     order = json_int(obj["order"], "'order'")
     if order > MAX_JSON_ORDER:
         raise ValueError(f"'order' {order} is above {MAX_JSON_ORDER}")
+    if orders is not None and order not in orders:
+        if (n := lcm(order, *orders)) > MAX_JSON_ORDER:
+            raise ValueError(f"entry orders have lcm {n}, above "
+                             f"{MAX_JSON_ORDER}")
+        orders.add(order)  # added once bounded, so a refusal repeats
 
     def parse_term(t) -> PhasedScalar:
         coeffs, symbols = _term_items(t)

@@ -345,19 +345,16 @@ def matrix_to_json(m: ExactMatrix) -> dict:
     }
 
 
-def matrix_from_json(obj: dict) -> ExactMatrix:
+def matrix_from_json(obj: dict, orders=None) -> ExactMatrix:
+    """orders: the set of scalar_from_json, shared by one file's matrices."""
     memo: dict = {}
     entries = []
+    orders = set() if orders is None else orders
     for e in obj["entries"]:
-        # most entries are zeros, keyed by their order alone; the types come
-        # first, as 1.0 and true equal 1 as keys
-        if not (type(e) is dict and type(k := e.get("order")) is int
-                and e.get("coeffs") == {} == e.get("symbols")
-                and "terms" not in e):
-            k = scalar_json_key(e)
+        k = scalar_json_key(e)
         v = memo.get(k)  # None, the key of a multi-term entry, is never stored
         if v is None:
-            v = scalar_from_json(e)
+            v = scalar_from_json(e, orders)
             if k is not None:
                 memo[k] = v
         entries.append(v)

@@ -369,7 +369,8 @@ def basis_to_json(basis: UnitaryErrorBasis) -> dict:
 
 
 def basis_from_json(obj: dict) -> UnitaryErrorBasis:
-    return basis_from_fields(obj, matrix_from_json)
+    orders: set = set()  # one lcm bound for all members
+    return basis_from_fields(obj, lambda m: matrix_from_json(m, orders))
 
 
 def basis_from_fields(obj: dict, member) -> UnitaryErrorBasis:

@@ -4,8 +4,10 @@ import gc
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -15,7 +17,7 @@ import uebkit.cli as cli
 from uebkit.cli import (InputError, RunReport, _basis_fields, _read_basis,
                         _read_json, _write_json, main)
 from uebkit.combinat import cyclic_latin, fourier_hadamard, h_alpha
-from uebkit.cyclo import MAX_JSON_ORDER, PhasedScalar
+from uebkit.cyclo import MAX_JSON_ORDER, PhasedScalar, scalar_to_json
 from uebkit.exactmat import ExactMatrix, matrix_from_json, matrix_to_json
 from uebkit.ueb import (UnitaryErrorBasis, basis_from_fields,
                         basis_from_json, basis_to_json, shift_and_multiply)
@@ -527,7 +529,7 @@ def test_read_json_keeps_the_callers_gc_state(capsys, tmp_path, enabled,
     text = basis.read_text()
     cut = tmp_path / "cut.json"  # a syntax error after member 2
     cut.write_text(text[:_member_end(text, 2)] + ";")
-    refused = tmp_path / "refused.json"  # member 2 fails matrix_from_json
+    refused = tmp_path / "refused.json"  # member 2 is refused
     obj = json.loads(text)
     member_2 = dict(obj["members"][2])
     obj["members"][2]["rows"] = "x"
@@ -553,12 +555,14 @@ def test_read_json_keeps_the_callers_gc_state(capsys, tmp_path, enabled,
             assert main(["verify", "ueb", str(f)]) == 2
             assert gc.isenabled() is enabled
 
-        def raise_on_member_2(m):
-            if m == member_2:
-                raise RuntimeError("member 2")
-            return matrix_from_json(m)
+        member_from_text = cli._member_from_text
 
-        monkeypatch.setattr(cli, "matrix_from_json", raise_on_member_2)
+        def raise_on_member_2(text, i, orders):
+            if json.JSONDecoder().raw_decode(text, i)[0] == member_2:
+                raise RuntimeError("member 2")
+            return member_from_text(text, i, orders)
+
+        monkeypatch.setattr(cli, "_member_from_text", raise_on_member_2)
         with pytest.raises(RuntimeError, match="member 2"):
             _read_basis(str(basis), report)
         assert gc.isenabled() is enabled
@@ -621,11 +625,96 @@ def _same_basis(a, b):
     ["construct", "nice:heisenberg:3"], ["analyze", "induce", "heisenberg:3"],
     ["analyze", "induce", "heisenberg:7"],
 ], ids=" ".join)
-def test_streamed_basis_matches_json_loads(capsys, tmp_path, argv):
+def test_streamed_basis_matches_json_loads(capsys, tmp_path, argv,
+                                          monkeypatch):
     f = tmp_path / "basis.json"
     assert main(argv + ["--out", str(f)]) == 0
     capsys.readouterr()
+    calls = []  # every member the CLI writes is read from its text
+    monkeypatch.setattr(cli, "matrix_from_json",
+                        lambda *a: calls.append(a) or matrix_from_json(*a))
     assert _same_basis(_streamed(f), _old_route(f))
+    assert calls == []
+
+
+def _edit_member(text, k, edit):
+    """text with member k (k >= 1) of a CLI-written basis file replaced by
+    edit(its text)."""
+    start, end = _member_end(text, k - 1) + 1, _member_end(text, k)
+    return text[:start] + edit(text[start:end]) + text[end:]
+
+
+def _reordered(member):
+    obj = json.loads(member)
+    return json.dumps({k: obj[k] for k in ("rows", "scale", "entries",
+                                           "cols")}, separators=(",", ":"))
+
+
+_ONE_PLUS_T = json.dumps(scalar_to_json(ONE + PhasedScalar.symbol("t")),
+                         sort_keys=True, separators=(",", ":"))
+
+# one edit per guard of the text route; each must meet json.loads
+_TEXT_ROUTE_EDITS = {
+    "space-after-comma": lambda m: m.replace("}},{", "}}, {", 1),
+    "brace-after-an-entry": lambda m: m.replace("}},{", "}} }},{", 1),
+    "cols-arabic-3": lambda m: m.replace('"cols":3', '"cols":\u0663'),
+    "reordered-keys": _reordered,
+    "rows-0": lambda m: m.replace('"rows":3', '"rows":0'),
+    "rows-arabic-3": lambda m: m.replace('"rows":3', '"rows":\u0663'),
+    "scale-1/0": lambda m: m.replace('"scale":"1"', '"scale":"1/0"'),
+    "scale-with-a-tab": lambda m: m.replace('"scale":"1"', '"scale":"1\t"'),
+    "entry-count": lambda m: m.replace(
+        m[m.index("[") + 1:m.index("}},") + 3], "", 1),
+    "terms-entry": lambda m: m.replace(
+        m[m.index("[") + 1:m.index("}},") + 2], _ONE_PLUS_T, 1),
+    "string-holding-}},": lambda m: m.replace(
+        '"order":3,"symbols":{}', '"order":3,"symbols":{"}},":1}', 1),
+    "non-canonical-then-canonical": lambda m: json.dumps(json.loads(m)),
+    "order-4099": lambda m: m.replace('"order":3', '"order":4099', 1),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_TEXT_ROUTE_EDITS))
+def test_text_route_edits_decode_as_json_loads(capsys, tmp_path, edit,
+                                               monkeypatch):
+    text = _pauli_file(capsys, tmp_path, 3).read_text()
+    g = tmp_path / "edited.json"
+    g.write_text(_edit_member(text, 1, _TEXT_ROUTE_EDITS[edit]))
+    assert g.read_text() != text
+    want = _old_route(g)
+    calls = []
+    member_from_text = cli._member_from_text
+    monkeypatch.setattr(cli, "_member_from_text", lambda *a: calls.append(
+        a[1]) or member_from_text(*a))
+    try:
+        got = _read_basis(str(g), RunReport(command=[], seed=0, jobs=1))
+    except InputError as e:
+        assert str(e) == want
+    else:
+        assert _same_basis(got, want)
+    # member 0 is read from its text, and member 1 too if a space is the
+    # only edit; else it is declined, and no member after it is tried
+    assert len(calls) == (9 if edit == "space-after-comma" else 2)
+    rc, lines, _ = run(capsys, ["verify", "ueb", str(g)])
+    if isinstance(want, str):
+        assert (rc, lines[0]["error"]) == (2, want)
+
+
+def test_near_canonical_file_tries_the_text_route_once(tmp_path,
+                                                       monkeypatch):
+    # 50 members in json.dumps's default layout: ", " and ": " separators
+    members = [ExactMatrix.diagonal([ONE, PhasedScalar.zeta(4, k)])
+               for k in range(50)]
+    basis = UnitaryErrorBasis(2, tuple(members), tuple(range(50)))
+    g = tmp_path / "spaced.json"
+    g.write_text(json.dumps(basis_to_json(basis), sort_keys=True))
+    calls = []
+    member_from_text = cli._member_from_text
+    monkeypatch.setattr(cli, "_member_from_text", lambda *a: calls.append(
+        a[1]) or member_from_text(*a))
+    got = _read_basis(str(g), RunReport(command=[], seed=0, jobs=1))
+    assert _same_basis(got, basis)
+    assert len(calls) == 1
 
 
 _LAYOUTS = {
@@ -791,6 +880,67 @@ def test_order_above_the_bound_exits_2(capsys, tmp_path, kind):
     assert run(capsys, ["verify", kind, str(g)])[0] == 0
 
 
+def _run_bounded(argv):
+    """The CLI on argv in a child process capped at 1 GiB and 20 s, so that
+    a reader which lets products promote to a huge order fails the test
+    instead of filling the machine's memory."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.dirname(os.path.dirname(uebkit.__file__))
+    return subprocess.run([sys.executable, "-m", "uebkit.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=20,
+                          preexec_fn=cap)
+
+
+def _diag_of_orders(*orders):
+    return matrix_to_json(ExactMatrix.diagonal(
+        [PhasedScalar.zeta(n) for n in orders]))
+
+
+_LCM = 2039 * 2029  # both primes below the bound, their lcm far above it
+_LAYOUTS_BY_ROUTE = {
+    "text": lambda obj: json.dumps(obj, sort_keys=True, separators=(",", ":")),
+    "json": json.dumps,
+}
+
+
+@pytest.mark.parametrize("route", sorted(_LAYOUTS_BY_ROUTE))
+@pytest.mark.parametrize("mixed", ["in-one-member", "across-members"])
+def test_entry_orders_with_lcm_above_the_bound_exit_2(tmp_path, route,
+                                                      mixed):
+    # products would promote to order 2039 * 2029 and build its tables
+    first = ([_diag_of_orders(2039, 2029), _diag_of_orders(1, 1)]
+             if mixed == "in-one-member"
+             else [_diag_of_orders(2039, 2039), _diag_of_orders(2029, 2029)])
+    members = first + [_diag_of_orders(1, 1)] * 2
+    g = tmp_path / "mixed.json"
+    g.write_text(_LAYOUTS_BY_ROUTE[route](
+        {"d": 2, "labels": [[0, 0], [0, 1], [1, 0], [1, 1]],
+         "members": members}))
+    h = tmp_path / "hadamard.json"
+    h.write_text(json.dumps(first[0] if mixed == "in-one-member" else first))
+    message = f"entry orders have lcm {_LCM}, above {MAX_JSON_ORDER}"
+    for argv, what in (
+            (["verify", "ueb", str(g)], "basis file"),
+            (["verify", "nice", str(g)], "basis file"),
+            (["analyze", "sparsity", str(g)], "basis file"),
+            (["verify", "hadamard", str(h)] if mixed == "in-one-member" else
+             ["construct", "sam", "cyclic:2", str(h), "--out",
+              str(tmp_path / "out.json")],
+             "matrix file" if mixed == "in-one-member"
+             else "hadamard sequence")):
+        t0 = time.perf_counter()
+        done = _run_bounded(argv)
+        assert time.perf_counter() - t0 < 1, argv
+        assert done.returncode == 2, (argv, done.stderr[-500:])
+        assert json.loads(done.stdout)["error"] == \
+            f"cannot interpret {what}: {message}"
+        assert "error:" in done.stderr
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_index_group_too_large_for_a_full_sweep_exits_2(capsys, tmp_path):
     # 23^4 pairs exceed nice.MAX_FULL_PAIRS.  The file's members are all
     # the identity: its size and labels are what the refusal reads.
@@ -820,12 +970,13 @@ def test_members_are_decoded_before_a_later_syntax_error(capsys, tmp_path,
     end = _member_end(text, 2)  # at the ',' after member 2
     g.write_text(text[:end] + ";" + text[end + 1:])
     seen = []
+    member_from_text = cli._member_from_text
 
-    def hook(m):
-        seen.append(m)
-        return matrix_from_json(m)
+    def hook(text, i, orders):
+        seen.append(json.JSONDecoder().raw_decode(text, i)[0])
+        return member_from_text(text, i, orders)
 
-    monkeypatch.setattr(cli, "matrix_from_json", hook)
+    monkeypatch.setattr(cli, "_member_from_text", hook)
     rc, lines, _ = run(capsys, ["verify", "ueb", str(g)])
     assert rc == 2
     assert lines[0]["error"] == _old_route(g)
