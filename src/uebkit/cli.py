@@ -119,9 +119,7 @@ class RunReport:
         return bool(ok)
 
     def document(self) -> dict:
-        return {"command": list(self.command), "seed": self.seed,
-                "jobs": self.jobs, "checks": self.checks,
-                "artifacts": self.artifacts, "ok": self.ok}
+        return {**vars(self), "ok": self.ok}
 
 
 _DUMPS = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -396,6 +394,11 @@ def _section_basis(rep: ProjectiveRep) -> UnitaryErrorBasis:
 def _basis_from_spec(spec: str, report: RunReport) -> UnitaryErrorBasis:
     """Build a basis from an inline spec, appending construction checks."""
     head, _, rest = spec.partition(":")
+    if head == "sam":
+        latin_spec, sep, had_spec = rest.partition(",")
+        if not sep:
+            raise InputError("sam spec needs <latin>,<hadamard>")
+        return _sam_basis(latin_spec, had_spec, report)
     t0 = time.perf_counter()
     if head == "pauli":
         basis = pauli_basis(_positive_int(rest, "pauli dimension"))
@@ -409,18 +412,26 @@ def _basis_from_spec(spec: str, report: RunReport) -> UnitaryErrorBasis:
         nr = verify_nice(_full_sweep(rep), pair_mode="all")
         report.check("niceness", nr.ok, t0, details=nr.summary())
         t0 = time.perf_counter()
-    elif head == "sam":
-        latin_spec, sep, had_spec = rest.partition(",")
-        if not sep:
-            raise InputError("sam spec needs <latin>,<hadamard>")
-        latin = _latin_from_spec(latin_spec, report)
-        had = _hadamard_from_spec(had_spec, report)
-        try:
-            basis = shift_and_multiply(latin, had)
-        except ValueError as e:
-            raise InputError(f"cannot build shift-and-multiply basis: {e}")
     else:
         raise InputError(f"unknown basis spec {spec!r}")
+    return _constructed(spec, basis, t0, report)
+
+
+def _sam_basis(latin_spec: str, had_spec: str, report: RunReport):
+    """The shift-and-multiply basis of two specs, each inline or a file
+    path taken as given, commas included."""
+    t0 = time.perf_counter()
+    latin = _latin_from_spec(latin_spec, report)
+    had = _hadamard_from_spec(had_spec, report)
+    try:
+        basis = shift_and_multiply(latin, had)
+    except ValueError as e:
+        raise InputError(f"cannot build shift-and-multiply basis: {e}")
+    return _constructed(f"sam:{latin_spec},{had_spec}", basis, t0, report)
+
+
+def _constructed(spec: str, basis: UnitaryErrorBasis, t0: float,
+                 report: RunReport) -> UnitaryErrorBasis:
     report.check("construct", True, t0, details={
         "spec": spec, "d": basis.d, "members": len(basis.members)})
     return basis
@@ -499,12 +510,11 @@ def cmd_construct(args, report: RunReport) -> None:
     if args.kind == "sam":
         if len(args.params) != 2:
             raise InputError("construct sam needs <latin> <hadamard>")
-        spec = f"sam:{args.params[0]},{args.params[1]}"
+        basis = _sam_basis(*args.params, report)
     elif args.params:
         raise InputError(f"construct {args.kind} takes no extra parameters")
     else:
-        spec = args.kind
-    basis = _basis_from_spec(spec, report)
+        basis = _basis_from_spec(args.kind, report)
     t0 = time.perf_counter()
     ub = verify_ueb(basis)
     report.check("ueb-definition", ub.ok, t0, details=ub.summary())
@@ -616,10 +626,7 @@ def cmd_analyze(args, report: RunReport) -> None:
     if args.kind == "monomial":
         t0 = time.perf_counter()
         mr = basis.monomiality()
-        report.check("monomial", True, t0, details={
-            "is_monomial": mr.is_monomial,
-            "zero_fraction": mr.zero_fraction,
-            "per_matrix_nonzero": list(mr.per_matrix_nonzero)})
+        report.check("monomial", True, t0, details=vars(mr))
     elif args.kind == "sparsity":
         t0 = time.perf_counter()
         fractions = [m.zero_fraction() for m in basis.members]

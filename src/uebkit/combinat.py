@@ -14,6 +14,8 @@ class LatinSquare:
     cells: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.d < 1:
+            raise ValueError(f"latin square order must be positive, got {self.d}")
         if len(self.cells) != self.d or any(len(r) != self.d for r in self.cells):
             raise ValueError("latin square must be d rows of d cells")
         for row in self.cells:
@@ -33,8 +35,6 @@ class LatinCheck:
 
 def cyclic_latin(d: int) -> LatinSquare:
     """L(i, j) = (j - i) mod d."""
-    if d < 1:
-        raise ValueError("d must be positive")
     return LatinSquare(d, tuple(tuple((j - i) % d for j in range(d))
                                 for i in range(d)))
 

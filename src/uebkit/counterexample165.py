@@ -748,21 +748,12 @@ class CounterexampleReport:
                 and self.cross_ok)
 
     def summary(self) -> dict:
-        return {
-            "dim": self.dim, "group_order": self.group_order,
-            "quotient_order": self.quotient_order,
-            "center_order": self.center_order,
-            "center_cyclic": self.center_cyclic,
-            "trace_zero_count": self.trace_zero_count,
-            "identity_trace_ok": self.identity_trace_ok,
-            "niceness": self.niceness.summary(),
-            "center_scalars_ok": self.center_scalars_ok,
-            "monomial_members": self.monomial_members,
-            "nonmonomial_members": self.nonmonomial_members,
-            "nonmonomial_witness": str(self.nonmonomial_witness),
-            "cross_checks": self.cross_checks, "cross_ok": self.cross_ok,
-            "ok": self.ok, "caveat": self.caveat,
-        }
+        unreported = ("trace_nonzero_labels", "generator_monomiality",
+                      "sampled_monomiality")
+        return {**{k: v for k, v in vars(self).items() if k not in unreported},
+                "niceness": self.niceness.summary(),
+                "nonmonomial_witness": str(self.nonmonomial_witness),
+                "ok": self.ok}
 
 
 def verify_counterexample(g: G165, seed: int = DEFAULT_SEED

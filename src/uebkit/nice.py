@@ -234,16 +234,8 @@ class NicenessReport:
                 and self.cocycle_ok)
 
     def summary(self) -> dict:
-        return {
-            "label": self.label, "dim": self.dim, "group_order": self.group_order,
-            "identity_ok": self.identity_ok, "unitary_ok": self.unitary_ok,
-            "trace_ok": self.trace_ok, "cocycle_ok": self.cocycle_ok,
-            "cocycle_exhaustive": self.cocycle_exhaustive,
-            "pair_mode": self.pair_mode, "pair_route": self.pair_route,
-            "pairs_checked": self.pairs_checked,
-            "elements_checked": self.elements_checked, "seed": self.seed,
-            "ok": self.ok, "failures": [str(f) for f in self.failures[:8]],
-        }
+        return {**vars(self), "ok": self.ok,
+                "failures": [str(f) for f in self.failures[:8]]}
 
 
 def verify_nice(rep: ProjectiveRep, pair_mode: str = "all", seed: int | None = None,

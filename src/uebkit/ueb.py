@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .combinat import LatinSquare, check_complex_hadamard, validate_latin
 from .cyclo import PhasedScalar, json_int
@@ -56,11 +57,7 @@ class UebReport:
         return self.cardinality_ok and self.unitary_ok and self.orthogonality_ok
 
     def summary(self) -> dict:
-        return {"d": self.d, "cardinality_ok": self.cardinality_ok,
-                "unitary_ok": self.unitary_ok,
-                "orthogonality_ok": self.orthogonality_ok,
-                "pairs_checked": self.pairs_checked, "ok": self.ok,
-                "pair_route": self.pair_route,
+        return {**vars(self), "ok": self.ok,
                 "failures": [str(f) for f in self.failures[:8]]}
 
 
@@ -107,16 +104,13 @@ def verify_ueb(basis: UnitaryErrorBasis) -> UebReport:
 
     orthogonality_ok = square
     pairs = 0
-    n = len(members) if square else 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            pairs += 1
-            if not orthogonal(i, j):
-                orthogonality_ok = False
-                failures.append(("orthogonality", labels[i], labels[j]))
-                if len(failures) > 32:
-                    return UebReport(d, cardinality_ok, unitary_ok, False,
-                                     pairs, tuple(failures), route)
+    for i, j in combinations(range(len(members) if square else 0), 2):
+        pairs += 1
+        if not orthogonal(i, j):
+            orthogonality_ok = False
+            failures.append(("orthogonality", labels[i], labels[j]))
+            if len(failures) > 32:
+                break
     return UebReport(d, cardinality_ok, unitary_ok, orthogonality_ok,
                      pairs, tuple(failures), route)
 

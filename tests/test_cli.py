@@ -19,8 +19,10 @@ from uebkit.cli import (InputError, RunReport, _basis_fields, _read_basis,
 from uebkit.combinat import cyclic_latin, fourier_hadamard, h_alpha
 from uebkit.cyclo import MAX_JSON_ORDER, PhasedScalar, scalar_to_json
 from uebkit.exactmat import ExactMatrix, matrix_from_json, matrix_to_json
+from uebkit.nice import pauli_rep, verify_nice
 from uebkit.ueb import (UnitaryErrorBasis, basis_from_fields,
-                        basis_from_json, basis_to_json, shift_and_multiply)
+                        basis_from_json, basis_to_json, pauli_basis,
+                        shift_and_multiply, verify_ueb)
 
 ONE = PhasedScalar.one()
 
@@ -95,6 +97,8 @@ def test_construct_sam_d3_pins_members(capsys, tmp_path):
                         "--out", f])
     assert rc == 0
     assert checks_by_name(lines)["ueb-definition"]["ok"]
+    assert checks_by_name(lines)["construct"]["details"]["spec"] == \
+        "sam:cyclic:3,fourier:3"
     basis = basis_from_json(json.load(open(f)))
     by_label = dict(zip(basis.labels, basis.members))
     w = PhasedScalar.zeta(3)
@@ -118,6 +122,40 @@ def test_construct_sam_from_files(capsys, tmp_path):
     assert rc == 0
     roles = [a["role"] for a in lines[-1]["artifacts"]]
     assert roles == ["in", "in", "out"]
+
+
+def test_construct_sam_reads_a_latin_path_with_a_comma(capsys, tmp_path):
+    lf = tmp_path / "lat,in.json"
+    lf.write_text(json.dumps(cyclic_latin(3).cells))
+    f = str(tmp_path / "basis.json")
+    rc, lines, _ = run(capsys, ["construct", "sam", str(lf), "fourier:3",
+                                "--out", f])
+    assert rc == 0
+    assert checks_by_name(lines)["construct"]["details"] == {
+        "spec": f"sam:{lf},fourier:3", "d": 3, "members": 9}
+    assert lines[-1]["artifacts"][0]["path"] == str(lf)
+
+
+_EMPTY_LATIN_COMMANDS = {
+    "verify-latin": lambda lf, out: ["verify", "latin", lf],
+    "construct-sam": lambda lf, out: ["construct", "sam", lf, "fourier:1",
+                                      "--out", out],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_EMPTY_LATIN_COMMANDS))
+def test_empty_latin_square_exits_2(capsys, tmp_path, command):
+    lf = tmp_path / "empty.json"
+    lf.write_text("[]")
+    out = tmp_path / "out.json"
+    rc, lines, err = run(capsys,
+                         _EMPTY_LATIN_COMMANDS[command](str(lf), str(out)))
+    assert rc == 2
+    (line,) = lines
+    assert line["ok"] is False
+    assert "latin square order must be positive, got 0" in line["error"]
+    assert err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_construct_nice_heisenberg_is_nice_and_verifiable(capsys, tmp_path):
@@ -1058,6 +1096,42 @@ def test_pretty_format_is_one_document(capsys):
     doc = json.loads(captured.out)
     assert doc["ok"] is True
     assert {"command", "seed", "jobs", "checks", "artifacts"} <= set(doc)
+
+
+def _monomial_details(request):
+    rc, lines, _ = run(request.getfixturevalue("capsys"),
+                       ["analyze", "monomial", "pauli:2"])
+    assert rc == 0
+    return checks_by_name(lines)["monomial"]["details"]
+
+
+# each report's keys as built from its fields: a field added later changes
+# a report only through an edit here
+_REPORT_KEYS = {
+    "niceness": (lambda request: verify_nice(pauli_rep(2)).summary(),
+                 "cocycle_exhaustive cocycle_ok dim elements_checked failures "
+                 "group_order identity_ok label ok pair_mode pair_route "
+                 "pairs_checked seed trace_ok unitary_ok"),
+    "ueb": (lambda request: verify_ueb(pauli_basis(2)).summary(),
+            "cardinality_ok d failures ok orthogonality_ok pair_route "
+            "pairs_checked unitary_ok"),
+    "counterexample": (
+        lambda request: request.getfixturevalue("report").summary(),
+        "caveat center_cyclic center_order center_scalars_ok cross_checks "
+        "cross_ok dim group_order identity_trace_ok monomial_members niceness "
+        "nonmonomial_members nonmonomial_witness ok quotient_order "
+        "trace_zero_count"),
+    "run-report": (lambda request: RunReport(["uebkit"], 1, 1).document(),
+                   "artifacts checks command jobs ok seed"),
+    "analyze-monomial": (_monomial_details,
+                         "is_monomial per_matrix_nonzero zero_fraction"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REPORT_KEYS))
+def test_report_keys_are_pinned(request, name):
+    build, keys = _REPORT_KEYS[name]
+    assert sorted(build(request)) == keys.split()
 
 
 def test_jobs_flag_does_not_change_results(capsys):
