@@ -129,11 +129,13 @@ def _emit(report: RunReport, fmt: str) -> None:
     if fmt == "pretty":
         print(json.dumps(report.document(), indent=2, sort_keys=True))
     else:
-        print(_DUMPS({"command": list(report.command), "seed": report.seed,
-                      "jobs": report.jobs}))
-        for c in report.checks:
+        head = report.document()
+        checks = head.pop("checks")
+        tail = {k: head.pop(k) for k in ("ok", "artifacts")}
+        print(_DUMPS(head))
+        for c in checks:
             print(_DUMPS(c))
-        print(_DUMPS({"ok": report.ok, "artifacts": report.artifacts}))
+        print(_DUMPS(tail))
     for c in report.checks:
         line = f"  {c['check']}: {'pass' if c['ok'] else 'FAIL'}" \
                f" ({c['seconds']:.3f}s)"

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import PhasedScalar, _reduce
+from .cyclo import PhasedScalar, _int_form, _reduce
 from .exactmat import (ExactMatrix, MonomialityReport, matrix_to_json,
                        monomiality_report)
 from .groups import (DirectProduct, FiniteGroup,
@@ -272,6 +272,44 @@ class TensorTriple:
             return None
         return self.fm.zetas[(self.j - other.j) % 330]
 
+    def generator_form(self, rep):
+        """A pair form for extract_cocycle over rep's members, which share
+        this member's FactorMap; verify_nice builds it per call.
+
+        For each generator s and each side, _mul tabulates the slot
+        products with s's keys by the other factor's keys: 9 + 75 + 363
+        (key, j) entries.  rho(g) rho(s) is the triple of the keys that
+        s's row names at g's keys, times zeta_330 to the rows' exponents
+        plus g's and s's j, as __matmul__ forms it; it is a unit multiple
+        of rho(gs) exactly when those keys are rho(gs)'s
+        (equal_up_to_phase).  Pairs without a generator multiply the
+        members."""
+        fm, member, zetas = self.fm, rep.matrix, self.fm.zetas
+
+        def rows(s, right: bool):
+            t = member(s)
+            return (t.j, *([fm._mul(p, a, b) if right else fm._mul(p, b, a)
+                            for a in range(len(fm.keys[p]))]
+                           for p, b in zip(_PRIMES, t.keys)))
+
+        right, left = ({s: rows(s, side) for s in rep.group.generators}
+                       for side in (True, False))
+
+        def form(g, h, gh):
+            if h in right:
+                (j, r3, r5, r11), x = right[h], member(g)
+            elif g in left:
+                (j, r3, r5, r11), x = left[g], member(h)
+            else:
+                return (member(g) @ member(h)).equal_up_to_phase(member(gh))
+            (a3, a5, a11), y = x.keys, member(gh)
+            (k3, j3), (k5, j5), (k11, j11) = r3[a3], r5[a5], r11[a11]
+            if (k3, k5, k11) != y.keys:
+                return None
+            return zetas[(j + x.j + j3 + j5 + j11 - y.j) % 330]
+
+        return form
+
     def __repr__(self):
         return f"TensorTriple({self.keys!r}, j={self.j})"
 
@@ -282,8 +320,7 @@ def _slot_values(m: ExactMatrix):
     symbol.
 
     nonzero lists (i, j, t) per nonzero entry, t indexing values, which
-    holds each distinct entry once in integer form: its (exponent lifted
-    to conductor 165, numerator) pairs and its common denominator."""
+    holds each distinct entry once in integer form at conductor 165."""
     nonzero, values, index = [], [], {}
     for i in range(m.rows):
         for j in range(m.cols):
@@ -295,9 +332,7 @@ def _slot_values(m: ExactMatrix):
             t = index.get(key)
             if t is None:
                 t = index[key] = len(values)
-                s = 165 // c.order
-                values.append(([(k * s, v) for k, v in c._num.items()],
-                               c._den))
+                values.append(_int_form(c, 165))
             nonzero.append((i, j, t))
     return nonzero, values
 
@@ -397,16 +432,38 @@ class FactorMap:
             for p, n in ((3, 9), (5, 75)))
 
     def _pool(self, p: int, r: ExactMatrix | None):
-        rp = [ExactMatrix.identity(p)]
-        if r is not None:
-            rp += [r, r @ r]
-        exact = {}
-        for xx in range(p):
-            for yy in range(p):
-                base = weyl_matrix(p, xx, yy)
-                for k in range(len(rp)):
-                    key = (xx, yy, k) if r is not None else (xx, yy)
-                    exact[key] = base @ rp[k] if k else base
+        """The p-slot pool: W(x, y) R^k for k in {0, 1, 2}, or W(x, y)
+        alone when r is None.
+
+        Row i of W = W(x, y) has one nonzero entry w, in column t = i + x
+        mod p, so row i of W R^k is w times row t of R^k: one product per
+        entry, as the dense W @ R^k forms it.  R and R^2 hold p distinct
+        entries each, and w is one of p + 1 (the order-1 one when y = 0,
+        else zeta_p^(y i)), so each distinct product is formed once and
+        its PhasedScalar shared."""
+        if r is None:
+            return {(x, y): weyl_matrix(p, x, y)
+                    for x in range(p) for y in range(p)}
+        rp = [(m, [e.key() for e in m.entries]) for m in (r, r @ r)]
+        exact, memo = {}, {}
+        for x in range(p):
+            for y in range(p):
+                w = exact[x, y, 0] = weyl_matrix(p, x, y)
+                for k, (m, keys) in enumerate(rp, 1):
+                    ents = []
+                    for i in range(p):
+                        t = (i + x) % p
+                        a = w.entry(i, t)
+                        ak = a.key()
+                        for c in range(t * p, t * p + p):
+                            v = memo.get((ak, keys[c]))
+                            if v is None:
+                                b = m.entries[c]
+                                v = memo[ak, keys[c]] = (
+                                    a * b if b.terms else PhasedScalar.zero(1))
+                            ents.append(v)
+                    exact[x, y, k] = ExactMatrix(p, p, ents,
+                                                 w.scale * m.scale)
         return exact
 
     def _verify_pools(self, rng):
@@ -534,8 +591,9 @@ class Quotient165(FiniteGroup):
     in (x, y), with z = 0: G gives ((n5 gamma_5^h.x(m5),
     n11 gamma_11^h.y(m11)), h k), and z never feeds back into x and y.
     compose reads these sums as positions from 3 x 25 x 25 and
-    3 x 121 x 121 tables picked by x3 and y3 and a 9 x 9 one for h k.
-    _check_law confirms T_p and the law against G."""
+    3 x 121 x 121 tables picked by x3 and y3 and a 9 x 9 one for h k,
+    and a position's digits from a list.  _check_law confirms T_p and the
+    law against G."""
 
     identity = 0
 
@@ -557,6 +615,8 @@ class Quotient165(FiniteGroup):
         self._t11 = [s11[a3 % 3] for a3 in range(9)]
         self._t3 = [[(a // 3 + b // 3) % 3 * 3 + (a + b) % 3 for b in range(9)]
                     for a in range(9)]
+        # (a5, a11, a3) by position: half the cost of compose's divmods
+        self._digits = list(itertools.product(range(25), range(121), range(9)))
 
     @staticmethod
     def index(g) -> int:
@@ -575,10 +635,8 @@ class Quotient165(FiniteGroup):
         return iter(range(self.order))
 
     def compose(self, i: int, j: int) -> int:
-        a5, r = divmod(i, 1089)
-        a11, a3 = divmod(r, 9)
-        b5, r = divmod(j, 1089)
-        b11, b3 = divmod(r, 9)
+        a5, a11, a3 = self._digits[i]
+        b5, b11, b3 = self._digits[j]
         return self._t5[a3][a5][b5] + self._t11[a3][a11][b11] \
             + self._t3[a3][b3]
 

@@ -119,6 +119,13 @@ def _reduce(n: int, raw: dict, den: int) -> "Cyclotomic":
     return _cyc(n, {k: c for k, c in acc.items() if c}, den)
 
 
+def _int_form(c: "Cyclotomic", n: int):
+    """c in integer form at conductor n, a multiple of c.order: its
+    (exponent lifted to n, numerator) pairs and its denominator."""
+    s = n // c.order
+    return [(k * s, v) for k, v in c._num.items()], c._den
+
+
 def _common(a, b):
     """a and b at the lcm of their orders: Cyclotomic or PhasedScalar."""
     if a.order == b.order:

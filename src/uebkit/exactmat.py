@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .cyclo import (PhasedScalar, json_int, scalar_from_json, scalar_json_key,
-                    scalar_to_json)
+from .cyclo import (PhasedScalar, _int_form, _reduce, json_int,
+                    scalar_from_json, scalar_json_key, scalar_to_json)
 
 _ZERO = PhasedScalar.zero(1)
 _F1 = Fraction(1)
@@ -94,10 +95,10 @@ class ExactMatrix:
             raise ValueError("shape mismatch in product")
         n, m, p = self.rows, self.cols, other.cols
         ae, be = self.entries, other.entries
-        out = [None] * (n * p)
+        out = []
         for i in range(n):
             arow = i * m
-            acc = [None] * p
+            acc = [[] for _ in range(p)]  # per column, its (a, b) pairs
             for t in range(m):
                 a = ae[arow + t]
                 if not a.terms:
@@ -105,14 +106,9 @@ class ExactMatrix:
                 boff = t * p
                 for j in range(p):
                     b = be[boff + j]
-                    if not b.terms:
-                        continue
-                    prod = a * b
-                    cur = acc[j]
-                    acc[j] = prod if cur is None else cur + prod
-            base = i * p
-            for j in range(p):
-                out[base + j] = acc[j] if acc[j] is not None else _ZERO
+                    if b.terms:
+                        acc[j].append((a, b))
+            out += map(_dot, acc)
         return ExactMatrix(n, p, out, self.scale * other.scale)
 
     def __pow__(self, k: int) -> "ExactMatrix":
@@ -286,15 +282,40 @@ class ExactMatrix:
                 f"nonzero={self.nonzero_count()})")
 
 
+def _dot(pairs) -> PhasedScalar:
+    """The sum of a * b over the (a, b) pairs of nonzero scalars.
+
+    Two or more symbol-free pairs are convolved in integer form at the lcm
+    N of their orders, over one common denominator, and reduced mod Phi_N
+    once, where the chain of PhasedScalar products and sums would reduce
+    each product and promote each partial sum.  The canonical form is
+    unique, so both give the same scalar, of order N either way, which a
+    sum cancelling to zero keeps in its JSON.  Symbols take the chain."""
+    if len(pairs) < 2:
+        return pairs[0][0] * pairs[0][1] if pairs else _ZERO
+    if not all(len(x.terms) == 1 and () in x.terms for ab in pairs for x in ab):
+        return sum((a * b for a, b in pairs[1:]), pairs[0][0] * pairs[0][1])
+    n = lcm(*(x.order for ab in pairs for x in ab))
+    forms = [(_int_form(a.terms[()], n), _int_form(b.terms[()], n))
+             for a, b in pairs]
+    den = lcm(*(da * db for (_, da), (_, db) in forms))
+    raw = [0] * (2 * n - 1)     # lifted exponents are below n
+    for (ta, da), (tb, db) in forms:
+        f = den // (da * db)
+        for ka, va in ta:
+            va *= f
+            for kb, vb in tb:
+                raw[ka + kb] += va * vb
+    c = _reduce(n, dict(enumerate(raw)), den)
+    return PhasedScalar(n, {(): c} if c._num else {})
+
+
 def hs_inner(a: ExactMatrix, b: ExactMatrix) -> PhasedScalar:
     """tr(a^dagger b) without forming the product."""
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise ValueError("shape mismatch in inner product")
-    acc = PhasedScalar.zero(1)
-    for x, y in zip(a.entries, b.entries):
-        if x.terms and y.terms:
-            acc = acc + x.conj() * y
-    return acc * (a.scale * b.scale)
+    return _dot([(x.conj(), y) for x, y in zip(a.entries, b.entries)
+                 if x.terms and y.terms]) * (a.scale * b.scale)
 
 
 @dataclass(frozen=True)

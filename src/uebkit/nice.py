@@ -107,12 +107,18 @@ def extract_cocycle(rep: ProjectiveRep, g, h, phase=None) -> PhasedScalar:
     """omega(g, h) with rho(g) rho(h) = omega(g, h) rho(gh); raises
     CocycleError when the product is not a unit multiple of rho(gh).
     Messages name elements by G.label, as verify_nice's failures do.
-    Given phase = _phase_form(...), a pair the phase route accepts forms
-    no dense product; one it rejects is re-checked densely, and
-    ArithmeticError is raised if the dense product accepts it."""
+    Given a pair form, phase = _phase_form(...) or a function of
+    (g, h, gh) giving omega or None (TensorTriple.generator_form), a pair
+    the form accepts forms no product of members; one it rejects is
+    re-checked on the product, and ArithmeticError is raised if the
+    product accepts it."""
     G = rep.group
     gh = G.compose(g, h)
-    if phase is not None:
+    if callable(phase):
+        c = phase(g, h, gh)
+        if c is not None:
+            return c
+    elif phase is not None:
         forms, zetas = phase
         sg, eg, pg, qg = forms[g]
         sh, eh, ph, qh = forms[h]
@@ -130,7 +136,7 @@ def extract_cocycle(rep: ProjectiveRep, g, h, phase=None) -> PhasedScalar:
         raise CocycleError(f"rho({G.label(g)}) rho({G.label(h)}) is not a unit "
                            f"multiple of the composed member")
     if phase is not None:
-        raise ArithmeticError(f"the phase form rejects rho({G.label(g)}) "
+        raise ArithmeticError(f"the pair form rejects rho({G.label(g)}) "
                               f"rho({G.label(h)}), which the dense product accepts")
     return c
 
@@ -247,7 +253,9 @@ def verify_nice(rep: ProjectiveRep, pair_mode: str = "all", seed: int | None = N
     identity, unitarity and trace conditions are always swept in full.
     pair_route "phase": every member is monomial over roots of unity and
     each pair was checked on permutations and exponents (_phase_form),
-    and re-checked densely if rejected; "matrix": dense products.
+    and re-checked densely if rejected; "matrix": products of members,
+    where members that offer a generator_form (TensorTriple) check the
+    pairs with a generator on its rows first.
     Failures name elements by G.label.  cocycle_exhaustive: every pair
     passes, as "all" checks, or as the sampled pairs (g, s), s a declared
     generator, prove once rho(e) = I and the generators generate G: by
@@ -281,11 +289,13 @@ def verify_nice(rep: ProjectiveRep, pair_mode: str = "all", seed: int | None = N
 
     phase = _phase_form(rep, elems)
     pair_route = "matrix" if phase is None else "phase"
+    rows = getattr(m1, "generator_form", None)
+    form = phase or (rows and rows(rep))
     cocycle_ok, pairs_checked = True, 0
     for g, h in pairs:
         pairs_checked += 1
         try:
-            extract_cocycle(rep, g, h, phase)
+            extract_cocycle(rep, g, h, form)
         except CocycleError:
             cocycle_ok = False
             failures.append(("cocycle", G.label(g), G.label(h)))

@@ -1,5 +1,6 @@
 """End-to-end runs of the command line front end through main(argv)."""
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -1132,6 +1133,27 @@ _REPORT_KEYS = {
 def test_report_keys_are_pinned(request, name):
     build, keys = _REPORT_KEYS[name]
     assert sorted(build(request)) == keys.split()
+
+
+def test_report_fields_reach_the_default_header(capsys):
+    # the JSON-lines header is document() less checks, artifacts and ok,
+    # so a field added to RunReport reaches both layouts
+    @dataclasses.dataclass
+    class Tagged(RunReport):
+        tag: str = "extra"
+
+    report = Tagged(["uebkit", "x"], 7, 2)
+    started = time.perf_counter()
+    report.check("probe", True, started)
+    cli._emit(report, "json")
+    lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    assert lines[0] == {"command": ["uebkit", "x"], "seed": 7, "jobs": 2,
+                        "tag": "extra"}
+    assert lines[1]["check"] == "probe"
+    assert lines[2] == {"ok": True, "artifacts": []}
+    cli._emit(report, "pretty")
+    doc = json.loads(capsys.readouterr().out)
+    assert {k: doc[k] for k in lines[0]} == lines[0]
 
 
 def test_jobs_flag_does_not_change_results(capsys):

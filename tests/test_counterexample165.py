@@ -25,7 +25,7 @@ from uebkit.counterexample165 import (
     weyl_decompose,
 )
 from uebkit.cyclo import Cyclotomic, PhasedScalar
-from uebkit.exactmat import ExactMatrix, monomiality_report
+from uebkit.exactmat import ExactMatrix, matrix_to_json, monomiality_report
 from uebkit.fastcyc import CycMatrix, from_exact
 from uebkit.groups import (
     DirectProduct,
@@ -752,6 +752,98 @@ def test_pool_entries_are_unitary_on_the_packed_route(built):
             assert PhasedScalar.of(cm.trace()) == fm.tr[p][key], (p, key)
             n += 1
     assert n == 447
+
+
+def test_pool_entries_are_the_dense_products(built):
+    # FactorMap._pool forms each distinct (Weyl entry, R^k entry) product
+    # once; the independent route is the dense W(x, y) @ R^k, compared by
+    # value and by JSON bytes, which carry every entry's order
+    fm = built.factors
+    powers = {3: [ExactMatrix.identity(3)]}
+    for c in (built.conj5, built.conj11):
+        powers[c.p] = [c.R ** k for k in range(3)]
+    n = 0
+    for p in _PRIMES:
+        for key, m in fm.exact[p].items():
+            x, y, *k = key
+            want = weyl_matrix(p, x, y) @ powers[p][k[0] if k else 0]
+            assert m == want, (p, key)
+            assert matrix_to_json(m) == matrix_to_json(want), (p, key)
+            n += 1
+    assert n == 447
+    # entries share their values: at most (p + 1) * 2p distinct products
+    distinct = {id(e) for key, m in fm.exact[11].items() if key[2]
+                for e in m.entries}
+    assert len(distinct) <= 12 * 22
+
+
+def _generator_pairs(Q, seed, n):
+    """n seeded pairs (g, s) and n pairs (s, g) per generator s."""
+    rng = random.Random(seed)
+    elems = list(Q.elements())
+    return [pair for s in Q.generators for g in rng.sample(elems, n)
+            for pair in ((g, s), (s, g))]
+
+
+def test_generator_rows_agree_with_triple_products(built, monkeypatch):
+    rep, Q = built.rep, built.quotient
+    form = rep.matrix(Q.identity).generator_form(rep)
+    pairs = _generator_pairs(Q, 41, 150)
+    want = [extract_cocycle(rep, g, h) for g, h in pairs]
+    calls = []
+    matmul = TensorTriple.__matmul__
+    monkeypatch.setattr(TensorTriple, "__matmul__",
+                        lambda a, b: calls.append(1) or matmul(a, b))
+    assert [form(g, h, Q.compose(g, h)) for g, h in pairs] == want
+    assert [extract_cocycle(rep, g, h, form) for g, h in pairs] == want
+    assert calls == []
+    # a pair without a generator multiplies the members
+    g, h = 7, 12_345
+    assert {g, h}.isdisjoint(Q.generators)
+    assert form(g, h, Q.compose(g, h)) == extract_cocycle(rep, g, h)
+    assert len(calls) == 2
+
+
+def _swapped_rep(built):
+    """The 165 basis with the members of positions 7 and 12345
+    exchanged: each is then wrong in every pair it enters."""
+    Q, fm = built.quotient, built.factors
+    swap = {7: 12_345, 12_345: 7}
+    return ProjectiveRep(Q, 165, lambda i: fm.member(swap.get(i, i)))
+
+
+def test_generator_rows_fail_as_the_triple_products(built, monkeypatch):
+    # the same failures, the same pairs checked and the same stop after
+    # 32 failures as with the rows switched off; on the rows, only the
+    # rejected pairs form a member product, their re-check
+    calls = []
+    matmul = TensorTriple.__matmul__
+    monkeypatch.setattr(TensorTriple, "__matmul__",
+                        lambda a, b: calls.append(1) or matmul(a, b))
+    rows = verify_nice(_swapped_rep(built), pair_mode="sampled", seed=3,
+                       sample_size=100)
+    assert len(calls) == 33
+    monkeypatch.setattr(TensorTriple, "generator_form",
+                        lambda self, rep: None)
+    products = verify_nice(_swapped_rep(built), pair_mode="sampled", seed=3,
+                           sample_size=100)
+    assert len(calls) == 33 + products.pairs_checked
+    assert not rows.cocycle_ok and len(rows.failures) == 33
+    assert rows.pairs_checked < 326_700
+    assert rows.failures == products.failures
+    assert rows.pairs_checked == products.pairs_checked
+    assert rows.summary() == products.summary()
+
+
+def test_generator_row_rejection_of_a_good_pair_raises(built):
+    # a form that rejects a pair the product accepts is caught by the
+    # re-check on the product
+    rep, Q = built.rep, built.quotient
+    s = Q.generators[5]
+    form = rep.matrix(Q.identity).generator_form(rep)
+    assert extract_cocycle(rep, 7, s, form) == extract_cocycle(rep, 7, s)
+    with pytest.raises(ArithmeticError, match="dense product accepts"):
+        extract_cocycle(rep, 7, s, lambda g, h, gh: None)
 
 
 def test_monomial_split(built, report):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import uebkit.exactmat as exactmat
 from uebkit.cyclo import (
     Cyclotomic,
     PhasedScalar,
@@ -275,3 +276,107 @@ def test_json_decode_ignores_coefficient_key_order():
     assert m.entries[0].order == m.entries[3].order == 6
     assert m.entries[0] == PhasedScalar.of(
         Cyclotomic(6, {0: Fraction(1, 2), 1: -3}))
+
+
+# ---------------------------------------------------------------------------
+# dense dot products: one reduction per entry against the per-term chain
+
+
+def _chain_product(a, b):
+    """a @ b by the per-term chain: each product reduced and each partial
+    sum promoted, the loop ExactMatrix.__matmul__ ran for every entry
+    before it reduced once per symbol-free dot product."""
+    n, m, p = a.rows, a.cols, b.cols
+    ae, be = a.entries, b.entries
+    out = [None] * (n * p)
+    for i in range(n):
+        arow = i * m
+        acc = [None] * p
+        for t in range(m):
+            x = ae[arow + t]
+            if not x.terms:
+                continue
+            boff = t * p
+            for j in range(p):
+                y = be[boff + j]
+                if not y.terms:
+                    continue
+                prod = x * y
+                cur = acc[j]
+                acc[j] = prod if cur is None else cur + prod
+        base = i * p
+        for j in range(p):
+            out[base + j] = acc[j] if acc[j] is not None else \
+                PhasedScalar.zero(1)
+    return ExactMatrix(n, p, out, a.scale * b.scale)
+
+
+def _random_scalar(rng, n, symbol=False):
+    """A scalar of a random order dividing n with up to three terms over
+    denominators 1, 2 and 3, zero about a third of the time, times a
+    power of t when symbol is set."""
+    if rng.random() < 0.3:
+        return PhasedScalar.zero(rng.choice((1, n)))
+    m = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+    coeffs = {rng.randrange(m): Fraction(rng.choice((-3, -1, 1, 2)),
+                                         rng.choice((1, 1, 2, 3)))
+              for _ in range(rng.randint(1, 3))}
+    s = PhasedScalar.of(Cyclotomic(m, coeffs))
+    return s * PhasedScalar.symbol("t", rng.choice((-1, 1, 2))) if symbol \
+        else s
+
+
+def _random_exact(rng, rows, cols, n, symbol=False):
+    scale = Fraction(rng.choice((1, 2, 3)), rng.choice((1, 5)))
+    return ExactMatrix(rows, cols, [_random_scalar(rng, n, symbol)
+                                    for _ in range(rows * cols)], scale)
+
+
+def _same_product(a, b):
+    got, want = a @ b, _chain_product(a, b)
+    assert got == want
+    # the JSON carries every entry's order, a cancelled zero's included
+    assert matrix_to_json(got) == matrix_to_json(want)
+    return got
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 11, 12, 15, 165])
+def test_dense_dot_matches_the_chain(n):
+    rng = random.Random(n)
+    for rows, inner, cols in ((3, 3, 3), (2, 4, 3), (4, 2, 1), (1, 5, 2)):
+        for _ in range(2 if n == 165 else 6):
+            _same_product(_random_exact(rng, rows, inner, n),
+                          _random_exact(rng, inner, cols, n))
+    # mixed symbols: entries with t take the chain, the others the dot
+    _same_product(_random_exact(rng, 3, 4, n, symbol=True),
+                  _random_exact(rng, 4, 2, n))
+
+
+def test_dense_dot_keeps_the_order_of_a_cancelled_sum():
+    # zeta_3 zeta_4 - zeta_3 zeta_4 cancels at order 12; a single product
+    # of two order-1 entries stays at order 1
+    z3, z4 = PhasedScalar.zeta(3), PhasedScalar.zeta(4)
+    half = PhasedScalar.of(Fraction(1, 2))
+    a = ExactMatrix(1, 2, [z3, z3])
+    b = ExactMatrix(2, 2, [z4, half, -z4, PhasedScalar.zero(1)])
+    got = _same_product(a, b)
+    assert got.entries[0].is_zero() and got.entries[0].order == 12
+    assert matrix_to_json(got)["entries"][0]["order"] == 12
+    assert got.entries[1] == z3 * half and got.entries[1].order == 3
+    # denominators 2 and 3 over one common denominator 6
+    c = ExactMatrix(1, 2, [half, PhasedScalar.of(Fraction(1, 3))])
+    d = ExactMatrix(2, 1, [z4, z4])
+    assert _same_product(c, d).entries[0] == z4 * Fraction(5, 6)
+
+
+def test_dense_dot_sends_symbols_through_the_chain(monkeypatch):
+    calls = []
+    form = exactmat._int_form
+    monkeypatch.setattr(exactmat, "_int_form",
+                        lambda c, n: calls.append(n) or form(c, n))
+    rng = random.Random(7)
+    a = _random_exact(rng, 3, 4, 12, symbol=True)
+    _same_product(a, _random_exact(rng, 4, 3, 12))
+    assert calls == []
+    _same_product(_random_exact(rng, 3, 4, 12), _random_exact(rng, 4, 3, 12))
+    assert calls
