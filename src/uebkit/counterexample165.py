@@ -249,12 +249,11 @@ class TensorTriple:
         return Fraction(1)
 
     def trace(self) -> PhasedScalar:
-        out = PhasedScalar.one(1)
-        for p, key in zip(_PRIMES, self.keys):
-            t = self.fm.tr[p][key]
-            if t.is_zero():
-                return PhasedScalar.zero(1)
-            out = out * t
+        tr, (k3, k5, k11) = self.fm.tr, self.keys
+        t3, t5, t11 = tr[3][k3], tr[5][k5], tr[11][k11]
+        if t3.is_zero() or t5.is_zero() or t11.is_zero():
+            return PhasedScalar.zero(1)
+        out = t3 * t5 * t11
         return out * self.fm.zetas[self.j] if self.j else out
 
     def is_monomial(self) -> bool:
@@ -272,43 +271,28 @@ class TensorTriple:
             return None
         return self.fm.zetas[(self.j - other.j) % 330]
 
-    def generator_form(self, rep):
-        """A pair form for extract_cocycle over rep's members, which share
-        this member's FactorMap; verify_nice builds it per call.
+    def column_sweep(self, rep, elems, columns):
+        """For each generator column (s, right) of verify_nice, one at a
+        time, the positions i in elems whose pair, (elems[i], s) if right
+        else (s, elems[i]), is rejected; rep's members share this FactorMap.
 
-        For each generator s and each side, _mul tabulates the slot
-        products with s's keys by the other factor's keys: 9 + 75 + 363
-        (key, j) entries.  rho(g) rho(s) is the triple of the keys that
-        s's row names at g's keys, times zeta_330 to the rows' exponents
-        plus g's and s's j, as __matmul__ forms it; it is a unit multiple
-        of rho(gs) exactly when those keys are rho(gs)'s
-        (equal_up_to_phase).  Pairs without a generator multiply the
-        members."""
-        fm, member, zetas = self.fm, rep.matrix, self.fm.zetas
-
-        def rows(s, right: bool):
-            t = member(s)
-            return (t.j, *([fm._mul(p, a, b) if right else fm._mul(p, b, a)
+        For s and a side, _mul tabulates the slot products of s's keys
+        with every key of the other factor: 9 + 75 + 363 keys.  These are
+        the keys __matmul__ gives the pair's product, which is a unit
+        multiple of the composed member exactly when its keys are that
+        member's (equal_up_to_phase).  So the sweep rejects a pair exactly
+        when the member product does, and forms no product."""
+        fm, member, compose = self.fm, rep.matrix, rep.group.compose
+        keys = {x: member(x).keys for x in elems}
+        for s, right in columns:
+            r3, r5, r11 = ([fm._mul(p, a, b)[0] if right else fm._mul(p, b, a)[0]
                             for a in range(len(fm.keys[p]))]
-                           for p, b in zip(_PRIMES, t.keys)))
-
-        right, left = ({s: rows(s, side) for s in rep.group.generators}
-                       for side in (True, False))
-
-        def form(g, h, gh):
-            if h in right:
-                (j, r3, r5, r11), x = right[h], member(g)
-            elif g in left:
-                (j, r3, r5, r11), x = left[g], member(h)
-            else:
-                return (member(g) @ member(h)).equal_up_to_phase(member(gh))
-            (a3, a5, a11), y = x.keys, member(gh)
-            (k3, j3), (k5, j5), (k11, j11) = r3[a3], r5[a5], r11[a11]
-            if (k3, k5, k11) != y.keys:
-                return None
-            return zetas[(j + x.j + j3 + j5 + j11 - y.j) % 330]
-
-        return form
+                           for p, b in zip(_PRIMES, member(s).keys))
+            col = ([compose(x, s) for x in elems] if right
+                   else [compose(s, x) for x in elems])
+            yield [i for i, ((a3, a5, a11), c)
+                   in enumerate(zip(keys.values(), col))
+                   if (r3[a3], r5[a5], r11[a11]) != keys[c]]
 
     def __repr__(self):
         return f"TensorTriple({self.keys!r}, j={self.j})"
@@ -918,22 +902,23 @@ def verify_counterexample(g: G165, seed: int = DEFAULT_SEED
 
 def export_bundle(g: G165, factors_only: bool = True) -> dict:
     """JSON-ready description: conjugators, factor pools, generator
-    labels, and optionally the dense 165 x 165 generator matrices."""
+    labels, and optionally the dense 165 x 165 generator matrices; one
+    matrix_to_json memo codes each entry they share once."""
     def conj_json(c: ConjugatorSet) -> dict:
         return {
             "p": c.p, "e": c.e,
-            "F": matrix_to_json(c.F), "D": matrix_to_json(c.D),
-            "B": matrix_to_json(c.B), "R": matrix_to_json(c.R),
+            "F": matrix_to_json(c.F, memo), "D": matrix_to_json(c.D, memo),
+            "B": matrix_to_json(c.B, memo), "R": matrix_to_json(c.R, memo),
             "r_cubed": str(c.r_cubed),
             "action": [[c.action.a, c.action.b], [c.action.c, c.action.d]],
             "action_order": c.action_order,
         }
 
     def pool_json(pool: dict) -> dict:
-        return {",".join(str(v) for v in k): matrix_to_json(m)
+        return {",".join(str(v) for v in k): matrix_to_json(m, memo)
                 for k, m in sorted(pool.items())}
 
-    fm = g.factors
+    fm, memo = g.factors, {}
     bundle = {
         "dim": 165,
         "group_order": g.group.order,
@@ -946,6 +931,6 @@ def export_bundle(g: G165, factors_only: bool = True) -> dict:
         "caveat": CAVEAT,
     }
     if not factors_only:
-        bundle["generators_full"] = [matrix_to_json(fm.exact_matrix(t))
+        bundle["generators_full"] = [matrix_to_json(fm.exact_matrix(t), memo)
                                      for t in g.group.generators]
     return bundle

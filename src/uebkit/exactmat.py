@@ -345,19 +345,23 @@ def monomiality_report(matrices) -> MonomialityReport:
 
 # ---------------------------------------------------------------------------
 # JSON.  Basis files repeat few distinct entries (48/49 of an induced
-# heisenberg:7 member is zero): code each distinct entry once per call.
+# heisenberg:7 member is zero): code each distinct entry once per memo.
 
 
-def matrix_to_json(m: ExactMatrix) -> dict:
-    """Equal entries share one JSON object, so treat the result as read-only."""
-    memo: dict = {}
+def matrix_to_json(m: ExactMatrix, memo: dict | None = None) -> dict:
+    """Equal entries share one JSON object, so treat the result as read-only.
+    memo, which may serve a whole export, finds an entry by id, then by
+    key(); it holds each object it keys by id, so no id is recycled."""
+    memo = {} if memo is None else memo
     entries = []
     for e in m.entries:
-        k = e.key() if e.terms else e.order  # a zero's JSON carries its order
-        obj = memo.get(k)
-        if obj is None:
-            obj = memo[k] = scalar_to_json(e)
-        entries.append(obj)
+        hit = memo.get(id(e))
+        if hit is None:
+            k = e.key()
+            if k not in memo:
+                memo[k] = scalar_to_json(e)
+            hit = memo[id(e)] = (e, memo[k])
+        entries.append(hit[1])
     return {
         "rows": m.rows,
         "cols": m.cols,

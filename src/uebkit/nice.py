@@ -107,18 +107,12 @@ def extract_cocycle(rep: ProjectiveRep, g, h, phase=None) -> PhasedScalar:
     """omega(g, h) with rho(g) rho(h) = omega(g, h) rho(gh); raises
     CocycleError when the product is not a unit multiple of rho(gh).
     Messages name elements by G.label, as verify_nice's failures do.
-    Given a pair form, phase = _phase_form(...) or a function of
-    (g, h, gh) giving omega or None (TensorTriple.generator_form), a pair
-    the form accepts forms no product of members; one it rejects is
-    re-checked on the product, and ArithmeticError is raised if the
-    product accepts it."""
+    Given phase = _phase_form(...), a pair the form accepts forms no
+    product of members; one it rejects is re-checked on the product, and
+    ArithmeticError is raised if the product accepts it."""
     G = rep.group
     gh = G.compose(g, h)
-    if callable(phase):
-        c = phase(g, h, gh)
-        if c is not None:
-            return c
-    elif phase is not None:
+    if phase is not None:
         forms, zetas = phase
         sg, eg, pg, qg = forms[g]
         sh, eh, ph, qh = forms[h]
@@ -204,7 +198,7 @@ def cocycle_table(rep: ProjectiveRep) -> dict:
     rho(ghk), which is nonzero (checked here on every member), and they
     are equal."""
     elems = list(rep.group.elements())
-    pairs = _pair_source(rep.group, elems, "all", None, 0)
+    _, pairs = _pair_source(rep.group, elems, "all", None, 0)
     for g in elems:
         if not rep.matrix(g).nonzero_count():
             raise CocycleError(f"rho({rep.group.label(g)}) is the zero matrix")
@@ -254,8 +248,8 @@ def verify_nice(rep: ProjectiveRep, pair_mode: str = "all", seed: int | None = N
     pair_route "phase": every member is monomial over roots of unity and
     each pair was checked on permutations and exponents (_phase_form),
     and re-checked densely if rejected; "matrix": products of members,
-    where members that offer a generator_form (TensorTriple) check the
-    pairs with a generator on its rows first.
+    where a member's column_sweep (TensorTriple) checks the generator
+    columns whole, and each pair it rejects must fail on the product.
     Failures name elements by G.label.  cocycle_exhaustive: every pair
     passes, as "all" checks, or as the sampled pairs (g, s), s a declared
     generator, prove once rho(e) = I and the generators generate G: by
@@ -266,7 +260,7 @@ def verify_nice(rep: ProjectiveRep, pair_mode: str = "all", seed: int | None = N
     elems = list(G.elements())
     failures = []
     # a pair sweep too large for "all" is refused before any member is read
-    pairs = _pair_source(G, elems, pair_mode, seed, sample_size)
+    columns, pairs = _pair_source(G, elems, pair_mode, seed, sample_size)
 
     m1 = rep.matrix(G.identity)
     identity_ok = m1.is_identity()
@@ -289,18 +283,30 @@ def verify_nice(rep: ProjectiveRep, pair_mode: str = "all", seed: int | None = N
 
     phase = _phase_form(rep, elems)
     pair_route = "matrix" if phase is None else "phase"
-    rows = getattr(m1, "generator_form", None)
-    form = phase or (rows and rows(rep))
+    # (k, (g, h)): the pairs to check, k counting the stream up to (g, h);
+    # a column_sweep (TensorTriple) leaves only the column pairs it rejects
+    sweep = phase is None and getattr(m1, "column_sweep", None)
+    n = len(elems)
+    swept = len(columns) * n if sweep else 0
+    rows = sweep(rep, elems, columns) if sweep else (range(n) for _ in columns)
+    stream = chain(((c * n + i + 1, (elems[i], s) if right else (s, elems[i]))
+                    for c, ((s, right), row) in enumerate(zip(columns, rows))
+                    for i in row), enumerate(pairs, len(columns) * n + 1))
     cocycle_ok, pairs_checked = True, 0
-    for g, h in pairs:
-        pairs_checked += 1
+    for pairs_checked, (g, h) in stream:
         try:
-            extract_cocycle(rep, g, h, form)
+            extract_cocycle(rep, g, h, phase)
         except CocycleError:
             cocycle_ok = False
             failures.append(("cocycle", G.label(g), G.label(h)))
             if len(failures) > 32:
                 break
+            continue
+        if pairs_checked <= swept:
+            raise ArithmeticError(f"the sweep rejects rho({G.label(g)}) "
+                                  f"rho({G.label(h)}), which the dense product accepts")
+    else:  # the last swept pairs may all have been accepted
+        pairs_checked = max(pairs_checked, swept)
     exhaustive = cocycle_ok and (pair_mode == "all" or (
         identity_ok and generated_order(G, G.generators) == G.order))
 
@@ -314,15 +320,16 @@ def verify_nice(rep: ProjectiveRep, pair_mode: str = "all", seed: int | None = N
 
 
 def _pair_source(G, elems, pair_mode, seed, sample_size):
-    """An iterator over the pairs, drawing sampled ones as it goes."""
+    """(columns, pairs): the generator columns (s, right), of the pairs
+    (h, s) if right else (s, h), h in elems, which open the stream; then
+    an iterator over the rest, drawing sampled pairs as it goes."""
     if pair_mode == "all":
         if len(elems) ** 2 > MAX_FULL_PAIRS:
             raise ValueError(f"{len(elems) ** 2} pairs are too many to sweep")
-        return ((g, h) for g in elems for h in elems)
+        return [], ((g, h) for g in elems for h in elems)
     if pair_mode != "sampled":
         raise ValueError(f"unknown pair_mode {pair_mode!r}")
     rng = random.Random(seed)
-    return chain(((g, h) for g in G.generators for h in elems),
-                 ((h, g) for g in G.generators for h in elems),
-                 ((rng.choice(elems), rng.choice(elems))
-                  for _ in range(sample_size)))
+    return ([(s, right) for right in (False, True) for s in G.generators],
+            ((rng.choice(elems), rng.choice(elems))
+             for _ in range(sample_size)))

@@ -1001,6 +1001,48 @@ def test_index_group_too_large_for_a_full_sweep_exits_2(capsys, tmp_path):
     assert not (tmp_path / "out.json").exists()
 
 
+def test_spec_bound_admits_the_largest_spec_in_use():
+    # analyze induce heisenberg:7 builds 7^7 = 823,543 dense entries, and
+    # pauli:31 builds 31^4 = 923,521; one more is refused
+    assert cli._positive_int("7", "modulus", 7) == 7
+    assert cli._positive_int("31", "dimension", 4) == 31
+    assert cli._positive_int("10", "dimension") == 10
+    for text, power in (("8", 7), ("32", 4)):
+        with pytest.raises(InputError, match="more than 1000000 dense"):
+            cli._positive_int(text, "size", power)
+
+
+def test_inline_specs_above_the_entry_bound_exit_2(tmp_path):
+    # each spec asks for just over MAX_SPEC_ENTRIES dense entries and is
+    # refused before it allocates them
+    induce = tmp_path / "induce.json"
+    induce.write_text(json.dumps({"group": "heisenberg:8"}))
+    out = str(tmp_path / "out.json")
+    for argv, message in (
+            (["construct", "pauli:32", "--out", out], "pauli dimension 32"),
+            (["construct", "nice:pauli:32", "--out", out],
+             "pauli dimension 32"),
+            (["construct", "nice:heisenberg:32", "--out", out],
+             "heisenberg modulus 32"),
+            (["construct", "sam", "cyclic:32", "fourier:3", "--out", out],
+             "latin order 32"),
+            (["construct", "sam", "cyclic:3", "fourier:32", "--out", out],
+             "fourier order 32"),
+            (["analyze", "wickedness", "sam:cyclic:32,alpha"],
+             "latin order 32"),
+            (["analyze", "induce", "heisenberg:8"], "heisenberg modulus 8"),
+            (["analyze", "induce", str(induce)], "heisenberg modulus 8")):
+        t0 = time.perf_counter()
+        done = _run_bounded(argv)
+        assert time.perf_counter() - t0 < 1, argv
+        assert done.returncode == 2, (argv, done.stderr[-500:])
+        assert json.loads(done.stdout)["error"] == (
+            f"{message} would build more than {cli.MAX_SPEC_ENTRIES} "
+            "dense entries")
+        assert "error:" in done.stderr
+    assert not os.path.exists(out)
+
+
 def test_members_are_decoded_before_a_later_syntax_error(capsys, tmp_path,
                                                          monkeypatch):
     text = _pauli_file(capsys, tmp_path, 3).read_text()
@@ -1081,6 +1123,35 @@ def test_streamed_writer_matches_json_dumps(tmp_path, obj):
     assert f.read_bytes() == want.encode()
     (artifact,) = report.artifacts
     assert artifact["sha256"] == hashlib.sha256(f.read_bytes()).hexdigest()
+
+
+def _nested_pools():
+    """A dict of dicts of matrix dicts coded with one shared memo, so the
+    matrices share entry objects, as export_bundle's pools do; one entry
+    has two terms and so holds a "terms" list."""
+    t = PhasedScalar.symbol("t")
+    two_terms = ExactMatrix(2, 2, [ONE + t, ONE, PhasedScalar.zero(3),
+                                   PhasedScalar.zeta(3)], 1)
+    memo = {}
+    pools = {p: {f"{k},0": matrix_to_json(m, memo) for k, m in enumerate(ms)}
+             for p, ms in (("3", [fourier_hadamard(3), two_terms]),
+                           ("5", [fourier_hadamard(5), fourier_hadamard(3)]),
+                           ("7", []))}
+    return {"pools": pools, "labels": [[0, 1], [1, 0]], "empty": [],
+            "none": {}, "nested": {"a": {"b": []}, "c": {"d": {}}},
+            "caveat": "text [with brackets]"}
+
+
+def test_json_pieces_match_dumps_on_nested_shapes():
+    obj = _nested_pools()
+    entries = [e for ms in obj["pools"].values() for m in ms.values()
+               for e in m["entries"]]
+    # one object per distinct entry across all the matrices
+    assert len({id(e) for e in entries}) == len(
+        {json.dumps(e, sort_keys=True) for e in entries})
+    assert any("terms" in e for e in entries)
+    for x in (obj, {"pools": obj["pools"]}, {"labels": [[]]}, {}):
+        assert "".join(cli._json_pieces(x)) == cli._DUMPS(x) + "\n"
 
 
 def test_usage_errors_exit_2(capsys):

@@ -777,31 +777,18 @@ def test_pool_entries_are_the_dense_products(built):
     assert len(distinct) <= 12 * 22
 
 
-def _generator_pairs(Q, seed, n):
-    """n seeded pairs (g, s) and n pairs (s, g) per generator s."""
-    rng = random.Random(seed)
-    elems = list(Q.elements())
-    return [pair for s in Q.generators for g in rng.sample(elems, n)
-            for pair in ((g, s), (s, g))]
+def _columns(Q):
+    """verify_nice's generator columns: (s, False) for the pairs (s, h),
+    then (s, True) for the pairs (h, s)."""
+    return [(s, right) for right in (False, True) for s in Q.generators]
 
 
-def test_generator_rows_agree_with_triple_products(built, monkeypatch):
-    rep, Q = built.rep, built.quotient
-    form = rep.matrix(Q.identity).generator_form(rep)
-    pairs = _generator_pairs(Q, 41, 150)
-    want = [extract_cocycle(rep, g, h) for g, h in pairs]
+def _counting_triple_products(monkeypatch):
     calls = []
     matmul = TensorTriple.__matmul__
     monkeypatch.setattr(TensorTriple, "__matmul__",
                         lambda a, b: calls.append(1) or matmul(a, b))
-    assert [form(g, h, Q.compose(g, h)) for g, h in pairs] == want
-    assert [extract_cocycle(rep, g, h, form) for g, h in pairs] == want
-    assert calls == []
-    # a pair without a generator multiplies the members
-    g, h = 7, 12_345
-    assert {g, h}.isdisjoint(Q.generators)
-    assert form(g, h, Q.compose(g, h)) == extract_cocycle(rep, g, h)
-    assert len(calls) == 2
+    return calls
 
 
 def _swapped_rep(built):
@@ -812,19 +799,62 @@ def _swapped_rep(built):
     return ProjectiveRep(Q, 165, lambda i: fm.member(swap.get(i, i)))
 
 
+def _slot_altered_rep(built):
+    """The 165 basis with one slot key moved in each of three members:
+    the 3-slot of position 7, the 5-slot of 12345 and the 11-slot of
+    20000, so each slot alone decides some pairs."""
+    Q, fm = built.quotient, built.factors
+    moved = {7: (1, 0, 0), 12_345: (0, 3, 0), 20_000: (0, 0, 3)}
+
+    def rho(i):
+        keys = fm.member(i).keys
+        if i in moved:
+            keys = tuple((k + d) % len(fm.keys[p])
+                         for p, k, d in zip(_PRIMES, keys, moved[i]))
+        return TensorTriple(fm, keys)
+
+    return ProjectiveRep(Q, 165, rho)
+
+
+def test_generator_rows_agree_with_triple_products(built, monkeypatch):
+    # the column sweep rejects a generator pair exactly when the product
+    # of the members does, and forms no product: on seeded pairs of every
+    # column, and on every pair that enters or composes to a changed member
+    Q = built.quotient
+    columns, elems = _columns(Q), list(Q.elements())
+    rng = random.Random(41)
+    for rep, changed in ((built.rep, ()), (_swapped_rep(built), (7, 12_345)),
+                         (_slot_altered_rep(built), (7, 12_345, 20_000))):
+        calls = _counting_triple_products(monkeypatch)
+        sweep = rep.matrix(Q.identity).column_sweep(rep, elems, columns)
+        rejected = [set(row) for row in sweep]
+        assert calls == []
+        monkeypatch.undo()
+        for (s, right), bad in zip(columns, rejected):
+            def pair(i):
+                return (i, s) if right else (s, i)
+            touched = [i for i in elems
+                       if {i, Q.compose(*pair(i))} & set(changed)]
+            assert len(touched) == 2 * len(changed)
+            for i in rng.sample(elems, 150) + touched:
+                try:
+                    extract_cocycle(rep, *pair(i))
+                except CocycleError:
+                    assert i in bad, pair(i)
+                else:
+                    assert i not in bad, pair(i)
+            assert bad <= set(touched)
+
+
 def test_generator_rows_fail_as_the_triple_products(built, monkeypatch):
     # the same failures, the same pairs checked and the same stop after
-    # 32 failures as with the rows switched off; on the rows, only the
+    # 32 failures as with the sweep switched off; with the sweep, only the
     # rejected pairs form a member product, their re-check
-    calls = []
-    matmul = TensorTriple.__matmul__
-    monkeypatch.setattr(TensorTriple, "__matmul__",
-                        lambda a, b: calls.append(1) or matmul(a, b))
+    calls = _counting_triple_products(monkeypatch)
     rows = verify_nice(_swapped_rep(built), pair_mode="sampled", seed=3,
                        sample_size=100)
     assert len(calls) == 33
-    monkeypatch.setattr(TensorTriple, "generator_form",
-                        lambda self, rep: None)
+    monkeypatch.setattr(TensorTriple, "column_sweep", None)
     products = verify_nice(_swapped_rep(built), pair_mode="sampled", seed=3,
                            sample_size=100)
     assert len(calls) == 33 + products.pairs_checked
@@ -835,15 +865,35 @@ def test_generator_rows_fail_as_the_triple_products(built, monkeypatch):
     assert rows.summary() == products.summary()
 
 
-def test_generator_row_rejection_of_a_good_pair_raises(built):
-    # a form that rejects a pair the product accepts is caught by the
+def test_generator_pair_failure_is_listed_at_both_positions(built,
+                                                            monkeypatch):
+    # rho(s t) replaced by another member: the pair (s, t) of two
+    # generators is in the column of s on the left and in that of t on
+    # the right, and fails in both; the failures stay under the stop, so
+    # pairs_checked is the whole stream
+    Q, fm = built.quotient, built.factors
+    s, t = Q.generators[:2]
+    st = Q.compose(s, t)
+    rep = ProjectiveRep(Q, 165, lambda i: fm.member(7 if i == st else i))
+    swept = verify_nice(rep, pair_mode="sampled", seed=3, sample_size=0)
+    monkeypatch.setattr(TensorTriple, "column_sweep", None)
+    products = verify_nice(rep, pair_mode="sampled", seed=3, sample_size=0)
+    failure = ("cocycle", Q.label(s), Q.label(t))
+    assert swept.failures.count(failure) == 2
+    assert swept.failures == products.failures
+    assert len(swept.failures) < 33
+    assert swept.pairs_checked == products.pairs_checked == 326_700
+
+
+def test_generator_row_rejection_of_a_good_pair_raises(built, monkeypatch):
+    # a sweep that rejects a pair the product accepts is caught by the
     # re-check on the product
-    rep, Q = built.rep, built.quotient
-    s = Q.generators[5]
-    form = rep.matrix(Q.identity).generator_form(rep)
-    assert extract_cocycle(rep, 7, s, form) == extract_cocycle(rep, 7, s)
+    def wrong(self, rep, elems, columns):
+        return ([7] if c == 3 else [] for c in range(len(columns)))
+
+    monkeypatch.setattr(TensorTriple, "column_sweep", wrong)
     with pytest.raises(ArithmeticError, match="dense product accepts"):
-        extract_cocycle(rep, 7, s, lambda g, h, gh: None)
+        verify_nice(built.rep, pair_mode="sampled", seed=3, sample_size=0)
 
 
 def test_monomial_split(built, report):
@@ -911,3 +961,47 @@ def test_export_bundle_full_generators(built):
     bundle = export_bundle(built, factors_only=False)
     assert len(bundle["generators_full"]) == 6
     assert all(m["rows"] == 165 for m in bundle["generators_full"])
+
+
+def _bundle_matrices(built):
+    """The exact matrices of a factors-only bundle, in export order."""
+    fm = built.factors
+    return ([m for c in (built.conj5, built.conj11)
+             for m in (c.F, c.D, c.B, c.R)]
+            + [m for p in _PRIMES for _, m in sorted(fm.exact[p].items())])
+
+
+def test_export_codes_each_distinct_entry_once(built, monkeypatch):
+    # one memo serves the whole export: scalar_to_json runs once per
+    # distinct entry value of all 455 matrices, not once per matrix
+    from uebkit import exactmat
+    calls = []
+    real = exactmat.scalar_to_json
+    monkeypatch.setattr(exactmat, "scalar_to_json",
+                        lambda s: calls.append(1) or real(s))
+    bundle = export_bundle(built)
+    matrices = _bundle_matrices(built)
+    assert len(matrices) == 455
+    assert len(calls) == len({e.key() for m in matrices for e in m.entries})
+    per_matrix = sum(len({e.key() for e in m.entries}) for m in matrices)
+    assert len(calls) < per_matrix
+    monkeypatch.undo()
+    assert bundle == _export_with_fresh_memos(built, monkeypatch)
+
+
+def _export_with_fresh_memos(built, monkeypatch, factors_only=True):
+    """export_bundle with a new matrix_to_json memo for every matrix."""
+    monkeypatch.setattr(counterexample165, "matrix_to_json",
+                        lambda m, memo=None: matrix_to_json(m))
+    try:
+        return export_bundle(built, factors_only=factors_only)
+    finally:
+        monkeypatch.undo()
+
+
+def test_export_memo_survives_temporary_matrices(built, monkeypatch):
+    # the dense generators are temporaries whose entries die with them;
+    # the shared memo holds every entry it keys by id, so a recycled id
+    # cannot hand a later entry an earlier one's JSON
+    want = _export_with_fresh_memos(built, monkeypatch, factors_only=False)
+    assert export_bundle(built, factors_only=False) == want

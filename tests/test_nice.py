@@ -399,12 +399,22 @@ def test_sampled_pairs_replay_identically():
     rep = pauli_rep(3)
     G = rep.group
     elems = list(G.elements())
-    first = list(nice._pair_source(G, elems, "sampled", 5, 40))
-    assert first == list(nice._pair_source(G, elems, "sampled", 5, 40))
+    first = _streamed(G, elems, "sampled", 5, 40)
+    assert first == _streamed(G, elems, "sampled", 5, 40)
     assert len(first) == 2 * len(G.generators) * 9 + 40
     rng = random.Random(5)
     tail = [(rng.choice(elems), rng.choice(elems)) for _ in range(40)]
     assert first[-40:] == tail
+
+
+def _streamed(G, elems, pair_mode, seed, sample_size):
+    """_pair_source's stream as one list: each generator column (s, right)
+    expanded, (h, s) if right else (s, h) for h in elems, then the rest,
+    which is an iterator, drawn as it goes."""
+    columns, rest = nice._pair_source(G, elems, pair_mode, seed, sample_size)
+    assert iter(rest) is rest
+    return ([(h, s) if right else (s, h) for s, right in columns for h in elems]
+            + list(rest))
 
 
 def _listed_pairs(G, elems, seed, sample_size):
@@ -420,12 +430,11 @@ def _listed_pairs(G, elems, seed, sample_size):
 def test_pair_source_streams_the_listed_pairs():
     rep = pauli_rep(3)
     G, elems = rep.group, list(rep.group.elements())
-    pairs = nice._pair_source(G, elems, "sampled", 5, 40)
-    assert iter(pairs) is pairs
-    assert list(pairs) == _listed_pairs(G, elems, 5, 40)
-    everything = nice._pair_source(G, elems, "all", None, 0)
-    assert iter(everything) is everything
-    assert list(everything) == [(g, h) for g in elems for h in elems]
+    assert _streamed(G, elems, "sampled", 5, 40) == \
+        _listed_pairs(G, elems, 5, 40)
+    assert nice._pair_source(G, elems, "all", None, 0)[0] == []
+    assert _streamed(G, elems, "all", None, 0) == \
+        [(g, h) for g in elems for h in elems]
 
 
 def test_oversized_full_sweep_is_refused_before_any_member_is_read():
@@ -443,9 +452,8 @@ def test_oversized_full_sweep_is_refused_before_any_member_is_read():
 def test_pair_source_streams_the_listed_165_pairs(built):
     G = built.rep.group
     elems = list(G.elements())
-    pairs = nice._pair_source(G, elems, "sampled", 1650, 10_000)
-    assert iter(pairs) is pairs
-    assert list(pairs) == _listed_pairs(G, elems, 1650, 10_000)
+    assert _streamed(G, elems, "sampled", 1650, 10_000) == \
+        _listed_pairs(G, elems, 1650, 10_000)
 
 
 def test_phase_rejection_of_a_good_pair_raises(monkeypatch):
