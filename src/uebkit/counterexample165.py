@@ -22,14 +22,15 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
-from .cyclo import PhasedScalar, _int_form, _reduce
+from .cyclo import PhasedScalar
 from .exactmat import (ExactMatrix, MonomialityReport, matrix_to_json,
                        monomiality_report)
 from .groups import (DirectProduct, FiniteGroup,
                      HeisenbergElement, HeisenbergGroup, SL2Element, SL2Group,
-                     SemidirectProduct, acts_irreducibly, element_order,
-                     is_automorphism)
+                     SemidirectProduct, acts_irreducibly, center as center_of,
+                     element_order, is_automorphism)
 from .nice import (NicenessReport, ProjectiveRep, clock_matrix, quadratic_diag,
                    shift_matrix, verify_nice, weyl_matrix)
 from .combinat import fourier_hadamard
@@ -298,70 +299,6 @@ class TensorTriple:
         return f"TensorTriple({self.keys!r}, j={self.j})"
 
 
-def _slot_values(m: ExactMatrix):
-    """(nonzero, values) for a slot matrix.  Slot matrices are pool
-    entries, products of Weyl matrices and R, so no entry carries a
-    symbol.
-
-    nonzero lists (i, j, t) per nonzero entry, t indexing values, which
-    holds each distinct entry once in integer form at conductor 165."""
-    nonzero, values, index = [], [], {}
-    for i in range(m.rows):
-        for j in range(m.cols):
-            e = m.entry(i, j)
-            if not e.terms:
-                continue
-            c = e.terms[()]
-            key = c.key()
-            t = index.get(key)
-            if t is None:
-                t = index[key] = len(values)
-                values.append(_int_form(c, 165))
-            nonzero.append((i, j, t))
-    return nonzero, values
-
-
-def _entry165(v3, v5, v11, offset: int) -> PhasedScalar:
-    """The product of three slot values times zeta_165^offset: one
-    integer coefficient convolution, reduced mod Phi_165."""
-    (t3, d3), (t5, d5), (t11, d11) = v3, v5, v11
-    t35 = [(a + b + offset, na * nb) for a, na in t3 for b, nb in t5]
-    raw: dict = {}
-    get = raw.get
-    for ab, nab in t35:
-        for c, nc in t11:
-            k = ab + c
-            raw[k] = get(k, 0) + nab * nc
-    return PhasedScalar(165, {(): _reduce(165, raw, d3 * d5 * d11)})
-
-
-def _tensor165(e3: ExactMatrix, e5: ExactMatrix, e11: ExactMatrix,
-               offset: int = 0) -> ExactMatrix:
-    """e3 (x) e5 (x) e11 times zeta_165^offset.
-
-    Entries are assembled directly at conductor 165 on the integer form,
-    which avoids the chain of conductor promotions the generic tensor
-    route would pay per entry.  Each slot has few distinct entries, so
-    each distinct value triple is convolved once and its entry shared."""
-    (nz3, v3), (nz5, v5), (nz11, v11) = (_slot_values(e3), _slot_values(e5),
-                                         _slot_values(e11))
-    zero = PhasedScalar.zero(1)
-    ents = [zero] * (165 * 165)
-    memo: dict = {}
-    for i3, j3, t3 in nz3:
-        for i5, j5, t5 in nz5:
-            row35 = (i3 * 5 + i5) * 11
-            col35 = (j3 * 5 + j5) * 11
-            for i11, j11, t11 in nz11:
-                key = (t3, t5, t11)
-                z = memo.get(key)
-                if z is None:
-                    z = memo[key] = _entry165(v3[t3], v5[t5], v11[t11],
-                                              offset)
-                ents[(row35 + i11) * 165 + col35 + j11] = z
-    return ExactMatrix(165, 165, ents, e3.scale * e5.scale * e11.scale)
-
-
 # ---------------------------------------------------------------------------
 # the factor-form representation
 
@@ -496,7 +433,8 @@ class FactorMap:
         """The dense 165 x 165 member, for export and dense checks."""
         k3, k5, k11, z = self._keys(g)
         exact = self.exact
-        return _tensor165(exact[3][k3], exact[5][k5], exact[11][k11], z)
+        return ExactMatrix(1, 1, [PhasedScalar.zeta(165, z)]).tensor(
+            exact[3][k3], exact[5][k5], exact[11][k11])
 
     def _mul(self, p: int, a: int, b: int):
         """(key, j) with pool[a] pool[b] == zeta_330^j pool[key] in the
@@ -693,10 +631,7 @@ def build_g165(seed: int = DEFAULT_SEED) -> G165:
     # the structural center is all of Z(G): a coset commuting with the
     # six generating cosets must be the identity coset, and the 165
     # structural elements commute with the generators exactly
-    central_cosets = [g for g in quotient.elements()
-                      if all(quotient.compose(g, t) == quotient.compose(t, g)
-                             for t in quotient.generators)]
-    if central_cosets != [quotient.identity]:
+    if center_of(quotient) != [quotient.identity]:
         raise ArithmeticError("additional central cosets found; the center "
                               "is larger than the structural one")
     for z in center:
@@ -870,14 +805,24 @@ def verify_counterexample(g: G165, seed: int = DEFAULT_SEED
             cross += 1
 
     # one full-value probe of the dense assembly, central phases and a
-    # twisted slot included, against the generic tensor route
+    # twisted slot included, against a reference that shares no code with
+    # its integer form: each nonzero entry is the PhasedScalar chain of
+    # one cell per slot times the slot's central phase, and the count of
+    # nonzero entries leaves every other entry zero
     probe = ((HeisenbergElement(5, 1, 2, 3), HeisenbergElement(11, 4, 5, 6)),
              HeisenbergElement(3, 1, 0, 2))
-    slow = (fm.exact[3][(1, 0)].scalar_mul(PhasedScalar.zeta(3, 2))
-            .tensor(fm.exact[5][(1, 2, 1)].scalar_mul(PhasedScalar.zeta(5, 3)))
-            .tensor(fm.exact[11][(4, 5, 0)]
-                    .scalar_mul(PhasedScalar.zeta(11, 6))))
-    if fm.exact_matrix(probe) != slow:
+    dense = fm.exact_matrix(probe)
+    slots = ((fm.exact[3][(1, 0)], PhasedScalar.zeta(3, 2)),
+             (fm.exact[5][(1, 2, 1)], PhasedScalar.zeta(5, 3)),
+             (fm.exact[11][(4, 5, 0)], PhasedScalar.zeta(11, 6)))
+    cells = [[(i, j, m.entry(i, j) * w) for i in range(p) for j in range(p)
+              if m.entry(i, j).terms] for (m, w), p in zip(slots, _PRIMES)]
+    if (dense.scale != prod(m.scale for m, _ in slots)
+            or dense.nonzero_count() != prod(map(len, cells))
+            or not all(dense.entry((i3 * 5 + i5) * 11 + i11,
+                                   (j3 * 5 + j5) * 11 + j11) == a * b * c
+                       for (i3, j3, a), (i5, j5, b), (i11, j11, c)
+                       in itertools.product(*cells))):
         cross_ok = False
     cross += 1
 

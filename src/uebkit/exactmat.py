@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import lcm
+from operator import mul
 
 from .cyclo import (PhasedScalar, _int_form, _reduce, json_int,
                     scalar_from_json, scalar_json_key, scalar_to_json)
@@ -150,19 +152,38 @@ class ExactMatrix:
             t = t + self.entries[i * self.cols + i]
         return t * self.scale
 
-    def tensor(self, other: "ExactMatrix") -> "ExactMatrix":
-        ra, ca, rb, cb = self.rows, self.cols, other.rows, other.cols
-        ents = [None] * (ra * rb * ca * cb)
-        cols = ca * cb
-        for i1 in range(ra):
-            for j1 in range(ca):
-                a = self.entries[i1 * ca + j1]
-                for i2 in range(rb):
-                    base = (i1 * rb + i2) * cols + j1 * cb
-                    for j2 in range(cb):
-                        b = other.entries[i2 * cb + j2]
-                        ents[base + j2] = a * b if (a.terms and b.terms) else _ZERO
-        return ExactMatrix(ra * rb, ca * cb, ents, self.scale * other.scale)
+    def tensor(self, *others: "ExactMatrix") -> "ExactMatrix":
+        """self (x) others[0] (x) ..., all factors in one call.
+
+        A factor's nonzero entries are indexed by value, and each distinct
+        tuple of them, one per factor, is multiplied once (_product) and
+        its entry object shared by every cell it fills; zeros are the
+        order-1 zero.  Keying each product to share equal products of
+        distinct tuples too cost more than the products themselves.  The
+        cells of all factors but the last are listed as (row, column,
+        tuple) prefixes, and the last factor's cells streamed past each."""
+        mats = (self, *others)
+        rows, cols, scale = 1, 1, _F1
+        for m in mats:
+            rows, cols, scale = rows * m.rows, cols * m.cols, scale * m.scale
+        cells, values = zip(*map(_cells, mats))
+        prefix = [(0, 0, ())]
+        for m, nz in zip(mats[:-1], cells[:-1]):
+            prefix = [(r * m.rows + i, c * m.cols + j, ts + (t,))
+                      for r, c, ts in prefix for i, j, t in nz]
+        rl, cl = mats[-1].rows, mats[-1].cols
+        ents = [_ZERO] * (rows * cols)
+        memo = {}                   # by prefix tuple, then by last index
+        for r, c, ts in prefix:
+            base = r * rl * cols + c * cl
+            row = memo.setdefault(ts, {})
+            for i, j, t in cells[-1]:
+                z = row.get(t)
+                if z is None:
+                    z = row[t] = _product([v[k] for v, k
+                                           in zip(values, ts + (t,))])
+                ents[base + i * cols + j] = z
+        return ExactMatrix(rows, cols, ents, scale)
 
     def substitute(self, values) -> "ExactMatrix":
         ents = [e.substitute(values) if e.terms else e for e in self.entries]
@@ -280,6 +301,37 @@ class ExactMatrix:
     def __repr__(self):
         return (f"ExactMatrix({self.rows}x{self.cols}, scale={self.scale}, "
                 f"nonzero={self.nonzero_count()})")
+
+
+def _cells(m: ExactMatrix):
+    """(row, column, index) per nonzero entry of m, and m's distinct
+    nonzero entries by index."""
+    index: dict = {}            # key -> (index, first entry of that key)
+    cells = [(*divmod(c, m.cols),
+              index.setdefault(e.key(), (len(index), e))[0])
+             for c, e in enumerate(m.entries) if e.terms]
+    return cells, [e for _, e in index.values()]
+
+
+def _product(xs) -> PhasedScalar:
+    """The product of nonzero scalars, symbol-free ones formed as _dot
+    forms a sum: in integer form at the lcm N of their orders, reduced
+    mod Phi_N once, giving the chain's scalar.  Symbols take the chain."""
+    if not all(len(x.terms) == 1 and () in x.terms for x in xs):
+        return reduce(mul, xs)
+    n = lcm(*(x.order for x in xs))
+    acc, den = {0: 1}, 1
+    for x in xs:
+        t, d = _int_form(x.terms[()], n)
+        den *= d
+        out: dict = {}
+        get = out.get
+        for a, va in acc.items():
+            for b, vb in t:
+                k = (a + b) % n
+                out[k] = get(k, 0) + va * vb
+        acc = out
+    return PhasedScalar(n, {(): _reduce(n, acc, den)})
 
 
 def _dot(pairs) -> PhasedScalar:

@@ -229,8 +229,7 @@ class SL2Group(FiniteGroup):
         self.p = p
         self.identity = SL2Element(p, 1, 0, 0, 1)
         self.order = p * (p * p - 1)
-        self.generators = (SL2Element(p, 0, p - 1, 1, 0),   # alpha
-                           SL2Element(p, 1, 0, 1, 1))       # beta
+        self.generators = (sl2_alpha(p), sl2_beta(p))
 
     def compose(self, m: SL2Element, n: SL2Element):
         p = self.p

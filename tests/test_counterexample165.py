@@ -1,5 +1,6 @@
 import cmath
 import functools
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from uebkit import counterexample165
+from uebkit import cli, counterexample165
 from uebkit.counterexample165 import (
     ConjugatorError,
     FactorMap,
@@ -17,7 +18,6 @@ from uebkit.counterexample165 import (
     _PRIMES,
     _check_law,
     _exponent_action,
-    _tensor165,
     build_conjugators,
     conjugation_automorphism,
     export_bundle,
@@ -48,6 +48,7 @@ from uebkit.nice import (
     verify_nice,
     weyl_matrix,
 )
+from test_exactmat import _chain_tensor
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +400,9 @@ def _value(s: PhasedScalar) -> complex:
 
 
 def _complex(m: ExactMatrix) -> np.ndarray:
-    """m in complex128; _tensor165 shares entry objects between equal
-    entries, so each distinct object is evaluated once."""
+    """m in complex128.  ExactMatrix.tensor gives the cells of one tuple
+    of factor entries one entry object, so each distinct object is
+    evaluated once."""
     seen = {}
     out = np.zeros(m.rows * m.cols, dtype=complex)
     for idx, e in enumerate(m.entries):
@@ -921,17 +923,57 @@ def test_report_ok_and_summary(report):
 
 
 def test_dense_members_match_generic_tensor(built):
-    # the integer-form assembly against the generic tensor route, with
-    # twisted R slots at both primes and nonzero central offsets
+    # the integer-form assembly of FactorMap.exact_matrix against the
+    # per-entry chain, with twisted R slots at both primes and nonzero
+    # central offsets
     fm = built.factors
-    zeta = PhasedScalar.zeta(165)
     for k3, k5, k11, offset in (((1, 0), (1, 2, 1), (4, 5, 0), 1),
                                 ((0, 1), (3, 0, 0), (2, 9, 2), 56),
                                 ((2, 2), (4, 4, 2), (0, 0, 0), 164),
                                 ((1, 1), (0, 3, 0), (6, 1, 1), 33)):
         e3, e5, e11 = fm.exact[3][k3], fm.exact[5][k5], fm.exact[11][k11]
-        want = e3.tensor(e5).tensor(e11).scalar_mul(zeta ** offset)
-        assert _tensor165(e3, e5, e11, offset) == want
+        zeta = PhasedScalar.zeta(165, offset)
+        got = ExactMatrix(1, 1, [zeta]).tensor(e3, e5, e11)
+        want = _chain_tensor(e3, e5, e11).scalar_mul(zeta)
+        assert got == want and got.scale == want.scale
+        assert matrix_to_json(got) == matrix_to_json(want)
+        # no two tuples of slot entries give equal entries here, so equal
+        # entries are one object
+        assert len({id(e) for e in got.entries}) == \
+            len({e.key() for e in got.entries})
+
+
+_PROBE = ((HeisenbergElement(5, 1, 2, 3), HeisenbergElement(11, 4, 5, 6)),
+          HeisenbergElement(3, 1, 0, 2))
+
+
+@pytest.mark.parametrize("alter", ["negate a nonzero entry",
+                                   "fill a zero entry"])
+def test_probe_refutes_a_wrong_dense_member(built, monkeypatch, alter):
+    # only the probe member is wrong, so only its chain reference can
+    # notice: cross_ok falls and the count of cross-checks stays
+    fm, seen = built.factors, []
+    real = fm.exact_matrix
+
+    def exact_matrix(g):
+        m = real(g)
+        if g != _PROBE:
+            return m
+        seen.append(g)
+        ents = list(m.entries)
+        first = next(k for k, e in enumerate(ents) if e.terms)
+        if alter == "negate a nonzero entry":
+            ents[first] = -ents[first]
+        else:
+            ents[next(k for k, e in enumerate(ents) if not e.terms)] = \
+                ents[first]
+        return ExactMatrix(m.rows, m.cols, ents, m.scale)
+
+    monkeypatch.setattr(fm, "exact_matrix", exact_matrix)
+    report = verify_counterexample(built)
+    assert seen == [_PROBE]
+    assert not report.cross_ok and report.cross_checks == 21
+    assert not report.ok
 
 
 def test_monomiality_report_reads_generators(built):
@@ -961,6 +1003,17 @@ def test_export_bundle_full_generators(built):
     bundle = export_bundle(built, factors_only=False)
     assert len(bundle["generators_full"]) == 6
     assert all(m["rows"] == 165 for m in bundle["generators_full"])
+
+
+def test_full_bundle_bytes_are_pinned(built):
+    # the bytes construct counterexample165 --out writes: the six dense
+    # generators come from ExactMatrix.tensor, and a change to them must
+    # be deliberate
+    digest = hashlib.sha256()
+    for piece in cli._json_pieces(export_bundle(built, factors_only=False)):
+        digest.update(piece.encode())
+    assert digest.hexdigest() == (
+        "aa816e35fd794b687838fc335668c28467e57afc26ef3741ff7f356d844f098f")
 
 
 def _bundle_matrices(built):

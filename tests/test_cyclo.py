@@ -1,6 +1,8 @@
+import ast
 import random
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 import sympy
@@ -363,3 +365,48 @@ def test_integer_form_cancels_denominators():
         assert (half_z.conj() * 4).key() == two_zinv.key()
     with pytest.raises(TypeError):
         Cyclotomic.zeta(5).coeffs[0] = Fraction(1)
+
+
+def _private_cyclo_names(path: Path) -> list[str]:
+    """The names starting with _ that path takes from uebkit.cyclo, by a
+    from-import or as an attribute of the module imported under a name."""
+    tree = ast.parse(path.read_text(), str(path))
+    found, aliases = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = ("." * node.level) + (node.module or "")
+            if module in (".cyclo", "uebkit.cyclo"):
+                found += [a.name for a in node.names if a.name.startswith("_")]
+            elif module in (".", "uebkit"):
+                aliases |= {a.asname or a.name for a in node.names
+                            if a.name == "cyclo"}
+        elif isinstance(node, ast.Import):
+            aliases |= {a.asname for a in node.names
+                        if a.name == "uebkit.cyclo" and a.asname}
+    return found + [node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and node.attr.startswith("_")
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases]
+
+
+def test_only_exactmat_reaches_into_cyclo():
+    # the integer form and its reduction serve ExactMatrix's dot and
+    # tensor products; fastcyc may use them until it moves onto those
+    src = Path(__file__).resolve().parent.parent / "src" / "uebkit"
+    allowed = {"cyclo", "exactmat", "fastcyc"}
+    found = {p.stem: _private_cyclo_names(p) for p in sorted(src.glob("*.py"))
+             if p.stem not in allowed}
+    assert "counterexample165" in found
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_private_cyclo_names_are_found(tmp_path):
+    f = tmp_path / "m.py"
+    f.write_text("from .cyclo import PhasedScalar, _reduce\n"
+                 "from uebkit.cyclo import _int_form as form\n"
+                 "from . import cyclo as c\n"
+                 "import uebkit.cyclo as cy\n"
+                 "x = c._cyc, cy._power, c.Cyclotomic, other._reduce\n")
+    assert _private_cyclo_names(f) == ["_reduce", "_int_form", "_cyc",
+                                       "_power"]

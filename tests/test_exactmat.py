@@ -380,3 +380,105 @@ def test_dense_dot_sends_symbols_through_the_chain(monkeypatch):
     assert calls == []
     _same_product(_random_exact(rng, 3, 4, 12), _random_exact(rng, 4, 3, 12))
     assert calls
+
+
+# ---------------------------------------------------------------------------
+# tensor products: one integer-form product per distinct tuple of entries
+# against the per-entry chain
+
+
+def _chain_tensor(a, *others):
+    """a (x) others[0] (x) ... by the per-entry chain, folded left: the
+    loop ExactMatrix.tensor ran for two factors before it multiplied each
+    distinct tuple of entries once in integer form."""
+    for b in others:
+        ra, ca, rb, cb = a.rows, a.cols, b.rows, b.cols
+        ents = [None] * (ra * rb * ca * cb)
+        cols = ca * cb
+        for i1 in range(ra):
+            for j1 in range(ca):
+                x = a.entries[i1 * ca + j1]
+                for i2 in range(rb):
+                    base = (i1 * rb + i2) * cols + j1 * cb
+                    for j2 in range(cb):
+                        y = b.entries[i2 * cb + j2]
+                        ents[base + j2] = x * y if (x.terms and y.terms) \
+                            else PhasedScalar.zero(1)
+        a = ExactMatrix(ra * rb, ca * cb, ents, a.scale * b.scale)
+    return a
+
+
+def _same_tensor(a, *others):
+    got, want = a.tensor(*others), _chain_tensor(a, *others)
+    assert got == want and got.scale == want.scale
+    # the JSON carries every entry's order
+    assert matrix_to_json(got) == matrix_to_json(want)
+    # the cells of one tuple of factor values hold one object, and every
+    # zero is the one order-1 zero
+    mats, shared = (a, *others), {}
+    for idx, e in enumerate(got.entries):
+        r, c = divmod(idx, got.cols)
+        values = []
+        for m in reversed(mats):
+            (r, i), (c, j) = divmod(r, m.rows), divmod(c, m.cols)
+            values.append(m.entry(i, j))
+        if not all(v.terms for v in values):
+            assert not e.terms and e.order == 1
+            values = ()
+        assert shared.setdefault(tuple(v.key() for v in values), e) is e
+    return got
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 11, 15, 165])
+def test_tensor_matches_the_chain(n):
+    rng = random.Random(100 + n)
+    shapes = ((2, 2), (1, 3), (3, 2), (2, 1))
+    for k in (1, 2, 3):
+        for _ in range(2 if n == 165 else 4):
+            a, *others = (_random_exact(rng, *rng.choice(shapes), n)
+                          for _ in range(k + 1))
+            _same_tensor(a, *others)
+    a, b = _random_exact(rng, 2, 3, n), _random_exact(rng, 3, 1, n)
+    _same_tensor(a, a)                  # one matrix passed twice
+    _same_tensor(a, b, a)
+    # a factor with symbol t takes the chain wherever its entries enter
+    _same_tensor(_random_exact(rng, 2, 2, n, symbol=True), b)
+    _same_tensor(a, _random_exact(rng, 2, 1, n, symbol=True), b)
+
+
+def test_tensor_mixes_conductors_per_tuple():
+    # each tuple is formed at the lcm of its own orders: 1, 3, 4, 12, 15 ...
+    rng = random.Random(11)
+    for _ in range(6):
+        mats = [_random_exact(rng, *rng.choice(((2, 2), (1, 2), (2, 1))),
+                              rng.choice((1, 3, 4, 5, 11, 15)))
+                for _ in range(rng.randint(2, 4))]
+        _same_tensor(*mats)
+    z3, z4 = PhasedScalar.zeta(3), PhasedScalar.zeta(4)
+    one, half = PhasedScalar.one(1), PhasedScalar.of(Fraction(1, 2))
+    got = _same_tensor(ExactMatrix(1, 2, [one, z3]),
+                       ExactMatrix(2, 1, [half, z4]), ExactMatrix(1, 1, [z3]))
+    assert [e.order for e in got.entries] == [3, 3, 12, 12]
+    assert got.entries[0] == z3 * Fraction(1, 2)
+
+
+def test_tensor_keeps_zeros_of_every_order_as_order_1():
+    z5 = PhasedScalar.zeta(5)
+    a = ExactMatrix(2, 2, [PhasedScalar.zero(5), z5, PhasedScalar.zero(1),
+                           PhasedScalar.of(Fraction(2, 3))], Fraction(3, 5))
+    got = _same_tensor(a, ExactMatrix(1, 2, [z5, PhasedScalar.zero(7)]))
+    assert got.nonzero_count() == 2
+    assert all(e.order == 1 for e in got.entries if not e.terms)
+
+
+def test_tensor_sends_symbols_through_the_chain(monkeypatch):
+    calls = []
+    form = exactmat._int_form
+    monkeypatch.setattr(exactmat, "_int_form",
+                        lambda c, n: calls.append(n) or form(c, n))
+    rng = random.Random(8)
+    _same_tensor(_random_exact(rng, 2, 2, 12, symbol=True),
+                 _random_exact(rng, 2, 3, 12))
+    assert calls == []
+    _same_tensor(_random_exact(rng, 2, 2, 12), _random_exact(rng, 2, 3, 12))
+    assert calls
