@@ -338,9 +338,10 @@ def _looks_like_path(target: str) -> bool:
 # spec strings
 
 
-# the most dense entries (members x d^2), n ** power for _positive_int's
-# n, that an inline spec may build: above analyze induce heisenberg:7's
-# 7^7 = 343 x 49^2 = 823,543, the largest the tests and benchmark use
+# the most dense entries (members x d^2), n ** power for _bounded's n,
+# that an inline spec or a sam basis from files may build: above analyze
+# induce heisenberg:7's 7^7 = 343 x 49^2 = 823,543, the largest the tests
+# and benchmark use
 MAX_SPEC_ENTRIES = 1_000_000
 
 
@@ -351,6 +352,10 @@ def _positive_int(text: str, what: str, power: int = 0) -> int:
         raise InputError(f"{what} must be an integer, got {text!r}")
     if n < 1:
         raise InputError(f"{what} must be positive, got {n}")
+    return _bounded(n, what, power)
+
+
+def _bounded(n: int, what: str, power: int) -> int:
     if n ** power > MAX_SPEC_ENTRIES:
         raise InputError(f"{what} {n} would build more than "
                          f"{MAX_SPEC_ENTRIES} dense entries")
@@ -438,6 +443,8 @@ def _sam_basis(latin_spec: str, had_spec: str, report: RunReport):
     path taken as given, commas included."""
     t0 = time.perf_counter()
     latin = _latin_from_spec(latin_spec, report)
+    # a file's order passed no spec bound: d^2 members of d x d
+    _bounded(latin.d, "latin order", 4)
     had = _hadamard_from_spec(had_spec, report)
     try:
         basis = shift_and_multiply(latin, had)
@@ -454,7 +461,9 @@ def _constructed(spec: str, basis: UnitaryErrorBasis, t0: float,
 
 
 def _load_basis(target: str, report: RunReport) -> UnitaryErrorBasis:
-    if _looks_like_path(target):
+    # a sam spec may name files, so only an existing file takes its place
+    if os.path.exists(target) or (_looks_like_path(target)
+                                  and not target.startswith("sam:")):
         return _read_basis(target, report)
     return _basis_from_spec(target, report)
 

@@ -213,14 +213,14 @@ class TensorTriple:
 
     keys holds one 3-, 5- and 11-slot int key of the owning FactorMap;
     the member is zeta_330^j times the tensor product of the three pool
-    entries.  A product multiplies the keys slot by slot by the group
-    law (FactorMap._mul, tabulated for the 3- and 5-slots) and adds the
-    exponents, with no matrix arithmetic.  Every phase that arises is a
-    power of zeta_330: slot phases are +-zeta_p^k and a central exponent
-    z gives zeta_165^z = zeta_330^(2z).  Distinct keys are never proportional
-    (_mul), so the slice of the matrix interface that the niceness
-    verifier consumes (identity and unitarity tests, trace, comparison
-    up to a unit phase) reads keys and exponents alone."""
+    entries.  A product multiplies the keys slot by slot by one slot rule
+    (FactorMap._mul) and adds the exponents, with no matrix arithmetic.
+    Every phase that arises is a power of zeta_330: slot phases are
+    +-zeta_p^k, and a slot's central exponent z gives zeta_330^(330 z / p).
+    Distinct keys are never proportional (_mul), so the slice of the
+    matrix interface that the niceness verifier consumes (identity and
+    unitarity tests, trace, comparison up to a unit phase) reads keys
+    and exponents alone."""
 
     __slots__ = ("fm", "keys", "j")
     dim = 165
@@ -231,13 +231,8 @@ class TensorTriple:
         self.j = j % 330
 
     def __matmul__(self, other: "TensorTriple") -> "TensorTriple":
-        fm = self.fm
-        (a3, a5, a11), (b3, b5, b11) = self.keys, other.keys
-        k3, j3 = fm._table3[a3][b3]
-        k5, j5 = fm._table5[a5][b5]
-        k11, j11 = fm._mul(11, a11, b11)
-        return TensorTriple(fm, (k3, k5, k11),
-                            self.j + other.j + j3 + j5 + j11)
+        keys, js = zip(*map(self.fm._mul, _PRIMES, self.keys, other.keys))
+        return TensorTriple(self.fm, keys, self.j + other.j + sum(js))
 
     def is_identity(self) -> bool:
         # the slot signs are folded into j, so (-I) (x) (-I) (x) I, the
@@ -306,13 +301,13 @@ class TensorTriple:
 class FactorMap:
     """mu in factor form, backed by three lookup pools.
 
-    Pool keys: the 3-slot by (x3, y3), the 5-slot by (x5, y5, x3), the
-    11-slot by (x11, y11, y3); the stored values are Z^y X^x R^k
-    products.  A group element ((n5, n11), h) maps to the three pool
-    keys and the central exponent 55 h.z + 33 n5.z + 15 n11.z mod 165,
+    Each slot is a Weyl basis at p twisted by powers of R_p, the 3-slot
+    the untwisted one (R = I): pool entries Z^y X^x R^k keyed (x3, y3),
+    (x5, y5, x3) and (x11, y11, y3).  A group element ((n5, n11), h) maps
+    per slot to a pool key and a central exponent z_p (h.z, n5.z, n11.z),
     so quotient representatives (central exponents zero) hit the pools
     directly.  A TensorTriple holds int keys k, keys[p][k] in sorted
-    order: 3 x + y in the 3-slot and 3 (p x + y) + k in the p-slot.
+    order: n (p x + y) + k with n = 3 twist powers, 1 in the 3-slot.
 
     Every pool entry is unitary (the argument is in _verify_pools),
     which is what entitles every TensorTriple to unitarity scale 1.
@@ -345,12 +340,9 @@ class FactorMap:
         self._gamma = {p: [[f[HeisenbergElement(p, x, y, 0)][1:]
                             for x in range(p) for y in range(p)]
                            for f in self.powers[p]] for p in (5, 11)}
+        self._gamma[3] = [[(x, y, 0) for x in range(3) for y in range(3)]]
         self._wrap = {c.p: self._power[c.r_cubed.promote(330).key()]
                       for c in (conj5, conj11)}
-        # _mul tabulated for the small slots: 81 and 5,625 entries
-        self._table3, self._table5 = (
-            [[self._mul(p, a, b) for b in range(n)] for a in range(n)]
-            for p, n in ((3, 9), (5, 75)))
 
     def _pool(self, p: int, r: ExactMatrix | None):
         """The p-slot pool: W(x, y) R^k for k in {0, 1, 2}, or W(x, y)
@@ -411,16 +403,15 @@ class FactorMap:
 
     @staticmethod
     def _keys(g):
-        """The 3-, 5- and 11-slot pool keys of g and its central
-        exponent."""
+        """(pool key, central exponent z_p) of g in the 3-, 5- and 11-slot."""
         (n5, n11), h = g
-        return ((h.x, h.y), (n5.x, n5.y, h.x), (n11.x, n11.y, h.y),
-                (55 * h.z + 33 * n5.z + 15 * n11.z) % 165)
+        return (((h.x, h.y), h.z), ((n5.x, n5.y, h.x), n5.z),
+                ((n11.x, n11.y, h.y), n11.z))
 
     def triple(self, g) -> TensorTriple:
-        """The member of g in G: its coset's times zeta_165^z (_keys)."""
-        return TensorTriple(self, self.member(Quotient165.index(g)).keys,
-                            2 * self._keys(g)[3])
+        """The member of g in G: its coset's times zeta_p^(z_p) per slot."""
+        j = sum(330 // p * z for p, (_, z) in zip(_PRIMES, self._keys(g)))
+        return TensorTriple(self, self.member(Quotient165.index(g)).keys, j)
 
     def member(self, i: int) -> TensorTriple:
         """The member of Quotient165 position i = 1089 a5 + 9 a11 + a3,
@@ -430,22 +421,22 @@ class FactorMap:
         return TensorTriple(self, (a3, 3 * a5 + a3 // 3, 3 * a11 + a3 % 3))
 
     def exact_matrix(self, g) -> ExactMatrix:
-        """The dense 165 x 165 member, for export and dense checks."""
-        k3, k5, k11, z = self._keys(g)
-        exact = self.exact
-        return ExactMatrix(1, 1, [PhasedScalar.zeta(165, z)]).tensor(
-            exact[3][k3], exact[5][k5], exact[11][k11])
+        """The dense 165 x 165 member, for export and dense checks: the
+        tensor product of the slots' zeta_p^(z_p) pool[key]."""
+        e3, e5, e11 = (self.exact[p][k].scalar_mul(PhasedScalar.zeta(p, z))
+                       for p, (k, z) in zip(_PRIMES, self._keys(g)))
+        return e3.tensor(e5, e11)
 
     def _mul(self, p: int, a: int, b: int):
         """(key, j) with pool[a] pool[b] == zeta_330^j pool[key] in the
         p-slot, keys as ints.
 
-        Key 3 x + y of the 3-slot is rho(x, y, 0), and the keys multiply
-        by the Heisenberg law, which rho obeys by the X Z = zeta Z X
-        guards in build_conjugators and _verify_pools.  Key
-        3 (p x + y) + k of the 5- and 11-slots is W(x, y) R^k, and
-        W(h) R^k W(h') R^k' = W(h gamma^k(h')) R^(k+k'), as
-        R rho(h) R^dagger = rho(gamma(h)) for every h
+        Key n (p x + y) + k is W(x, y) R^k, n = len(_gamma[p]) twist
+        powers: 3 in the 5- and 11-slots, 1 in the 3-slot, where R = I
+        and _gamma[3] is the identity.  W = rho(x, y, 0) obeys the
+        Heisenberg law by the X Z = zeta Z X guards in build_conjugators
+        and _verify_pools, and W(h) R^k W(h') R^k' = W(h gamma^k(h'))
+        R^(k+k'), as R rho(h) R^dagger = rho(gamma(h)) for every h
         (conjugation_automorphism); when k + k' reaches 3,
         R^3 = r_cubed I (checked) contributes its exponent.  The central
         part z of the product gives zeta_p^z.
@@ -459,18 +450,17 @@ class FactorMap:
             return a, 0
         if not a:
             return b, 0
-        if p == 3:                      # no twist: the Heisenberg law alone
-            (x, y), (u, v) = divmod(a, 3), divmod(b, 3)
-            return (x + u) % 3 * 3 + (y + v) % 3, 110 * x * v % 330
-        xy, k = divmod(a, 3)
-        uv, t = divmod(b, 3)
-        u, v, c = self._gamma[p][k][uv]
+        gamma = self._gamma[p]
+        n = len(gamma)
+        xy, k = divmod(a, n)
+        uv, t = divmod(b, n)
+        u, v, c = gamma[k][uv]
         x, y = divmod(xy, p)
         j = 330 // p * (c + x * v)
         k += t
-        if k >= 3:
-            k, j = k - 3, j + self._wrap[p]
-        return ((x + u) % p * p + (y + v) % p) * 3 + k, j % 330
+        if k >= n:
+            k, j = k - n, j + self._wrap[p]
+        return ((x + u) % p * p + (y + v) % p) * n + k, j % 330
 
 
 # ---------------------------------------------------------------------------
@@ -512,10 +502,10 @@ class Quotient165(FiniteGroup):
     is n5 + T5[h.x](m5) mod 5, n11 + T11[h.y](m11) mod 11 and h + k mod 3
     in (x, y), with z = 0: G gives ((n5 gamma_5^h.x(m5),
     n11 gamma_11^h.y(m11)), h k), and z never feeds back into x and y.
-    compose reads these sums as positions from 3 x 25 x 25 and
-    3 x 121 x 121 tables picked by x3 and y3 and a 9 x 9 one for h k,
-    and a position's digits from a list.  _check_law confirms T_p and the
-    law against G."""
+    compose reads these sums as positions from tables built alike, with
+    _gamma[3] the identity: 3 x 25 x 25 and 3 x 121 x 121 picked by x3
+    and y3, 1 x 9 x 9 for h k; and a position's digits from a list.
+    _check_law confirms T_p and the law against G."""
 
     identity = 0
 
@@ -531,12 +521,10 @@ class Quotient165(FiniteGroup):
                       for u, v, _ in row] for a in range(p * p)]
                     for row in gamma[p]]
 
-        s5, s11 = sums(5, 1089), sums(11, 9)
+        s5, s11, (self._t3,) = sums(5, 1089), sums(11, 9), sums(3, 1)
         # by a3 = 3 x3 + y3: the 5-part twists by x3, the 11-part by y3
         self._t5 = [s5[a3 // 3] for a3 in range(9)]
         self._t11 = [s11[a3 % 3] for a3 in range(9)]
-        self._t3 = [[(a // 3 + b // 3) % 3 * 3 + (a + b) % 3 for b in range(9)]
-                    for a in range(9)]
         # (a5, a11, a3) by position: half the cost of compose's divmods
         self._digits = list(itertools.product(range(25), range(121), range(9)))
 

@@ -11,7 +11,6 @@ definition and is kept independent of either construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .combinat import LatinSquare, check_complex_hadamard, validate_latin

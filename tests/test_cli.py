@@ -123,6 +123,10 @@ def test_construct_sam_from_files(capsys, tmp_path):
     assert rc == 0
     roles = [a["role"] for a in lines[-1]["artifacts"]]
     assert roles == ["in", "in", "out"]
+    # the same files named in a sam spec: its paths do not make it one
+    rc, lines, _ = run(capsys, ["analyze", "monomial", f"sam:{lf},{hf}"])
+    assert rc == 0
+    assert checks_by_name(lines)["construct"]["details"]["members"] == 9
 
 
 def test_construct_sam_reads_a_latin_path_with_a_comma(capsys, tmp_path):
@@ -1041,6 +1045,51 @@ def test_inline_specs_above_the_entry_bound_exit_2(tmp_path):
             "dense entries")
         assert "error:" in done.stderr
     assert not os.path.exists(out)
+
+
+def _sam_files(tmp_path, d):
+    """A cyclic Latin square file and a Fourier matrix file of order d."""
+    latin, had = tmp_path / f"latin{d}.json", tmp_path / f"fourier{d}.json"
+    latin.write_text(json.dumps([list(r) for r in cyclic_latin(d).cells]))
+    had.write_text(json.dumps(matrix_to_json(fourier_hadamard(d))))
+    return str(latin), str(had)
+
+
+def test_sam_files_above_the_entry_bound_exit_2(tmp_path):
+    # files carry no spec to bound: order 32 asks for 32^4 dense entries,
+    # just over MAX_SPEC_ENTRIES, and is refused before the Hadamard check
+    latin, had = _sam_files(tmp_path, 32)
+    out = str(tmp_path / "out.json")
+    for argv in (["construct", "sam", latin, had, "--out", out],
+                 ["analyze", "monomial", f"sam:{latin},{had}"]):
+        t0 = time.perf_counter()
+        done = _run_bounded(argv)
+        assert time.perf_counter() - t0 < 1, argv
+        assert done.returncode == 2, (argv, done.stderr[-500:])
+        assert json.loads(done.stdout)["error"] == (
+            f"latin order 32 would build more than {cli.MAX_SPEC_ENTRIES} "
+            "dense entries")
+        assert "error:" in done.stderr
+    assert not os.path.exists(out)
+
+
+def test_sam_file_bound_admits_order_31(capsys, tmp_path, monkeypatch):
+    # 31^4 = 923,521 dense entries pass the bound and reach
+    # shift_and_multiply, stubbed so that nothing is built; 32 does not
+    seen = []
+
+    def stub(latin, had):
+        seen.append((latin.d, had.rows))
+        raise ValueError("not built")
+
+    monkeypatch.setattr(cli, "shift_and_multiply", stub)
+    for d, error in ((31, "cannot build shift-and-multiply basis: not built"),
+                     (32, "latin order 32 would build more than 1000000 "
+                          "dense entries")):
+        rc, lines, _ = run(capsys, ["analyze", "monomial",
+                                    "sam:%s,%s" % _sam_files(tmp_path, d)])
+        assert rc == 2 and lines[0]["error"] == error
+    assert seen == [(31, 31)]
 
 
 def test_members_are_decoded_before_a_later_syntax_error(capsys, tmp_path,

@@ -199,16 +199,17 @@ def test_slot_signs_cancel_across_slots():
     # S (x) S (x) I squares to (-I) (x) (-I) (x) I, the identity, and
     # S (x) I (x) I squares to (-I) (x) I (x) I, which is not.  No pool
     # entry squares to -I outside the 11-slot (R5^3 = I, and Z, X give
-    # only powers of zeta_p), so stub slot tables supply S with
+    # only powers of zeta_p), so a stub slot rule supplies S with
     # S S = zeta_330^165 I in the 3- and 5-slots
     e = 0
     table = {"S": {"S": (e, 165), e: ("S", 0)}, e: {"S": ("S", 0), e: (e, 0)}}
 
     def mul(p, a, b):
-        assert (p, a, b) == (11, e, e), f"slot {p} multiplied {a} by {b}"
-        return e, 0
+        if p == 11:
+            assert (a, b) == (e, e), f"slot 11 multiplied {a} by {b}"
+        return table[a][b]
 
-    stub = SimpleNamespace(_table3=table, _table5=table, _mul=mul)
+    stub = SimpleNamespace(_mul=mul)
     both = TensorTriple(stub, ("S", "S", _ID[2]))
     one = TensorTriple(stub, ("S", _ID[1], _ID[2]))
     assert (both @ both).is_identity()
@@ -298,15 +299,23 @@ def test_normal_form_matches_packed_products(built):
     assert sum(map(len, two_key.values())) == 5_706
     for p, words in two_key.items():
         assert _packed_disagreements(fm, p, words) == []
-    # the tables TensorTriple reads are _mul's
-    for p, table in ((3, fm._table3), (5, fm._table5)):
-        for a, b in two_key[p]:
-            assert table[a][b] == fm._mul(p, a, b), (p, a, b)
     # R11^3 = -zeta_11^2 = zeta_330^225 enters each time k reaches 3
     assert fm._wrap[11] == 225
     words = _long_words(fm)
     assert sum(sum(k % 3 for k in w) >= 3 for w in words) > 500
     assert _packed_disagreements(fm, 11, words) == []
+
+
+def test_untwisted_slot_rule_is_the_heisenberg_law(built):
+    # the 3-slot takes the twisted slots' rule with one twist power and an
+    # identity table; the Heisenberg law it replaced, written out, is the
+    # oracle on all 81 pairs of 3-slot keys
+    fm = built.factors
+    assert fm._gamma[3] == [[(x, y, 0) for x in range(3) for y in range(3)]]
+    for a, b in itertools.product(range(9), repeat=2):
+        (x, y), (u, v) = divmod(a, 3), divmod(b, 3)
+        assert fm._mul(3, a, b) == ((x + u) % 3 * 3 + (y + v) % 3,
+                                    110 * x * v % 330), (a, b)
 
 
 def test_slot_law_is_associative(built):
@@ -388,7 +397,7 @@ def _twisted_members(built, rng, n):
     while len(out) < n:
         g = _random_element(built.group, rng)
         h = g[1]
-        if h.x and h.y and FactorMap._keys(g)[3]:
+        if h.x and h.y and any(z for _, z in FactorMap._keys(g)):
             out.append(g)
     return out
 
@@ -584,8 +593,9 @@ def test_quotient_law_matches_the_parent_route(built):
 def test_swapped_quotient_table_is_caught(built):
     Q, G = built.quotient, built.group
     _check_law(Q, built.conj5, built.conj11)
-    t5, (ident, gamma, gamma2) = Q.tables
-    bad = Quotient165(G, built.center, {5: t5, 11: [ident, gamma2, gamma]})
+    ident, gamma, gamma2 = built.factors._gamma[11]
+    bad = Quotient165(G, built.center, {**built.factors._gamma,
+                                        11: [ident, gamma2, gamma]})
     with pytest.raises(ArithmeticError, match="exponent action"):
         _check_law(bad, built.conj5, built.conj11)
     # with the check bypassed, the law parts from the parent route
@@ -649,8 +659,8 @@ def test_member_keys_match_the_parent_keys(built):
     fm, Q = built.factors, built.quotient
     for i in Q.elements():
         t = fm.member(i)
-        keys = tuple(fm.keys[p][k] for p, k in zip(_PRIMES, t.keys))
-        assert keys + (t.j,) == FactorMap._keys(Q.label(i)), i
+        keys = tuple((fm.keys[p][k], 0) for p, k in zip(_PRIMES, t.keys))
+        assert t.j == 0 and keys == FactorMap._keys(Q.label(i)), i
 
 
 def test_failures_name_section_representatives(built):
@@ -941,6 +951,32 @@ def test_dense_members_match_generic_tensor(built):
         # entries are one object
         assert len({id(e) for e in got.entries}) == \
             len({e.key() for e in got.entries})
+
+
+def test_phased_dense_members_keep_the_combined_phase(built):
+    # exact_matrix gives each slot its own phase zeta_p^(z_p); the
+    # independent route is the per-entry chain of the bare pool entries
+    # times the one phase zeta_165^z, z = 55 h.z + 33 n5.z + 15 n11.z, of
+    # one term at z = 1 and of 57 at z = 98, with every z_p nonzero and the
+    # 11- or the 5-slot twisted
+    fm = built.factors
+    for z, (x5, y5), (x11, y11), (x3, y3) in ((1, (3, 0), (2, 9), (0, 2)),
+                                              (98, (1, 2), (4, 5), (1, 0))):
+        zeta = PhasedScalar.zeta(165, z)
+        assert len(zeta.terms[()].coeffs) == (1 if z == 1 else 57)
+        z3, z5, z11 = next(
+            t for t in itertools.product(range(3), range(5), range(11))
+            if (55 * t[0] + 33 * t[1] + 15 * t[2]) % 165 == z)
+        assert z3 and z5 and z11
+        g = ((HeisenbergElement(5, x5, y5, z5),
+              HeisenbergElement(11, x11, y11, z11)),
+             HeisenbergElement(3, x3, y3, z3))
+        got = fm.exact_matrix(g)
+        want = _chain_tensor(fm.exact[3][x3, y3], fm.exact[5][x5, y5, x3],
+                             fm.exact[11][x11, y11, y3]).scalar_mul(zeta)
+        assert got == want and got.scale == want.scale, g
+        assert matrix_to_json(got) == matrix_to_json(want), g
+        assert fm.triple(g).j == 2 * z % 330, g
 
 
 _PROBE = ((HeisenbergElement(5, 1, 2, 3), HeisenbergElement(11, 4, 5, 6)),

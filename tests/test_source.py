@@ -1,0 +1,41 @@
+"""Static checks over the source of src/uebkit, read with ast."""
+
+import ast
+from pathlib import Path
+
+import uebkit
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "uebkit"
+
+
+def _unused_imports(path: Path, exported=()) -> list[str]:
+    """The names path's imports bind that nothing in it reads, apart from
+    those in exported; __future__ imports bind no name."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound = [a.asname or a.name.split(".")[0] for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for a in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in bound if name not in read | set(exported)]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # refactors leave imports behind; the package's __all__ counts as use
+    found = {p.name: _unused_imports(p, uebkit.__all__ if p.stem == "__init__"
+                                     else ())
+             for p in sorted(SRC.glob("*.py"))}
+    assert "__init__.py" in found and "counterexample165.py" in found
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_unused_imports_are_found(tmp_path):
+    f = tmp_path / "m.py"
+    f.write_text("from __future__ import annotations\n"
+                 "import os.path\n"
+                 "import json as j\n"
+                 "from fractions import Fraction\n"
+                 "from math import gcd, lcm as l\n"
+                 "x = os.sep, l(2, 3)\n")
+    assert _unused_imports(f) == ["j", "Fraction", "gcd"]
+    assert _unused_imports(f, exported=["gcd"]) == ["j", "Fraction"]
