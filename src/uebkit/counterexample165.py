@@ -282,7 +282,7 @@ class TensorTriple:
         keys = {x: member(x).keys for x in elems}
         for s, right in columns:
             r3, r5, r11 = ([fm._mul(p, a, b)[0] if right else fm._mul(p, b, a)[0]
-                            for a in range(len(fm.keys[p]))]
+                            for a in range(len(fm.pool[p]))]
                            for p, b in zip(_PRIMES, member(s).keys))
             col = ([compose(x, s) for x in elems] if right
                    else [compose(s, x) for x in elems])
@@ -302,12 +302,11 @@ class FactorMap:
     """mu in factor form, backed by three lookup pools.
 
     Each slot is a Weyl basis at p twisted by powers of R_p, the 3-slot
-    the untwisted one (R = I): pool entries Z^y X^x R^k keyed (x3, y3),
-    (x5, y5, x3) and (x11, y11, y3).  A group element ((n5, n11), h) maps
-    per slot to a pool key and a central exponent z_p (h.z, n5.z, n11.z),
-    so quotient representatives (central exponents zero) hit the pools
-    directly.  A TensorTriple holds int keys k, keys[p][k] in sorted
-    order: n (p x + y) + k with n = 3 twist powers, 1 in the 3-slot.
+    the untwisted one (R = I): pool[p] lists Z^y X^x R^k by int key
+    n (p x + y) + k, n = 3 twist powers, 1 in the 3-slot.  A group element
+    ((n5, n11), h) maps per slot to an int key (k = 0, h.x and h.y) and a
+    central exponent z_p (h.z, n5.z, n11.z), so quotient representatives
+    (central exponents zero) hit the pools directly.
 
     Every pool entry is unitary (the argument is in _verify_pools),
     which is what entitles every TensorTriple to unitarity scale 1.
@@ -320,15 +319,15 @@ class FactorMap:
     def __init__(self, conj5: ConjugatorSet, conj11: ConjugatorSet,
                  seed: int = 0):
         self.conj5, self.conj11 = conj5, conj11
-        # per prime: the pool by pool key, and by int key the pool keys,
-        # traces promoted to conductor p (one per slot) and nonzero counts
-        self.exact = {p: self._pool(p, r) for p, r in
-                      ((3, None), (5, conj5.R), (11, conj11.R))}
-        self.keys = {p: sorted(pool) for p, pool in self.exact.items()}
-        self.tr = {p: [self.exact[p][k].trace().promote(p) for k in keys]
-                   for p, keys in self.keys.items()}
-        self.nnz = {p: [self.exact[p][k].nonzero_count() for k in keys]
-                    for p, keys in self.keys.items()}
+        # per prime, by int key: the pool entries, their traces promoted to
+        # conductor p (one per slot) and their nonzero counts
+        r5, r11 = conj5.R, conj11.R
+        self.pool = {3: self._pool(3, ()), 5: self._pool(5, (r5, r5 @ r5)),
+                     11: self._pool(11, (r11, r11 @ r11))}
+        self.tr = {p: [m.trace().promote(p) for m in pool]
+                   for p, pool in self.pool.items()}
+        self.nnz = {p: [m.nonzero_count() for m in pool]
+                    for p, pool in self.pool.items()}
         self._verify_pools(random.Random(seed))
         self.zetas = [PhasedScalar.zeta(330, j) for j in range(330)]
         self._power = {c.key(): j for j, c in enumerate(self.zetas)}
@@ -344,9 +343,9 @@ class FactorMap:
         self._wrap = {c.p: self._power[c.r_cubed.promote(330).key()]
                       for c in (conj5, conj11)}
 
-    def _pool(self, p: int, r: ExactMatrix | None):
-        """The p-slot pool: W(x, y) R^k for k in {0, 1, 2}, or W(x, y)
-        alone when r is None.
+    def _pool(self, p: int, twists: tuple) -> list:
+        """The p-slot pool by int key: W(x, y) R^k for R^0 = I and each
+        twist power R^k in twists (R and R^2, none in the 3-slot).
 
         Row i of W = W(x, y) has one nonzero entry w, in column t = i + x
         mod p, so row i of W R^k is w times row t of R^k: one product per
@@ -354,15 +353,13 @@ class FactorMap:
         entries each, and w is one of p + 1 (the order-1 one when y = 0,
         else zeta_p^(y i)), so each distinct product is formed once and
         its PhasedScalar shared."""
-        if r is None:
-            return {(x, y): weyl_matrix(p, x, y)
-                    for x in range(p) for y in range(p)}
-        rp = [(m, [e.key() for e in m.entries]) for m in (r, r @ r)]
-        exact, memo = {}, {}
+        rp = [(m, [e.key() for e in m.entries]) for m in twists]
+        pool, memo = [], {}
         for x in range(p):
             for y in range(p):
-                w = exact[x, y, 0] = weyl_matrix(p, x, y)
-                for k, (m, keys) in enumerate(rp, 1):
+                w = weyl_matrix(p, x, y)
+                pool.append(w)
+                for m, keys in rp:
                     ents = []
                     for i in range(p):
                         t = (i + x) % p
@@ -375,38 +372,36 @@ class FactorMap:
                                 v = memo[ak, keys[c]] = (
                                     a * b if b.terms else PhasedScalar.zero(1))
                             ents.append(v)
-                    exact[x, y, k] = ExactMatrix(p, p, ents,
-                                                 w.scale * m.scale)
-        return exact
+                    pool.append(ExactMatrix(p, p, ents, w.scale * m.scale))
+        return pool
 
     def _verify_pools(self, rng):
         """Dense unitarity on a seeded sample, and the Heisenberg law of
         the 3-slot.
 
-        Every pool entry is unitary, so no entry needs a sweep.  A 3-slot
-        entry is weyl_matrix(3, x, y): one root of unity in each row and
-        column, a unitary by construction.  A 5- or 11-slot entry is
-        W(x, y) R^k with k in {0, 1, 2}, W a Weyl matrix and R the twist,
-        whose R.is_scaled_unitary() == 1 build_conjugators requires.  A
-        product of unitaries is unitary, and exact arithmetic makes the
-        stored entry that exact product."""
-        for p, exact in self.exact.items():
-            for key in rng.sample(sorted(exact), min(8, len(exact))):
-                if exact[key].is_scaled_unitary() != 1:
+        Every pool entry is unitary, so no entry needs a sweep.  An entry
+        is W(x, y) R^k: W a Weyl matrix, one root of unity in each row and
+        column, a unitary by construction, and R the twist, whose
+        R.is_scaled_unitary() == 1 build_conjugators requires (k = 0 in
+        the 3-slot).  A product of unitaries is unitary, and exact
+        arithmetic makes the stored entry that exact product."""
+        for p, pool in self.pool.items():
+            for key in rng.sample(range(len(pool)), min(8, len(pool))):
+                if pool[key].is_scaled_unitary() != 1:
                     raise ArithmeticError(f"dense unitarity check failed at "
                                           f"{key} (p={p})")
-        # the Heisenberg law of the 3-slot normal form; build_conjugators
-        # checks the same relation at p = 5 and 11
-        x3, z3 = self.exact[3][1, 0], self.exact[3][0, 1]
+        # the Heisenberg law of the 3-slot normal form, X3 = W(1, 0) and
+        # Z3 = W(0, 1); build_conjugators checks it at p = 5 and 11
+        x3, z3 = self.pool[3][3 * 1 + 0], self.pool[3][3 * 0 + 1]
         if not (x3 @ z3 == (z3 @ x3).scalar_mul(PhasedScalar.zeta(3))):
             raise ArithmeticError("X Z != zeta Z X (p=3)")
 
     @staticmethod
     def _keys(g):
-        """(pool key, central exponent z_p) of g in the 3-, 5- and 11-slot."""
+        """(int key, central exponent z_p) of g in the 3-, 5- and 11-slot."""
         (n5, n11), h = g
-        return (((h.x, h.y), h.z), ((n5.x, n5.y, h.x), n5.z),
-                ((n11.x, n11.y, h.y), n11.z))
+        return ((3 * h.x + h.y, h.z), (3 * (5 * n5.x + n5.y) + h.x, n5.z),
+                (3 * (11 * n11.x + n11.y) + h.y, n11.z))
 
     def triple(self, g) -> TensorTriple:
         """The member of g in G: its coset's times zeta_p^(z_p) per slot."""
@@ -423,13 +418,12 @@ class FactorMap:
     def exact_matrix(self, g) -> ExactMatrix:
         """The dense 165 x 165 member, for export and dense checks: the
         tensor product of the slots' zeta_p^(z_p) pool[key]."""
-        e3, e5, e11 = (self.exact[p][k].scalar_mul(PhasedScalar.zeta(p, z))
+        e3, e5, e11 = (self.pool[p][k].scalar_mul(PhasedScalar.zeta(p, z))
                        for p, (k, z) in zip(_PRIMES, self._keys(g)))
         return e3.tensor(e5, e11)
 
     def _mul(self, p: int, a: int, b: int):
-        """(key, j) with pool[a] pool[b] == zeta_330^j pool[key] in the
-        p-slot, keys as ints.
+        """(key, j): pool[a] pool[b] == zeta_330^j pool[key] in the p-slot.
 
         Key n (p x + y) + k is W(x, y) R^k, n = len(_gamma[p]) twist
         powers: 3 in the 5- and 11-slots, 1 in the 3-slot, where R = I
@@ -660,7 +654,7 @@ def _check_generators(G, factors: FactorMap) -> bool:
     ]
     for gen, slots in zip(G.generators, want):
         got = factors.triple(gen)
-        if got.j or not all(factors.exact[p][factors.keys[p][key]] == b
+        if got.j or not all(factors.pool[p][key] == b
                             for p, key, b in zip(_PRIMES, got.keys, slots)):
             return False
     return True
@@ -783,7 +777,7 @@ def verify_counterexample(g: G165, seed: int = DEFAULT_SEED
     # against their dense product
     cross = 0
     for p in (5, 11):
-        pool = [fm.exact[p][k] for k in fm.keys[p]]
+        pool = fm.pool[p]
         for _ in range(10):
             ka, kb = rng.choice(range(len(pool))), rng.choice(range(len(pool)))
             key, j = fm._mul(p, ka, kb)
@@ -800,9 +794,9 @@ def verify_counterexample(g: G165, seed: int = DEFAULT_SEED
     probe = ((HeisenbergElement(5, 1, 2, 3), HeisenbergElement(11, 4, 5, 6)),
              HeisenbergElement(3, 1, 0, 2))
     dense = fm.exact_matrix(probe)
-    slots = ((fm.exact[3][(1, 0)], PhasedScalar.zeta(3, 2)),
-             (fm.exact[5][(1, 2, 1)], PhasedScalar.zeta(5, 3)),
-             (fm.exact[11][(4, 5, 0)], PhasedScalar.zeta(11, 6)))
+    slots = ((fm.pool[3][3 * 1 + 0], PhasedScalar.zeta(3, 2)),
+             (fm.pool[5][3 * (5 * 1 + 2) + 1], PhasedScalar.zeta(5, 3)),
+             (fm.pool[11][3 * (11 * 4 + 5) + 0], PhasedScalar.zeta(11, 6)))
     cells = [[(i, j, m.entry(i, j) * w) for i in range(p) for j in range(p)
               if m.entry(i, j).terms] for (m, w), p in zip(slots, _PRIMES)]
     if (dense.scale != prod(m.scale for m, _ in slots)
@@ -847,9 +841,11 @@ def export_bundle(g: G165, factors_only: bool = True) -> dict:
             "action_order": c.action_order,
         }
 
-    def pool_json(pool: dict) -> dict:
-        return {",".join(str(v) for v in k): matrix_to_json(m, memo)
-                for k, m in sorted(pool.items())}
+    def pool_json(p: int, pool: list) -> dict:
+        # int key i = n (p x + y) + k named "x,y,k", and "x,y" in the 3-slot
+        n = len(fm._gamma[p])
+        return {f"{i // n // p},{i // n % p}" + (f",{i % n}" if n > 1 else ""):
+                matrix_to_json(m, memo) for i, m in enumerate(pool)}
 
     fm, memo = g.factors, {}
     bundle = {
@@ -858,8 +854,8 @@ def export_bundle(g: G165, factors_only: bool = True) -> dict:
         "quotient_order": g.quotient.order,
         "center_order": len(g.center),
         "conjugators": {"5": conj_json(g.conj5), "11": conj_json(g.conj11)},
-        "factor_pools": {str(p): pool_json(pool)
-                         for p, pool in fm.exact.items()},
+        "factor_pools": {str(p): pool_json(p, pool)
+                         for p, pool in fm.pool.items()},
         "generators": [str(t) for t in g.group.generators],
         "caveat": CAVEAT,
     }

@@ -249,8 +249,9 @@ class ExactMatrix:
     # -- structure ---------------------------------------------------------
 
     def is_scaled_unitary(self):
-        """The rational s with (scale*M)(scale*M)^dagger = s*I, else None."""
-        if self.rows != self.cols:
+        """The rational s with (scale*M)(scale*M)^dagger = s*I, else None;
+        None for 0 x 0, which every s satisfies."""
+        if self.rows != self.cols or not self.rows:
             return None
         p = self @ self.dagger()
         d = self.rows

@@ -5,6 +5,8 @@ import gc
 import hashlib
 import json
 import os
+import random
+import re
 import resource
 import subprocess
 import sys
@@ -896,6 +898,98 @@ def test_deeply_nested_label_exits_2(capsys, tmp_path):
     assert rc == 2
     assert lines[0]["error"].startswith("cannot interpret basis file: ")
     assert "error:" in err
+
+
+_TOKEN = re.compile(rb'"(?:[^"\\]|\\.)*"|-?[0-9]+|[][{}:,]|true|false|null')
+
+
+def _mutants(data: bytes, rng, n):
+    """n seeded mutants of data, (kind, bytes): a bit flipped in one byte,
+    a span of 1 to 16 bytes deleted or duplicated, or two JSON tokens
+    swapped."""
+    tokens = [m.span() for m in _TOKEN.finditer(data)]
+    out = []
+    for _ in range(n):
+        kind = rng.choice(("flip", "delete", "duplicate", "swap"))
+        i = rng.randrange(len(data))
+        j = min(len(data), i + rng.randint(1, 16))
+        if kind == "flip":
+            flipped = bytes([data[i] ^ 1 << rng.randrange(8)])
+            m = data[:i] + flipped + data[i + 1:]
+        elif kind == "delete":
+            m = data[:i] + data[j:]
+        elif kind == "duplicate":
+            m = data[:j] + data[i:j] + data[j:]
+        else:
+            (a, b), (c, d) = sorted(rng.sample(tokens, 2))
+            m = data[:a] + data[c:d] + data[b:c] + data[a:b] + data[d:]
+        out.append((kind, m))
+    return out
+
+
+def _reference(path):
+    """_old_route's basis or error line; bytes that json.loads cannot read
+    as text give the CLI's not-text line with the reason json.loads gives."""
+    try:
+        return _old_route(path)
+    except UnicodeDecodeError as e:
+        return f"{path} is not UTF-8, UTF-16 or UTF-32 text: {e}"
+
+
+_BASIS_COMMANDS = [("verify", "ueb"), ("verify", "nice"),
+                   ("analyze", "monomial"), ("analyze", "sparsity"),
+                   ("analyze", "wickedness"), ("analyze", "cocycle")]
+
+
+@pytest.mark.parametrize("source", ["pauli:3", "sam cyclic:3 fourier:3",
+                                    "hadamard fourier:3"])
+def test_mutated_files_exit_cleanly(capsys, tmp_path, source):
+    # seeded byte- and token-level mutants of a small file: every command
+    # exits 0, 1 or 2 without raising, exit 2 comes with an error line,
+    # and a basis file reads as json.loads plus basis_from_json does
+    f = tmp_path / "file.json"
+    is_basis = not source.startswith("hadamard")
+    if is_basis:
+        assert main(["construct", *source.split(), "--out", str(f)]) == 0
+        commands = _BASIS_COMMANDS
+    else:
+        _write_json(str(f), matrix_to_json(fourier_hadamard(3)),
+                    RunReport(command=[], seed=0, jobs=1))
+        commands = [("verify", "hadamard")]
+    capsys.readouterr()
+    rng = random.Random(f"mutants {source}")
+    g = tmp_path / "mutant.json"
+    bad, codes = [], set()
+    for k, (kind, data) in enumerate(_mutants(f.read_bytes(), rng, 120)):
+        g.write_bytes(data)
+        want = None
+        if is_basis:
+            want = _reference(g)
+            try:
+                got = _read_basis(str(g), RunReport(command=[], seed=0,
+                                                    jobs=1))
+            except InputError as e:
+                got = str(e)
+            if not (got == want if isinstance(want, str)
+                    else not isinstance(got, str) and _same_basis(got, want)):
+                bad.append((k, kind, "reader", got))
+        for command in commands:
+            try:
+                rc = main([*command, str(g)])
+            except Exception as e:   # a traceback on the command line
+                bad.append((k, kind, command, repr(e)))
+                continue
+            out, err = capsys.readouterr()
+            first = json.loads(out.splitlines()[0]) if out else {}
+            if (rc not in (0, 1, 2) or (rc == 2) != ("error" in first)
+                    or "Traceback" in out + err):
+                bad.append((k, kind, command, rc))
+            elif isinstance(want, str) and first.get("error") != want:
+                bad.append((k, kind, command, first))
+            codes.add(rc)
+    assert bad == []
+    # the mutants reach both outcomes: refused files and files that run
+    assert codes >= {0, 2}
 
 
 def _unit_of_order(order):

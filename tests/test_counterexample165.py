@@ -175,7 +175,13 @@ def test_weyl_decompose_rejects_dense_and_zero():
 
 
 _ID = (0, 0, 0)     # the identity keys
-_R11 = (0, 0, 1)    # I (x) I (x) R11: 11-slot key (0, 0, 1)
+_R11 = (0, 0, 1)    # I (x) I (x) R11: 11-slot key 1, W(0, 0) R
+
+
+def _key(p, x, y, k=0):
+    """The int key n (p x + y) + k of Z^y X^x R^k in the p-slot pool,
+    n = 3 twist powers in the 5- and 11-slots, 1 in the 3-slot."""
+    return (1 if p == 3 else 3) * (p * x + y) + k
 
 
 def test_triple_identity_needs_cancelling_phases(built):
@@ -247,9 +253,9 @@ def test_slot_phase_multiplies_no_matrices(built, monkeypatch):
 
 @functools.cache
 def _packed_pool(fm, p):
-    """The p-slot pool packed and listed by int key, once per FactorMap
-    and prime: the FactorMap holds its pools exact only."""
-    return [from_exact(fm.exact[p][k], p) for k in fm.keys[p]]
+    """The p-slot pool packed, by int key, once per FactorMap and prime:
+    the FactorMap holds its pools exact only."""
+    return [from_exact(m, p) for m in fm.pool[p]]
 
 
 def _packed(fm, p, word):
@@ -287,15 +293,15 @@ def _packed_disagreements(fm, p, words):
 def _long_words(fm, seed=11, n=1_000):
     """n seeded 11-slot words of 2 to 7 keys."""
     rng = random.Random(seed)
-    keys = range(len(fm.keys[11]))
+    keys = range(len(fm.pool[11]))
     return [tuple(rng.choice(keys) for _ in range(rng.randint(2, 7)))
             for _ in range(n)]
 
 
 def test_normal_form_matches_packed_products(built):
     fm = built.factors
-    two_key = {p: [(a, b) for a in range(len(fm.keys[p]))
-                   for b in range(len(fm.keys[p]))] for p in (3, 5)}
+    two_key = {p: [(a, b) for a in range(len(fm.pool[p]))
+                   for b in range(len(fm.pool[p]))] for p in (3, 5)}
     assert sum(map(len, two_key.values())) == 5_706
     for p, words in two_key.items():
         assert _packed_disagreements(fm, p, words) == []
@@ -324,7 +330,7 @@ def test_slot_law_is_associative(built):
     fm = built.factors
     rng = random.Random(5)
     for p in (3, 5, 11):
-        keys = range(len(fm.keys[p]))
+        keys = range(len(fm.pool[p]))
         e = keys[0]
         for _ in range(2_000):
             a, b, c = (rng.choice(keys) for _ in range(3))
@@ -367,7 +373,7 @@ def test_triple_product_passes_identity_slots_through(built, monkeypatch):
     fm = built.factors
     ident = fm.member(built.quotient.identity)
     assert ident.keys == _ID and ident.j == 0
-    a = TensorTriple(fm, (3, 0, 0), 14)  # 3-slot key (1, 0)
+    a = TensorTriple(fm, (3, 0, 0), 14)  # 3-slot key 3, W(1, 0)
     b = TensorTriple(fm, _R11, 320)
     assert (a @ a).keys == (6, 0, 0) and (a @ a).j == 28
     # an identity key is passed through without reading the twist tables
@@ -659,7 +665,7 @@ def test_member_keys_match_the_parent_keys(built):
     fm, Q = built.factors, built.quotient
     for i in Q.elements():
         t = fm.member(i)
-        keys = tuple((fm.keys[p][k], 0) for p, k in zip(_PRIMES, t.keys))
+        keys = tuple((k, 0) for k in t.keys)
         assert t.j == 0 and keys == FactorMap._keys(Q.label(i)), i
 
 
@@ -742,8 +748,7 @@ def test_slot_counts_decide_monomiality(built, report):
     # the premise of TensorTriple.is_monomial on all 447 pool entries: a
     # p x p unitary has at least p nonzero entries, exactly p when monomial
     fm = built.factors
-    entries = [(p, k, fm.exact[p][key]) for p in _PRIMES
-               for k, key in enumerate(fm.keys[p])]
+    entries = [(p, k, m) for p in _PRIMES for k, m in enumerate(fm.pool[p])]
     assert len(entries) == 447
     for p, k, m in entries:
         n = m.nonzero_count()
@@ -776,15 +781,18 @@ def test_pool_entries_are_the_dense_products(built):
         powers[c.p] = [c.R ** k for k in range(3)]
     n = 0
     for p in _PRIMES:
-        for key, m in fm.exact[p].items():
-            x, y, *k = key
-            want = weyl_matrix(p, x, y) @ powers[p][k[0] if k else 0]
-            assert m == want, (p, key)
-            assert matrix_to_json(m) == matrix_to_json(want), (p, key)
+        # the int key n (p x + y) + k decoded, n = 3 twist powers or 1
+        twists = len(powers[p])
+        assert len(fm.pool[p]) == twists * p * p
+        for key, m in enumerate(fm.pool[p]):
+            (x, y), k = divmod(key // twists, p), key % twists
+            want = weyl_matrix(p, x, y) @ powers[p][k]
+            assert m == want, (p, x, y, k)
+            assert matrix_to_json(m) == matrix_to_json(want), (p, x, y, k)
             n += 1
     assert n == 447
     # entries share their values: at most (p + 1) * 2p distinct products
-    distinct = {id(e) for key, m in fm.exact[11].items() if key[2]
+    distinct = {id(e) for key, m in enumerate(fm.pool[11]) if key % 3
                 for e in m.entries}
     assert len(distinct) <= 12 * 22
 
@@ -821,7 +829,7 @@ def _slot_altered_rep(built):
     def rho(i):
         keys = fm.member(i).keys
         if i in moved:
-            keys = tuple((k + d) % len(fm.keys[p])
+            keys = tuple((k + d) % len(fm.pool[p])
                          for p, k, d in zip(_PRIMES, keys, moved[i]))
         return TensorTriple(fm, keys)
 
@@ -941,7 +949,8 @@ def test_dense_members_match_generic_tensor(built):
                                 ((0, 1), (3, 0, 0), (2, 9, 2), 56),
                                 ((2, 2), (4, 4, 2), (0, 0, 0), 164),
                                 ((1, 1), (0, 3, 0), (6, 1, 1), 33)):
-        e3, e5, e11 = fm.exact[3][k3], fm.exact[5][k5], fm.exact[11][k11]
+        e3, e5, e11 = (fm.pool[p][_key(p, *k)]
+                       for p, k in zip(_PRIMES, (k3, k5, k11)))
         zeta = PhasedScalar.zeta(165, offset)
         got = ExactMatrix(1, 1, [zeta]).tensor(e3, e5, e11)
         want = _chain_tensor(e3, e5, e11).scalar_mul(zeta)
@@ -972,8 +981,10 @@ def test_phased_dense_members_keep_the_combined_phase(built):
               HeisenbergElement(11, x11, y11, z11)),
              HeisenbergElement(3, x3, y3, z3))
         got = fm.exact_matrix(g)
-        want = _chain_tensor(fm.exact[3][x3, y3], fm.exact[5][x5, y5, x3],
-                             fm.exact[11][x11, y11, y3]).scalar_mul(zeta)
+        want = _chain_tensor(fm.pool[3][_key(3, x3, y3)],
+                             fm.pool[5][_key(5, x5, y5, x3)],
+                             fm.pool[11][_key(11, x11, y11, y3)]
+                             ).scalar_mul(zeta)
         assert got == want and got.scale == want.scale, g
         assert matrix_to_json(got) == matrix_to_json(want), g
         assert fm.triple(g).j == 2 * z % 330, g
@@ -1035,6 +1046,20 @@ def test_export_bundle_factor_form(built):
     assert len(bundle["generators"]) == 6
 
 
+def test_export_bundle_names_pool_keys_by_coordinates(built):
+    # the bundle keeps tuple names for the int keys: "x,y" in the 3-slot,
+    # "x,y,k" in the 5- and 11-slots, each naming the entry at its int key
+    pools, fm = export_bundle(built)["factor_pools"], built.factors
+    coords = {3: [(x, y) for x in range(3) for y in range(3)],
+              5: list(itertools.product(range(5), range(5), range(3))),
+              11: list(itertools.product(range(11), range(11), range(3)))}
+    for p, names in coords.items():
+        assert set(pools[str(p)]) == {",".join(map(str, c)) for c in names}
+        for c in names:
+            assert pools[str(p)][",".join(map(str, c))] == \
+                matrix_to_json(fm.pool[p][_key(p, *c)]), (p, c)
+
+
 def test_export_bundle_full_generators(built):
     bundle = export_bundle(built, factors_only=False)
     assert len(bundle["generators_full"]) == 6
@@ -1057,7 +1082,7 @@ def _bundle_matrices(built):
     fm = built.factors
     return ([m for c in (built.conj5, built.conj11)
              for m in (c.F, c.D, c.B, c.R)]
-            + [m for p in _PRIMES for _, m in sorted(fm.exact[p].items())])
+            + [m for p in _PRIMES for m in fm.pool[p]])
 
 
 def test_export_codes_each_distinct_entry_once(built, monkeypatch):

@@ -163,6 +163,8 @@ def test_shape_must_not_be_negative():
     # 0 x 0 stays legal: identity(0) and from_rows([]) build it
     empty = ExactMatrix(0, 0, [])
     assert ExactMatrix.identity(0) == empty == ExactMatrix.from_rows([])
+    # every s satisfies the 0 x 0 identity, so no scale is named
+    assert empty.is_scaled_unitary() is None
 
 def test_monomial_structure():
     x = shift(4)

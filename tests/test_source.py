@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import uebkit
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "uebkit"
@@ -39,3 +41,42 @@ def test_unused_imports_are_found(tmp_path):
                  "x = os.sep, l(2, 3)\n")
     assert _unused_imports(f) == ["j", "Fraction", "gcd"]
     assert _unused_imports(f, exported=["gcd"]) == ["j", "Fraction"]
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """The dotted names of the uebkit modules path imports, relative
+    imports resolved against the package."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            out.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = f"uebkit.{base}".rstrip(".")
+            out.add(base)
+            # from . import m and from uebkit import m name modules too
+            out.update(f"{base}.{a.name}" for a in node.names)
+    return out
+
+
+def test_no_program_module_imports_fastcyc():
+    # fastcyc, the packed numpy route, is a reference for the tests alone:
+    # the program runs on the standard library, so moving fastcyc out of
+    # the package changes no program module
+    found = {p.name: _imported_modules(p) for p in sorted(SRC.glob("*.py"))
+             if p.stem != "fastcyc"}
+    assert "cli.py" in found and "counterexample165.py" in found
+    assert [name for name, mods in found.items()
+            if "uebkit.fastcyc" in mods] == []
+
+
+@pytest.mark.parametrize("line", ["from .fastcyc import CycMatrix",
+                                  "from . import cyclo, fastcyc",
+                                  "import uebkit.fastcyc as fc",
+                                  "from uebkit.fastcyc import from_exact",
+                                  "from uebkit import fastcyc"])
+def test_fastcyc_imports_are_found(tmp_path, line):
+    f = tmp_path / "m.py"
+    f.write_text(f"{line}\n")
+    assert "uebkit.fastcyc" in _imported_modules(f)

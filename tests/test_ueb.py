@@ -73,6 +73,14 @@ def test_nonunitary_member_fails():
     assert ("unitary", "a") in rep.failures
 
 
+def test_empty_member_is_reported_not_raised():
+    # a 0 x 0 member is a legal matrix but no unitary of dimension 1:
+    # the report says so instead of raising
+    rep = verify_ueb(UnitaryErrorBasis(1, [ExactMatrix(0, 0, [])], ["a"]))
+    assert not rep.unitary_ok and not rep.cardinality_ok
+    assert ("unitary", "a") in rep.failures and not rep.ok
+
+
 def test_sam_pinned_d3_members():
     b = shift_and_multiply(cyclic_latin(3), fourier_hadamard(3))
     w = PhasedScalar.zeta(3)
