@@ -489,6 +489,12 @@ def _pair_indexed_rep(basis: UnitaryErrorBasis, label: str) -> ProjectiveRep:
     return ProjectiveRep(group, d, table.__getitem__, label=label)
 
 
+def _ueb_check(basis: UnitaryErrorBasis, report: RunReport) -> bool:
+    t0 = time.perf_counter()
+    ub = verify_ueb(basis)
+    return report.check("ueb-definition", ub.ok, t0, details=ub.summary())
+
+
 def _full_sweep(rep: ProjectiveRep) -> ProjectiveRep:
     """rep, unless its pairs are too many to check one by one."""
     if (n := rep.group.order) ** 2 > MAX_FULL_PAIRS:
@@ -540,9 +546,7 @@ def cmd_construct(args, report: RunReport) -> None:
         raise InputError(f"construct {args.kind} takes no extra parameters")
     else:
         basis = _basis_from_spec(args.kind, report)
-    t0 = time.perf_counter()
-    ub = verify_ueb(basis)
-    report.check("ueb-definition", ub.ok, t0, details=ub.summary())
+    _ueb_check(basis, report)
     _write_json(args.out, basis_to_json(basis), report)
 
 
@@ -566,10 +570,7 @@ def cmd_verify(args, report: RunReport) -> None:
         _verify_counterexample_file(args, report)
         return
     if args.kind == "ueb":
-        basis = _read_basis(args.path, report)
-        t0 = time.perf_counter()
-        ub = verify_ueb(basis)
-        report.check("ueb-definition", ub.ok, t0, details=ub.summary())
+        _ueb_check(_read_basis(args.path, report), report)
     elif args.kind == "nice":
         basis = _read_basis(args.path, report)
         rep = _pair_indexed_rep(basis, label=f"file:{os.path.basename(args.path)}")
@@ -660,9 +661,7 @@ def cmd_analyze(args, report: RunReport) -> None:
             "max_zero_fraction": max(fractions),
             "per_member": [str(f) for f in fractions]})
     elif args.kind == "wickedness":
-        t0 = time.perf_counter()
-        ub = verify_ueb(basis)
-        if not report.check("ueb-definition", ub.ok, t0, details=ub.summary()):
+        if not _ueb_check(basis, report):
             return
         t0 = time.perf_counter()
         w = wickedness_witness(basis, assume_verified=True)

@@ -102,14 +102,13 @@ def check_complex_hadamard(m: ExactMatrix) -> HadamardCheck:
             v = m.entry(i, j) * m.scale
             if not (v * v.conj()).is_one():
                 return HadamardCheck(False, f"entry ({i},{j}) is not unit modulus")
+    # each row of H H^dagger times its scale has norm d exactly, as every
+    # entry times the scale has unit modulus; H H^dagger is Hermitian, so
+    # its first nonzero off-diagonal entry in row-major order has i < j
     p = m @ m.dagger()
     for i in range(d):
-        for j in range(d):
-            e = p.entry(i, j) * p.scale
-            if i == j:
-                if not (e == d):
-                    return HadamardCheck(False, f"row {i} has wrong norm")
-            elif not e.is_zero():
+        for j in range(i + 1, d):
+            if p.entry(i, j).terms:
                 return HadamardCheck(False, f"rows {i} and {j} are not orthogonal")
     return HadamardCheck(True, None)
 

@@ -276,7 +276,8 @@ class ExactMatrix:
 
     def zero_fraction(self) -> Fraction:
         total = self.rows * self.cols
-        return Fraction(total - self.nonzero_count(), total)
+        # 0 for a 0 x 0 matrix, as monomiality_report gives with no entries
+        return Fraction(total - self.nonzero_count(), total or 1)
 
     def is_monomial(self) -> bool:
         """Exactly one nonzero entry in every row and every column."""

@@ -131,7 +131,7 @@ def shift_and_multiply(latin: LatinSquare, hadamards) -> UnitaryErrorBasis:
     """Members E_ij acting as E_ij|k> = H^(j)[i,k] |L(j,k)>.
 
     hadamards is one matrix (used for every j) or a sequence of d; each
-    must pass the complex Hadamard check exactly.
+    distinct matrix must pass the complex Hadamard check exactly, once.
     """
     chk = validate_latin(latin)
     if not chk.ok:
@@ -143,6 +143,8 @@ def shift_and_multiply(latin: LatinSquare, hadamards) -> UnitaryErrorBasis:
     if len(hadamards) != d:
         raise ValueError(f"need {d} Hadamard matrices, got {len(hadamards)}")
     for j, h in enumerate(hadamards):
+        if any(h is g for g in hadamards[:j]):
+            continue
         if h.rows != d or h.cols != d:
             raise ValueError(f"Hadamard {j} has wrong shape")
         hc = check_complex_hadamard(h)

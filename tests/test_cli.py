@@ -17,6 +17,7 @@ import pytest
 
 import uebkit
 import uebkit.cli as cli
+import uebkit.ueb as ueb
 from uebkit.cli import (InputError, RunReport, _basis_fields, _read_basis,
                         _read_json, _write_json, main)
 from uebkit.combinat import cyclic_latin, fourier_hadamard, h_alpha
@@ -129,6 +130,54 @@ def test_construct_sam_from_files(capsys, tmp_path):
     rc, lines, _ = run(capsys, ["analyze", "monomial", f"sam:{lf},{hf}"])
     assert rc == 0
     assert checks_by_name(lines)["construct"]["details"]["members"] == 9
+
+
+def _rows_permuted(h, perm):
+    d = h.rows
+    return ExactMatrix(d, d, [h.entries[i * d + k] for i in perm
+                              for k in range(d)], h.scale)
+
+
+def test_construct_sam_from_a_hadamard_sequence(capsys, tmp_path,
+                                                monkeypatch):
+    # three distinct row permutations of F_3, one per j: each distinct
+    # matrix is checked once, so a sequence of d costs d checks and one
+    # matrix given for every j costs one
+    f3 = fourier_hadamard(3)
+    seq = [_rows_permuted(f3, p) for p in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]
+    sf = tmp_path / "seq.json"
+    sf.write_text(json.dumps([matrix_to_json(h) for h in seq]))
+    want = basis_to_json(shift_and_multiply(cyclic_latin(3), seq))
+    calls = []
+    check = ueb.check_complex_hadamard
+    monkeypatch.setattr(ueb, "check_complex_hadamard",
+                        lambda h: calls.append(h) or check(h))
+    out = tmp_path / "basis.json"
+    rc, lines, _ = run(capsys, ["construct", "sam", "cyclic:3", str(sf),
+                                "--out", str(out)])
+    assert rc == 0 and checks_by_name(lines)["ueb-definition"]["ok"]
+    assert len(calls) == 3
+    assert json.loads(out.read_text()) == json.loads(json.dumps(want))
+    rc, lines, _ = run(capsys, ["analyze", "monomial", f"sam:cyclic:3,{sf}"])
+    assert rc == 0 and checks_by_name(lines)["monomial"]["details"][
+        "per_matrix_nonzero"] == [3] * 9
+    assert len(calls) == 6
+    rc, _, _ = run(capsys, ["construct", "sam", "cyclic:3", "fourier:3",
+                            "--out", str(out)])
+    assert rc == 0 and len(calls) == 7
+
+    for latin, matrices, message in (
+            ("cyclic:4", seq, "need 4 Hadamard matrices, got 3"),
+            ("cyclic:3", [f3, ExactMatrix.identity(3), seq[2]],
+             "matrix 1 is not complex Hadamard: entry (0,1) is not unit "
+             "modulus")):
+        sf.write_text(json.dumps([matrix_to_json(h) for h in matrices]))
+        out.unlink(missing_ok=True)
+        rc, lines, _ = run(capsys, ["construct", "sam", latin, str(sf),
+                                    "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert lines == [{"error": "cannot build shift-and-multiply basis: "
+                          + message, "ok": False}]
 
 
 def test_construct_sam_reads_a_latin_path_with_a_comma(capsys, tmp_path):
@@ -366,6 +415,98 @@ def test_parse_and_spec_errors_exit_2(capsys, tmp_path):
     assert main(["construct", "pauli:2", "--factors-only",
                  "--out", str(tmp_path / "x")]) == 2
     capsys.readouterr()
+
+
+def _duplicate_label_file(path):
+    obj = basis_to_json(pauli_basis(2))
+    obj["labels"][1] = obj["labels"][0]
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _text_file(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+def _missing_dir_message(t):
+    p = t / "missing" / "x.json"
+    return f"cannot write {p}: [Errno 2] No such file or directory: '{p}'"
+
+
+# argv for a temporary directory t, and the error line's message
+_INPUT_ERROR_LINES = {
+    "out-in-a-missing-dir": (
+        lambda t: ["construct", "pauli:2", "--out",
+                   str(t / "missing" / "x.json")], _missing_dir_message),
+    "pauli-not-an-integer": (
+        lambda t: ["analyze", "monomial", "pauli:x"],
+        "pauli dimension must be an integer, got 'x'"),
+    "unknown-latin-spec": (
+        lambda t: ["analyze", "monomial", "sam:frob:3,fourier:3"],
+        "unknown latin spec 'frob:3' (cyclic:<d> or a file)"),
+    "unknown-hadamard-spec": (
+        lambda t: ["analyze", "monomial", "sam:cyclic:3,frob:3"],
+        "unknown hadamard spec 'frob:3' (fourier:<d>, alpha, or a file)"),
+    "unknown-representation-spec": (
+        lambda t: ["analyze", "monomial", "nice:frob:3"],
+        "unknown representation spec 'frob:3'"),
+    "unknown-induce-spec": (
+        lambda t: ["analyze", "induce", "frob:3"],
+        "unknown induce spec 'frob:3' (heisenberg:<d>)"),
+    "heisenberg-modulus-1": (
+        lambda t: ["analyze", "monomial", "nice:heisenberg:1"],
+        "heisenberg modulus must be at least 2"),
+    "sam-spec-without-comma": (
+        lambda t: ["analyze", "monomial", "sam:cyclic:3"],
+        "sam spec needs <latin>,<hadamard>"),
+    "duplicate-labels": (
+        lambda t: ["verify", "nice", _duplicate_label_file(t / "dup.json")],
+        "duplicate labels in basis"),
+    "counterexample165-with-a-parameter": (
+        lambda t: ["construct", "counterexample165", "x",
+                   "--out", str(t / "out.json")],
+        "counterexample165 takes no extra parameters"),
+    "sam-with-one-spec": (
+        lambda t: ["construct", "sam", "cyclic:3",
+                   "--out", str(t / "out.json")],
+        "construct sam needs <latin> <hadamard>"),
+    "bundle-holding-a-list": (
+        lambda t: ["verify", "counterexample165",
+                   _text_file(t / "bundle.json", "[]")],
+        "bundle file must hold a JSON object"),
+    "induce-file-without-group": (
+        lambda t: ["analyze", "induce", _text_file(t / "induce.json", "{}")],
+        'induce file needs {"group": "heisenberg:<d>"}'),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "pretty"])
+@pytest.mark.parametrize("kind", sorted(_INPUT_ERROR_LINES))
+def test_input_errors_exit_2_with_their_error_line(capsys, tmp_path, kind,
+                                                   fmt):
+    argv, message = _INPUT_ERROR_LINES[kind]
+    if callable(message):
+        message = message(tmp_path)
+    rc = main(argv(tmp_path) + ["--format", fmt])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert json.loads(out) == {"error": message, "ok": False}
+    # json: one line; pretty: one indented object
+    assert out.count("\n") == (1 if fmt == "json" else 4)
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", str(2 ** 64), "seed must fit in 64 bits"),
+    ("--jobs", "0", "jobs must be at least 1")])
+def test_out_of_range_flags_are_refused_by_the_parser(capsys, flag, value,
+                                                      message):
+    rc = main(["analyze", "monomial", "pauli:2", flag, value])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert f"argument {flag}: {message}" in err
 
 
 _MALFORMED = {
@@ -927,6 +1068,37 @@ def _mutants(data: bytes, rng, n):
     return out
 
 
+def _member_mutants(data: bytes, rng, n):
+    """n seeded mutants of a basis file, (kind, bytes), in the layout the
+    CLI writes: one whole member dropped with its label, or repeated with
+    it right after."""
+    obj = json.loads(data)
+    out = []
+    for _ in range(n):
+        kind = rng.choice(("drop-member", "repeat-member"))
+        k = rng.randrange(len(obj["members"]))
+        keep = 2 if kind == "repeat-member" else 0
+        edited = {key: v[:k] + [v[k]] * keep + v[k + 1:]
+                  if key in ("members", "labels") else v
+                  for key, v in obj.items()}
+        out.append((kind, (cli._DUMPS(edited) + "\n").encode()))
+    return out
+
+
+def _member_count_refused(command, rc, out, data):
+    """A basis of d = 3 with a member count off 9: the Z_3 x Z_3 index
+    refuses it, and verify ueb's cardinality check fails."""
+    lines = [json.loads(l) for l in out.splitlines()]
+    got = len(json.loads(data)["members"])
+    if command in (("verify", "nice"), ("analyze", "cocycle")):
+        return rc == 2 and lines[0]["error"] == \
+            f"need 9 members for a Z_3 x Z_3 index, got {got}"
+    if command == ("verify", "ueb"):
+        details = checks_by_name(lines)["ueb-definition"]["details"]
+        return rc == 1 and details["cardinality_ok"] is False
+    return True
+
+
 def _reference(path):
     """_old_route's basis or error line; bytes that json.loads cannot read
     as text give the CLI's not-text line with the reason json.loads gives."""
@@ -944,9 +1116,10 @@ _BASIS_COMMANDS = [("verify", "ueb"), ("verify", "nice"),
 @pytest.mark.parametrize("source", ["pauli:3", "sam cyclic:3 fourier:3",
                                     "hadamard fourier:3"])
 def test_mutated_files_exit_cleanly(capsys, tmp_path, source):
-    # seeded byte- and token-level mutants of a small file: every command
-    # exits 0, 1 or 2 without raising, exit 2 comes with an error line,
-    # and a basis file reads as json.loads plus basis_from_json does
+    # seeded byte-, token- and member-level mutants of a small file: every
+    # command exits 0, 1 or 2 without raising, exit 2 comes with an error
+    # line, a basis file reads as json.loads plus basis_from_json does,
+    # and a basis missing or repeating a member is refused by its count
     f = tmp_path / "file.json"
     is_basis = not source.startswith("hadamard")
     if is_basis:
@@ -960,7 +1133,10 @@ def test_mutated_files_exit_cleanly(capsys, tmp_path, source):
     rng = random.Random(f"mutants {source}")
     g = tmp_path / "mutant.json"
     bad, codes = [], set()
-    for k, (kind, data) in enumerate(_mutants(f.read_bytes(), rng, 120)):
+    mutants = _mutants(f.read_bytes(), rng, 120)
+    if is_basis:
+        mutants += _member_mutants(f.read_bytes(), rng, 8)
+    for k, (kind, data) in enumerate(mutants):
         g.write_bytes(data)
         want = None
         if is_basis:
@@ -986,8 +1162,13 @@ def test_mutated_files_exit_cleanly(capsys, tmp_path, source):
                 bad.append((k, kind, command, rc))
             elif isinstance(want, str) and first.get("error") != want:
                 bad.append((k, kind, command, first))
+            elif kind.endswith("-member") and not _member_count_refused(
+                    command, rc, out, data):
+                bad.append((k, kind, command, rc, first))
             codes.add(rc)
     assert bad == []
+    assert {kind for kind, _ in mutants} >= (
+        {"drop-member", "repeat-member"} if is_basis else set())
     # the mutants reach both outcomes: refused files and files that run
     assert codes >= {0, 2}
 

@@ -530,7 +530,8 @@ def test_triple_trace_and_dim(built):
 def test_group_and_center_structure(built):
     assert built.group.order == 4_492_125
     assert len(built.center) == 165
-    assert element_order(built.group, built.center_generator) == 165
+    assert element_order(built.group, built.center_generator) == 165 == \
+        built.checks["center_cyclic_witness_order"]
     assert built.quotient.order == 27_225
     assert built.checks["generator_matrices_pinned"]
 
@@ -657,6 +658,35 @@ def test_dense_sample_members_are_pinned(built, report, monkeypatch):
         (2, 1, 4, 2, 1, 1), (2, 0, 9, 10, 0, 0), (4, 2, 1, 0, 1, 0),
         (3, 0, 5, 3, 0, 1), (0, 4, 5, 4, 0, 2), (1, 4, 0, 4, 0, 0),
         (0, 0, 7, 5, 2, 2), (1, 2, 5, 3, 2, 1), (2, 1, 2, 5, 0, 2)]
+
+
+def test_a_wrong_sampled_member_is_refuted_after_all_are_built(
+        built, report, monkeypatch):
+    # the first of the 12 seeded dense members disagrees with its factor
+    # form: cross_ok falls, the other 11 are still built and compared, and
+    # the _mul cross-check after them draws its keys from the same stream
+    fm, Q = built.factors, built.quotient
+    rng = random.Random(1650)
+    first = Q.label(rng.sample(range(Q.order), 12)[0])
+    keys = [(p, rng.choice(range(len(fm.pool[p]))),
+             rng.choice(range(len(fm.pool[p]))))
+            for p in (5, 11) for _ in range(10)]
+    seen, muls = [], []
+    exact, mul = fm.exact_matrix, fm._mul
+
+    def exact_matrix(g):
+        seen.append(g)
+        return ExactMatrix.identity(165) if g == first else exact(g)
+
+    monkeypatch.setattr(fm, "exact_matrix", exact_matrix)
+    monkeypatch.setattr(fm, "_mul",
+                        lambda p, a, b: muls.append((p, a, b)) or mul(p, a, b))
+    monkeypatch.setattr(counterexample165, "verify_nice",
+                        lambda *args, **kwargs: report.niceness)
+    wrong = verify_counterexample(built, seed=1650)
+    assert not wrong.cross_ok and not wrong.ok and wrong.cross_checks == 21
+    assert seen[9] == first and len(seen) == 3 + 6 + 12 + 1
+    assert muls[-20:] == keys
 
 
 def test_member_keys_match_the_parent_keys(built):
@@ -923,7 +953,6 @@ def test_monomial_split(built, report):
     assert report.generator_monomiality.per_matrix_nonzero == \
         (165, 165, 165, 165, 825, 1815)
     assert report.nonmonomial_witness == built.group.generators[4]
-    assert not report.sampled_monomiality.is_monomial
 
 
 def test_center_scalars_and_cross_routes(report):

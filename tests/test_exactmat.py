@@ -165,6 +165,8 @@ def test_shape_must_not_be_negative():
     assert ExactMatrix.identity(0) == empty == ExactMatrix.from_rows([])
     # every s satisfies the 0 x 0 identity, so no scale is named
     assert empty.is_scaled_unitary() is None
+    # no entries, no zeros: as monomiality_report reads an empty input
+    assert empty.zero_fraction() == 0 == monomiality_report([]).zero_fraction
 
 def test_monomial_structure():
     x = shift(4)
