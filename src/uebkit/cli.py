@@ -60,9 +60,9 @@ from .nice import (
     CocycleError,
     ProjectiveRep,
     cocycle_table,
-    heisenberg_rep,
     pauli_rep,
     verify_nice,
+    weyl_matrix,
 )
 from .ueb import (
     UnitaryErrorBasis,
@@ -345,7 +345,7 @@ def _looks_like_path(target: str) -> bool:
 MAX_SPEC_ENTRIES = 1_000_000
 
 
-def _positive_int(text: str, what: str, power: int = 0) -> int:
+def _positive_int(text: str, what: str, power: int) -> int:
     try:
         n = int(text)
     except ValueError:
@@ -396,20 +396,15 @@ def _heisenberg_modulus(text: str, power: int) -> int:
 def _rep_from_spec(spec: str) -> ProjectiveRep:
     head, _, rest = spec.partition(":")
     if head == "heisenberg":
-        return heisenberg_rep(_heisenberg_modulus(rest, 4))
+        # one member per central coset: the z = 0 section, over Z_d x Z_d
+        d = _heisenberg_modulus(rest, 4)
+        return ProjectiveRep(DirectProduct(CyclicGroup(d), CyclicGroup(d)), d,
+                             lambda g: weyl_matrix(d, *g),
+                             label=f"{spec}/center")
     d = _positive_int(rest, f"{head or spec} dimension", 4)
     if head == "pauli":
         return pauli_rep(d)
     raise InputError(f"unknown representation spec {spec!r}")
-
-
-def _section_basis(rep: ProjectiveRep) -> UnitaryErrorBasis:
-    """One member per central coset: the z = 0 section of a Heisenberg
-    representation, labelled by (x, y)."""
-    d = rep.dim
-    labels = [(x, y) for x in range(d) for y in range(d)]
-    members = [rep.matrix(HeisenbergElement(d, x, y, 0)) for x, y in labels]
-    return UnitaryErrorBasis(d, tuple(members), tuple(labels))
 
 
 def _basis_from_spec(spec: str, report: RunReport) -> UnitaryErrorBasis:
@@ -425,11 +420,7 @@ def _basis_from_spec(spec: str, report: RunReport) -> UnitaryErrorBasis:
         basis = pauli_basis(_positive_int(rest, "pauli dimension", 4))
     elif head == "nice":
         rep = _rep_from_spec(rest)
-        if rep.group.order == rep.dim ** 2:
-            basis = basis_from_rep(rep)
-        else:
-            basis = _section_basis(rep)
-            rep = _pair_indexed_rep(basis, label=f"{rest}/center")
+        basis = basis_from_rep(rep)
         nr = verify_nice(_full_sweep(rep), pair_mode="all")
         report.check("niceness", nr.ok, t0, details=nr.summary())
         t0 = time.perf_counter()

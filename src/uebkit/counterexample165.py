@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .cyclo import PhasedScalar
+from .cyclo import PhasedScalar, roots_of_unity
 from .exactmat import (ExactMatrix, MonomialityReport, matrix_to_json,
                        monomiality_report)
 from .groups import (DirectProduct, FiniteGroup,
@@ -329,8 +329,7 @@ class FactorMap:
         self.nnz = {p: [m.nonzero_count() for m in pool]
                     for p, pool in self.pool.items()}
         self._verify_pools(random.Random(seed))
-        self.zetas = [PhasedScalar.zeta(330, j) for j in range(330)]
-        self._power = {c.key(): j for j, c in enumerate(self.zetas)}
+        self.zetas, self._power = roots_of_unity(330)
         # per prime: [id, gamma, gamma^2] on H_p, shared with build_g165,
         # and as lists taking p x + y to the (x', y', z') of the image of
         # (x, y, 0), shared with Quotient165; the zeta_330 exponent of R^3
@@ -340,7 +339,7 @@ class FactorMap:
                             for x in range(p) for y in range(p)]
                            for f in self.powers[p]] for p in (5, 11)}
         self._gamma[3] = [[(x, y, 0) for x in range(3) for y in range(3)]]
-        self._wrap = {c.p: self._power[c.r_cubed.promote(330).key()]
+        self._wrap = {c.p: self._power[c.r_cubed.terms[()].promote(330).key()]
                       for c in (conj5, conj11)}
 
     def _pool(self, p: int, twists: tuple) -> list:
@@ -529,8 +528,7 @@ class Quotient165(FiniteGroup):
             + 3 * h.x + h.y
 
     def label(self, i: int):
-        a5, r = divmod(i, 1089)
-        a11, a3 = divmod(r, 9)
+        a5, a11, a3 = self._digits[i]
         return ((HeisenbergElement(5, *divmod(a5, 5), 0),
                  HeisenbergElement(11, *divmod(a11, 11), 0)),
                 HeisenbergElement(3, *divmod(a3, 3), 0))
@@ -774,7 +772,7 @@ def verify_counterexample(g: G165, seed: int = DEFAULT_SEED
             ka, kb = rng.choice(range(len(pool))), rng.choice(range(len(pool)))
             key, j = fm._mul(p, ka, kb)
             c = (pool[ka] @ pool[kb]).equal_up_to_phase(pool[key])
-            if c is None or j != fm._power.get(c.promote(330).key()):
+            if c is None or j != fm._power.get(c.terms[()].promote(330).key()):
                 cross_ok = False
             cross += 1
 

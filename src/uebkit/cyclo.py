@@ -234,8 +234,10 @@ class Cyclotomic:
         return None
 
     def root_of_unity_order(self):
-        """Least m >= 1 with self^m == 1, or None: see _root_orders."""
-        return _root_orders(self.order).get(self.key())
+        """Least m >= 1 with self^m == 1, or None: see roots_of_unity."""
+        zetas, log = roots_of_unity(self.order)
+        k = log.get(self.key())
+        return None if k is None else len(zetas) // gcd(k, len(zetas))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -355,19 +357,6 @@ class Cyclotomic:
         parts = " + ".join(f"{c}*z^{k}" if k else str(c)
                            for k, c in sorted(self.coeffs.items()))
         return f"Cyc({self.order}; {parts})"
-
-
-@lru_cache(maxsize=None)
-def _root_orders(n: int) -> MappingProxyType:
-    """{key(): order} of every root of unity in Q(zeta_n), at order n: the
-    m = lcm(2, n) powers of zeta_m (zeta_n, or -zeta_n^((n+1)/2) for odd n),
-    zeta_m^k of order m / gcd(k, m).  There are no others.  A root of order
-    r puts zeta_L in Q(zeta_n) for L = lcm(r, n) = n t, so phi(L) = phi(n),
-    and phi(L) / phi(n) is the product over p^a || t of p^a if p | n, else
-    p^(a-1) (p - 1); it is 1 only for t = 1, or t = 2 with n odd: r | m."""
-    m = lcm(2, n)
-    z = Cyclotomic.zeta(n) if m == n else -Cyclotomic.zeta(n, (n + 1) // 2)
-    return MappingProxyType({(z ** k).key(): m // gcd(k, m) for k in range(m)})
 
 
 # ---------------------------------------------------------------------------
@@ -557,11 +546,13 @@ class PhasedScalar:
         ((key, c),) = self.terms.items()
         if any(e % 2 for _, e in key):
             raise ValueError("odd symbol exponent has no monomial square root")
-        m = c.root_of_unity_order()
-        if m is None:
+        zetas, log = roots_of_unity(c.order)
+        if (k := log.get(c.key())) is None:
             raise ValueError("coefficient is not a root of unity")
-        j = next(j for j in range(m) if c == Cyclotomic.zeta(m) ** j)
-        half = PhasedScalar.of(Cyclotomic.zeta(2 * m) ** j, self.order)
+        # c = zeta_m^k, m = len(zetas), is zeta_(m/g)^(k/g) for g = gcd(k, m)
+        g = gcd(k, len(zetas))
+        half = PhasedScalar.of(Cyclotomic.zeta(2 * len(zetas) // g, k // g),
+                               self.order)
         s = PhasedScalar(half.order, {tuple((n, e // 2) for n, e in key):
                                       half.terms[()]})
         if s * s != self:
@@ -606,6 +597,24 @@ class PhasedScalar:
             mono = "*".join(f"{s}^{e}" for s, e in key)
             bits.append(f"({c!r})*{mono}" if mono else repr(c))
         return f"Scalar({self.order}; " + " + ".join(bits) + ")"
+
+
+@lru_cache(maxsize=None)
+def roots_of_unity(n: int) -> tuple[tuple, MappingProxyType]:
+    """(zetas, log) for the m = lcm(2, n) roots of unity in Q(zeta_n):
+    zetas[k] is zeta_m^k, of multiplicative order m / gcd(k, m), as a
+    PhasedScalar at order n, and log maps its Cyclotomic key() to k;
+    zeta_m is zeta_n, or -zeta_n^((n+1)/2) for odd n.  There are no
+    others.  A root of order r puts zeta_L in Q(zeta_n) for
+    L = lcm(r, n) = n t, so phi(L) = phi(n), and phi(L) / phi(n) is the
+    product over p^a || t of p^a if p | n, else p^(a-1) (p - 1); it is 1
+    only for t = 1, or t = 2 with n odd: r | m.  Callers share the table,
+    so it is immutable."""
+    m = lcm(2, n)
+    h, sign = (1, 1) if m == n else ((n + 1) // 2, -1)
+    roots = [_reduce(n, {k * h: sign ** k}, 1) for k in range(m)]
+    return (tuple(PhasedScalar(n, {(): c}) for c in roots),
+            MappingProxyType({c.key(): k for k, c in enumerate(roots)}))
 
 
 # ---------------------------------------------------------------------------
@@ -678,11 +687,13 @@ def scalar_from_json(obj: dict, orders=None) -> PhasedScalar:
     def parse_term(t) -> PhasedScalar:
         coeffs, symbols = _term_items(t)
         for k, v in coeffs:
-            # only what scalar_to_json writes: int() would also read the
-            # keys "1_0" and " 1", and Fraction() a JSON float
+            # only what scalar_to_json writes, str(k): int() would also
+            # read the keys "1_0", " 1" and "00", and Fraction() a JSON float
             if not (k.isascii() and k.isdigit() and isinstance(v, str)):
                 raise ValueError(f"coefficient {k!r}: {v!r} must map decimal "
                                  "digits to a string")
+            if str(int(k)) != k:  # "0" and "00" would both be term 0
+                raise ValueError(f"exponent key {k!r} has a leading zero")
         c = Cyclotomic(order, {int(k): Fraction(v) for k, v in coeffs})
         key = tuple(sorted((str(name), e) for name, e in symbols if e))
         for name, _ in key:

@@ -17,7 +17,7 @@ from itertools import chain
 from math import lcm
 from typing import Callable
 
-from .cyclo import Cyclotomic, PhasedScalar
+from .cyclo import Cyclotomic, PhasedScalar, roots_of_unity
 from .exactmat import ExactMatrix
 from .groups import (CyclicGroup, DirectProduct, FiniteGroup, HeisenbergGroup,
                      generated_order)
@@ -168,8 +168,7 @@ def _phase_form(rep: ProjectiveRep, elems: list):
             return None
         n = lcm(n, *(v.order for v in values))
         data.append((g, sigma, values, m.scale))
-    zetas = [Cyclotomic.zeta(n, j) for j in range(n)]
-    power = {z.key(): j for j, z in enumerate(zetas)}
+    zetas, power = roots_of_unity(n)
     half = n // 2
     forms = {}
     for g, sigma, values, scale in data:
@@ -179,7 +178,7 @@ def _phase_form(rep: ProjectiveRep, elems: list):
         if scale < 0:
             exps = [(e + half) % n for e in exps]
         forms[g] = (sigma, exps, abs(scale.numerator), scale.denominator)
-    return forms, [PhasedScalar.of(z) for z in zetas]
+    return forms, zetas
 
 
 def cocycle_table(rep: ProjectiveRep) -> dict:

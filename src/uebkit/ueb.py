@@ -85,7 +85,7 @@ def verify_ueb(basis: UnitaryErrorBasis) -> UebReport:
             failures.append(("unitary", labels[idx]))
 
     mono = [m.monomial_data() for m in members] if unitary_ok else [None]
-    route = "monomial" if square and all(mono) else "matrix"
+    route = "monomial" if square and mono and all(mono) else "matrix"
     conj = route == "monomial" and [[v.conj() for v in vs] for _, vs in mono]
 
     def orthogonal(i, j):

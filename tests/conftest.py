@@ -1,8 +1,11 @@
 """Session-wide fixtures.
 
-The 165-dimensional pipeline takes about 5 s on a 2-core machine and
-dozens of tests read it, so the build and its verification run once per
-session and every consumer shares them.
+The 165-dimensional pipeline takes about 0.3 s to build and 0.5 s to
+verify in-process on a 2-core machine, and dozens of tests read it, so
+the build and its verification run once per session and every consumer
+shares them.  The factors-only bundle the command line writes is made
+once too, for the CLI tests and for the check that reads it back with no
+uebkit code.
 Wall-clock durations are kept for the acceptance budget check.
 """
 
@@ -10,6 +13,7 @@ import time
 
 import pytest
 
+from uebkit.cli import main
 from uebkit.counterexample165 import build_g165, verify_counterexample
 
 G165_SECONDS = {}
@@ -29,3 +33,12 @@ def report(built):
     r = verify_counterexample(built)
     G165_SECONDS["verify"] = time.perf_counter() - t0
     return r
+
+
+@pytest.fixture(scope="session")
+def counterexample_bundle(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("cx") / "bundle.json")
+    rc = main(["construct", "counterexample165", "--factors-only",
+               "--out", path])
+    assert rc == 0
+    return path

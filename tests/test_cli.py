@@ -23,7 +23,8 @@ from uebkit.cli import (InputError, RunReport, _basis_fields, _read_basis,
 from uebkit.combinat import cyclic_latin, fourier_hadamard, h_alpha
 from uebkit.cyclo import MAX_JSON_ORDER, PhasedScalar, scalar_to_json
 from uebkit.exactmat import ExactMatrix, matrix_from_json, matrix_to_json
-from uebkit.nice import pauli_rep, verify_nice
+from uebkit.groups import HeisenbergElement
+from uebkit.nice import heisenberg_rep, pauli_rep, verify_nice
 from uebkit.ueb import (UnitaryErrorBasis, basis_from_fields,
                         basis_from_json, basis_to_json, pauli_basis,
                         shift_and_multiply, verify_ueb)
@@ -229,6 +230,34 @@ def test_construct_nice_heisenberg_is_nice_and_verifiable(capsys, tmp_path):
     details = checks_by_name(lines)["niceness"]["details"]
     assert details["trace_ok"]
     assert details["pair_route"] == "phase"
+
+
+def _section_route_rep(spec):
+    """nice:heisenberg:<d> as the CLI built it before it was a
+    representation: the z = 0 section of heisenberg_rep as a basis, read
+    back as a representation of Z_d x Z_d by its (x, y) labels."""
+    d = int(spec.partition(":")[2])
+    rep = heisenberg_rep(d)
+    labels = [(x, y) for x in range(d) for y in range(d)]
+    section = UnitaryErrorBasis(d, [rep.matrix(HeisenbergElement(d, x, y, 0))
+                                    for x, y in labels], labels)
+    return cli._pair_indexed_rep(section, label=f"{spec}/center")
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_nice_heisenberg_matches_the_section_route(capsys, tmp_path,
+                                                   monkeypatch, d):
+    f = tmp_path / "nice.json"
+    argv = ["construct", f"nice:heisenberg:{d}", "--out", str(f)]
+    rc, lines, _ = run(capsys, argv)
+    got = f.read_bytes()
+    monkeypatch.setattr(cli, "_rep_from_spec", _section_route_rep)
+    rc2, lines2, _ = run(capsys, argv)
+    assert rc == rc2 == 0
+    assert f.read_bytes() == got
+    assert strip_timing(lines) == strip_timing(lines2)
+    label = checks_by_name(lines)["niceness"]["details"]["label"]
+    assert label == f"heisenberg:{d}/center"
 
 
 def test_verify_latin_distinguishes_failure_from_parse_error(capsys, tmp_path):
@@ -525,6 +554,8 @@ _MALFORMED = {
     "coeff-float": lambda e: dict(e, coeffs={"0": 1.0}),
     "key-underscore": lambda e: dict(e, coeffs={"0_0": "1"}),
     "key-space": lambda e: dict(e, coeffs={" 0": "1"}),
+    # and only str(k): int() reads "0" and "00" alike, so 1 + 1 read as 1
+    "key-leading-zero": lambda e: dict(e, coeffs={"0": "1", "00": "1"}),
     # symbols need no declaration, but a name must be an identifier
     "bad-symbol": lambda e: dict(e, symbols={"1bad": 1}),
     "symbol-empty": lambda e: dict(e, symbols={"": 1}),
@@ -1085,6 +1116,14 @@ def _member_mutants(data: bytes, rng, n):
     return out
 
 
+def _padded_key_mutants(data: bytes, rng, n):
+    """n seeded mutants of a file, (kind, bytes): one coefficient's exponent
+    key k written as "0k", which scalar_to_json never writes."""
+    keys = [m.start(1) for m in re.finditer(rb'"([0-9]+)":"', data)]
+    return [("pad-key", data[:i] + b"0" + data[i:])
+            for i in rng.sample(keys, n)]
+
+
 def _member_count_refused(command, rc, out, data):
     """A basis of d = 3 with a member count off 9: the Z_3 x Z_3 index
     refuses it, and verify ueb's cardinality check fails."""
@@ -1116,10 +1155,11 @@ _BASIS_COMMANDS = [("verify", "ueb"), ("verify", "nice"),
 @pytest.mark.parametrize("source", ["pauli:3", "sam cyclic:3 fourier:3",
                                     "hadamard fourier:3"])
 def test_mutated_files_exit_cleanly(capsys, tmp_path, source):
-    # seeded byte-, token- and member-level mutants of a small file: every
-    # command exits 0, 1 or 2 without raising, exit 2 comes with an error
-    # line, a basis file reads as json.loads plus basis_from_json does,
-    # and a basis missing or repeating a member is refused by its count
+    # seeded byte-, token-, key- and member-level mutants of a small file:
+    # every command exits 0, 1 or 2 without raising, exit 2 comes with an
+    # error line, a basis file reads as json.loads plus basis_from_json
+    # does, a zero-padded exponent key is refused, and a basis missing or
+    # repeating a member is refused by its count
     f = tmp_path / "file.json"
     is_basis = not source.startswith("hadamard")
     if is_basis:
@@ -1136,6 +1176,7 @@ def test_mutated_files_exit_cleanly(capsys, tmp_path, source):
     mutants = _mutants(f.read_bytes(), rng, 120)
     if is_basis:
         mutants += _member_mutants(f.read_bytes(), rng, 8)
+    mutants += _padded_key_mutants(f.read_bytes(), rng, 8)
     for k, (kind, data) in enumerate(mutants):
         g.write_bytes(data)
         want = None
@@ -1162,15 +1203,39 @@ def test_mutated_files_exit_cleanly(capsys, tmp_path, source):
                 bad.append((k, kind, command, rc))
             elif isinstance(want, str) and first.get("error") != want:
                 bad.append((k, kind, command, first))
+            elif kind == "pad-key" and rc != 2:
+                bad.append((k, kind, command, rc))
             elif kind.endswith("-member") and not _member_count_refused(
                     command, rc, out, data):
                 bad.append((k, kind, command, rc, first))
             codes.add(rc)
     assert bad == []
     assert {kind for kind, _ in mutants} >= (
-        {"drop-member", "repeat-member"} if is_basis else set())
+        {"drop-member", "repeat-member", "pad-key"} if is_basis
+        else {"pad-key"})
     # the mutants reach both outcomes: refused files and files that run
     assert codes >= {0, 2}
+
+
+def test_zero_padded_exponent_key_exits_2(capsys, tmp_path):
+    # int() reads "0" and "00" alike, so the entry 1 + 1 = 2 was read as 1
+    # and this 1 x 1 basis passed verify ueb; the text route (the layout
+    # the CLI writes) and the whole decode (any other) now both refuse it
+    entry = {"coeffs": {"0": "1", "00": "1"}, "order": 1, "symbols": {}}
+    obj = {"d": 1, "labels": [[0, 0]], "members": [
+        {"cols": 1, "entries": [entry], "rows": 1, "scale": "1"}]}
+    text = cli._DUMPS(obj)
+    i = text.index('{"cols"')
+    assert cli._member_from_text(text.replace('"00"', '"1"'), i, set())
+    assert cli._member_from_text(text, i, set()) is None
+    g = tmp_path / "padded.json"
+    for layout in (text + "\n", json.dumps(obj, indent=1)):
+        g.write_text(layout)
+        rc, lines, err = run(capsys, ["verify", "ueb", str(g)])
+        assert rc == 2 and "error:" in err
+        assert lines[0]["error"] == _old_route(g) == (
+            "cannot interpret basis file: exponent key '00' has a leading "
+            "zero")
 
 
 def _unit_of_order(order):
@@ -1285,7 +1350,8 @@ def test_spec_bound_admits_the_largest_spec_in_use():
     # pauli:31 builds 31^4 = 923,521; one more is refused
     assert cli._positive_int("7", "modulus", 7) == 7
     assert cli._positive_int("31", "dimension", 4) == 31
-    assert cli._positive_int("10", "dimension") == 10
+    with pytest.raises(TypeError):  # no default power leaves a spec unbounded
+        cli._positive_int("10", "dimension")
     for text, power in (("8", 7), ("32", 4)):
         with pytest.raises(InputError, match="more than 1000000 dense"):
             cli._positive_int(text, "size", power)
@@ -1564,15 +1630,6 @@ def test_jobs_flag_does_not_change_results(capsys):
 
 # ---------------------------------------------------------------------------
 # the 165-dimensional pipeline, exercised once through the CLI
-
-
-@pytest.fixture(scope="module")
-def counterexample_bundle(tmp_path_factory):
-    path = str(tmp_path_factory.mktemp("cx") / "bundle.json")
-    rc = main(["construct", "counterexample165", "--factors-only",
-               "--out", path])
-    assert rc == 0
-    return path
 
 
 def test_cli_counterexample_construct(counterexample_bundle, capsys):

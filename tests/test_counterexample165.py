@@ -24,7 +24,7 @@ from uebkit.counterexample165 import (
     verify_counterexample,
     weyl_decompose,
 )
-from uebkit.cyclo import Cyclotomic, PhasedScalar
+from uebkit.cyclo import Cyclotomic, PhasedScalar, roots_of_unity
 from uebkit.exactmat import ExactMatrix, matrix_to_json, monomiality_report
 from uebkit.fastcyc import CycMatrix, from_exact
 from uebkit.groups import (
@@ -284,8 +284,7 @@ def _packed_disagreements(fm, p, words):
     for w in words:
         key, j = _folded(fm, p, w)
         c = _packed(fm, p, w).equal_up_to_phase(_packed_pool(fm, p)[key])
-        if c is None or fm._power.get(
-                PhasedScalar.of(c).promote(330).key()) != j:
+        if c is None or fm._power.get(c.promote(330).key()) != j:
             out.append(w)
     return out
 
@@ -307,6 +306,9 @@ def test_normal_form_matches_packed_products(built):
         assert _packed_disagreements(fm, p, words) == []
     # R11^3 = -zeta_11^2 = zeta_330^225 enters each time k reaches 3
     assert fm._wrap[11] == 225
+    # the phases are cyclo's table at conductor 330, not a copy
+    zetas, log = roots_of_unity(330)
+    assert fm.zetas is zetas and fm._power is log
     words = _long_words(fm)
     assert sum(sum(k % 3 for k in w) >= 3 for w in words) > 500
     assert _packed_disagreements(fm, 11, words) == []

@@ -1,7 +1,8 @@
 import ast
+import functools
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from uebkit.cyclo import (
     Cyclotomic,
     PhasedScalar,
     cyclotomic_polynomial,
+    roots_of_unity,
     scalar_from_json,
     scalar_to_json,
 )
@@ -143,6 +145,49 @@ def test_root_of_unity_order_table_matches_powers(n):
     assert found - {None} == {d for d in range(1, m + 1) if m % d == 0}
 
 
+@functools.cache
+def _root_orders(n):
+    """{key(): order} of every root of unity in Q(zeta_n), by powers of
+    zeta_m, m = lcm(2, n): the table cyclo built by repeated squaring."""
+    m = lcm(2, n)
+    z = Cyclotomic.zeta(n) if m == n else -Cyclotomic.zeta(n, (n + 1) // 2)
+    return {(z ** k).key(): m // gcd(k, m) for k in range(m)}
+
+
+@functools.cache
+def _zeta_powers(r):
+    return [Cyclotomic.zeta(r) ** j for j in range(r)]
+
+
+def _search_unit_sqrt(v):
+    """unit_sqrt by the search it ran before the table: the least j with
+    c == zeta_r^j for the order r of c, then zeta_2r^j."""
+    ((key, c),) = v.terms.items()
+    r = _root_orders(c.order)[c.key()]
+    j = next(j for j in range(r) if c == _zeta_powers(r)[j])
+    half = PhasedScalar.of(Cyclotomic.zeta(2 * r) ** j, v.order)
+    return PhasedScalar(half.order, {tuple((s, e // 2) for s, e in key):
+                                     half.terms[()]})
+
+
+@pytest.mark.parametrize("n", list(range(1, 37)) + [165, 330])
+def test_root_table_matches_the_powers_and_the_search(n):
+    zetas, log = roots_of_unity(n)
+    orders = _root_orders(n)
+    assert type(zetas) is tuple and roots_of_unity(n)[1] is log
+    with pytest.raises(TypeError):
+        log[None] = 0
+    # zetas[k] is the k-th power, and log its inverse
+    assert [z.terms[()].key() for z in zetas] == list(orders) == list(log)
+    assert list(log.values()) == list(range(lcm(2, n)))
+    for z in zetas:
+        assert z.order == n and z.is_symbol_free()
+        c = z.terms[()]
+        assert c.root_of_unity_order() == orders[c.key()]
+        got, want = z.unit_sqrt(), _search_unit_sqrt(z)
+        assert got == want and got.order == want.order
+
+
 def test_rational_value():
     assert Cyclotomic.zeta(4, 2).rational_value() == Fraction(-1)
     assert Cyclotomic.zeta(5).rational_value() is None
@@ -230,6 +275,17 @@ def test_scalar_json_round_trip():
     assert flat["symbols"] == {"t": 2}
     multi = scalar_to_json(PhasedScalar.one() + t)
     assert "terms" in multi
+
+
+def test_scalar_json_refuses_a_key_with_a_leading_zero():
+    # scalar_to_json writes str(k); int() reads "0" and "00" alike, so the
+    # pair {"0": "1", "00": "1"} decoded to 1, not 2
+    for coeffs in ({"0": "1", "00": "1"}, {"01": "1"}, {"00": "1"}):
+        with pytest.raises(ValueError, match="leading zero"):
+            scalar_from_json({"order": 4, "coeffs": coeffs, "symbols": {}})
+    assert scalar_from_json({"order": 4, "coeffs": {"0": "1", "10": "1"},
+                             "symbols": {}}) == PhasedScalar.of(
+        Cyclotomic.zeta(4, 10) + 1)
 
 
 def _assert_normal_form(s):

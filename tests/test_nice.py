@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from uebkit.cyclo import Cyclotomic, PhasedScalar
+from uebkit.cyclo import Cyclotomic, PhasedScalar, roots_of_unity
 from uebkit.exactmat import ExactMatrix, matrix_to_json
 from uebkit.combinat import cyclic_latin, fourier_hadamard, h_alpha
 from uebkit.groups import CyclicGroup, DirectProduct, HeisenbergElement
@@ -347,6 +347,7 @@ def test_phase_form_eligibility():
     elems = list(rep.group.elements())
     forms, zetas = nice._phase_form(rep, elems)
     assert len(zetas) == 4 and zetas[1] == PhasedScalar.zeta(4)
+    assert zetas is roots_of_unity(4)[0]  # cyclo's table, not a copy
     # Z = diag(1, i, -1, -i): identity permutation, exponents 0..3
     assert forms[(0, 1)] == ([0, 1, 2, 3], [0, 1, 2, 3], 1, 1)
     # odd conductor: -1 needs N = 2 * 3

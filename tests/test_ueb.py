@@ -492,6 +492,8 @@ def _ueb_route_cases():
         ("scale 2", _edit_member(p3, 4, lambda m: m.scalar_mul(2)), "matrix"),
         ("entry 1+zeta_5", _edit_member(p5, 1, _set_first_nonzero(
             lambda e: one_plus_zeta)), "matrix"),
+        # no members, so none is monomial: all([]) would say otherwise
+        ("no members", UnitaryErrorBasis(2, (), ()), "matrix"),
     ]
 
 
