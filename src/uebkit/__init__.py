@@ -2,8 +2,8 @@
 
 The modules split along the objects they own:
 
-  cyclo             cyclotomic numbers and phased scalars, no floats
-  exactmat          dense matrices over phased scalars
+  cyclo             cyclotomic numbers, phased scalars, one product kernel
+  exactmat          dense matrices over phased scalars, on that kernel
   fastcyc           packed integer arrays (numpy), a reference route for tests
   combinat          Latin squares and complex Hadamard matrices
   groups            finite groups: cyclic, Heisenberg, SL2, products

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .cyclo import PhasedScalar, roots_of_unity
+from .cyclo import PhasedScalar, roots_of_unity, scalar_to_json
 from .exactmat import (ExactMatrix, MonomialityReport, matrix_to_json,
                        monomiality_report)
 from .groups import (DirectProduct, FiniteGroup,
@@ -825,7 +825,7 @@ def export_bundle(g: G165, factors_only: bool = True) -> dict:
             "p": c.p, "e": c.e,
             "F": matrix_to_json(c.F, memo), "D": matrix_to_json(c.D, memo),
             "B": matrix_to_json(c.B, memo), "R": matrix_to_json(c.R, memo),
-            "r_cubed": str(c.r_cubed),
+            "r_cubed": scalar_to_json(c.r_cubed),
             "action": [[c.action.a, c.action.b], [c.action.c, c.action.d]],
             "action_order": c.action_order,
         }

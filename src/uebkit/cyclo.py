@@ -18,14 +18,17 @@ Scalars are finite Laurent combinations of symbol monomials with
 cyclotomic coefficients; the symbol-free case is the plain field element.
 
 Ambient orders are fixed by the caller and promoted to the lcm when
-mixed.  No automatic conductor minimization is attempted.
+mixed.  No automatic conductor minimization is attempted.  One private
+kernel, _sumprod, forms every symbol-free sum of products at that lcm
+with one reduction, so no other module reads the integer form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, lcm
+from operator import mul
 from types import MappingProxyType
 
 _F0 = Fraction(0)
@@ -597,6 +600,52 @@ class PhasedScalar:
             mono = "*".join(f"{s}^{e}" for s, e in key)
             bits.append(f"({c!r})*{mono}" if mono else repr(c))
         return f"Scalar({self.order}; " + " + ".join(bits) + ")"
+
+
+_ZERO = PhasedScalar.zero(1)
+
+
+def _sumprod(terms) -> PhasedScalar:
+    """The sum over terms of each term's product of nonzero scalars, for
+    two or more pairs or for one tuple of any length.
+
+    Symbol-free terms are formed in integer form at the lcm N of all their
+    orders, over one common denominator, and reduced mod Phi_N once, where
+    the chain of PhasedScalar products and sums would reduce each product
+    and promote each partial sum.  The canonical form is unique, so both
+    give the same scalar, of order N either way, which a sum cancelling to
+    zero keeps in its JSON.  Symbols take the chain, as one pair takes its
+    plain product and no term the order-1 zero."""
+    if len(terms) < 2 and (not terms or len(terms[0]) == 2):
+        return terms[0][0] * terms[0][1] if terms else _ZERO
+    if not all(len(x.terms) == 1 and () in x.terms for t in terms for x in t):
+        return sum((reduce(mul, t) for t in terms[1:]), reduce(mul, terms[0]))
+    n = lcm(*(x.order for t in terms for x in t))
+    if len(terms) == 1:                 # one product: fold exponents mod N
+        acc, den = {0: 1}, 1
+        for x in terms[0]:
+            t, d = _int_form(x.terms[()], n)
+            den *= d
+            out: dict = {}
+            for a, va in acc.items():
+                for b, vb in t:
+                    k = (a + b) % n
+                    out[k] = out.get(k, 0) + va * vb
+            acc = out
+    else:
+        forms = [(_int_form(a.terms[()], n), _int_form(b.terms[()], n))
+                 for a, b in terms]
+        den = lcm(*(da * db for (_, da), (_, db) in forms))
+        raw = [0] * (2 * n - 1)         # pairs: lifted exponents are below N
+        for (ta, da), (tb, db) in forms:
+            f = den // (da * db)
+            for ka, va in ta:
+                va *= f
+                for kb, vb in tb:
+                    raw[ka + kb] += va * vb
+        acc = dict(enumerate(raw))
+    c = _reduce(n, acc, den)
+    return PhasedScalar(n, {(): c} if c._num else {})
 
 
 @lru_cache(maxsize=None)

@@ -6,17 +6,15 @@ what removes square roots from the arithmetic: the Fourier matrix is
 stored unnormalized with scale 1, conjugation products carry scale 1/d,
 and is_scaled_unitary reports the rational constant s with
 (scale*E)(scale*E)^dagger = s*I, so no tolerance is ever involved.
+Each product, tensor and inner-product entry is one cyclo._sumprod call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from math import lcm
-from operator import mul
 
-from .cyclo import (PhasedScalar, _int_form, _reduce, json_int,
+from .cyclo import (PhasedScalar, _sumprod, json_int,
                     scalar_from_json, scalar_json_key, scalar_to_json)
 
 _ZERO = PhasedScalar.zero(1)
@@ -110,7 +108,7 @@ class ExactMatrix:
                     b = be[boff + j]
                     if b.terms:
                         acc[j].append((a, b))
-            out += map(_dot, acc)
+            out += map(_sumprod, acc)
         return ExactMatrix(n, p, out, self.scale * other.scale)
 
     def __pow__(self, k: int) -> "ExactMatrix":
@@ -156,7 +154,7 @@ class ExactMatrix:
         """self (x) others[0] (x) ..., all factors in one call.
 
         A factor's nonzero entries are indexed by value, and each distinct
-        tuple of them, one per factor, is multiplied once (_product) and
+        tuple of them, one per factor, is multiplied once (_sumprod) and
         its entry object shared by every cell it fills; zeros are the
         order-1 zero.  Keying each product to share equal products of
         distinct tuples too cost more than the products themselves.  The
@@ -180,8 +178,8 @@ class ExactMatrix:
             for i, j, t in cells[-1]:
                 z = row.get(t)
                 if z is None:
-                    z = row[t] = _product([v[k] for v, k
-                                           in zip(values, ts + (t,))])
+                    z = row[t] = _sumprod([[v[k] for v, k
+                                            in zip(values, ts + (t,))]])
                 ents[base + i * cols + j] = z
         return ExactMatrix(rows, cols, ents, scale)
 
@@ -315,61 +313,12 @@ def _cells(m: ExactMatrix):
     return cells, [e for _, e in index.values()]
 
 
-def _product(xs) -> PhasedScalar:
-    """The product of nonzero scalars, symbol-free ones formed as _dot
-    forms a sum: in integer form at the lcm N of their orders, reduced
-    mod Phi_N once, giving the chain's scalar.  Symbols take the chain."""
-    if not all(len(x.terms) == 1 and () in x.terms for x in xs):
-        return reduce(mul, xs)
-    n = lcm(*(x.order for x in xs))
-    acc, den = {0: 1}, 1
-    for x in xs:
-        t, d = _int_form(x.terms[()], n)
-        den *= d
-        out: dict = {}
-        get = out.get
-        for a, va in acc.items():
-            for b, vb in t:
-                k = (a + b) % n
-                out[k] = get(k, 0) + va * vb
-        acc = out
-    return PhasedScalar(n, {(): _reduce(n, acc, den)})
-
-
-def _dot(pairs) -> PhasedScalar:
-    """The sum of a * b over the (a, b) pairs of nonzero scalars.
-
-    Two or more symbol-free pairs are convolved in integer form at the lcm
-    N of their orders, over one common denominator, and reduced mod Phi_N
-    once, where the chain of PhasedScalar products and sums would reduce
-    each product and promote each partial sum.  The canonical form is
-    unique, so both give the same scalar, of order N either way, which a
-    sum cancelling to zero keeps in its JSON.  Symbols take the chain."""
-    if len(pairs) < 2:
-        return pairs[0][0] * pairs[0][1] if pairs else _ZERO
-    if not all(len(x.terms) == 1 and () in x.terms for ab in pairs for x in ab):
-        return sum((a * b for a, b in pairs[1:]), pairs[0][0] * pairs[0][1])
-    n = lcm(*(x.order for ab in pairs for x in ab))
-    forms = [(_int_form(a.terms[()], n), _int_form(b.terms[()], n))
-             for a, b in pairs]
-    den = lcm(*(da * db for (_, da), (_, db) in forms))
-    raw = [0] * (2 * n - 1)     # lifted exponents are below n
-    for (ta, da), (tb, db) in forms:
-        f = den // (da * db)
-        for ka, va in ta:
-            va *= f
-            for kb, vb in tb:
-                raw[ka + kb] += va * vb
-    c = _reduce(n, dict(enumerate(raw)), den)
-    return PhasedScalar(n, {(): c} if c._num else {})
-
-
 def hs_inner(a: ExactMatrix, b: ExactMatrix) -> PhasedScalar:
     """tr(a^dagger b) without forming the product."""
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise ValueError("shape mismatch in inner product")
-    return _dot([(x.conj(), y) for x, y in zip(a.entries, b.entries)
-                 if x.terms and y.terms]) * (a.scale * b.scale)
+    return _sumprod([(x.conj(), y) for x, y in zip(a.entries, b.entries)
+                     if x.terms and y.terms]) * (a.scale * b.scale)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from .combinat import LatinSquare, check_complex_hadamard, validate_latin
 from .cyclo import PhasedScalar, json_int
 from .exactmat import (
     ExactMatrix,
-    _dot,
+    _sumprod,
     hs_inner,
     matrix_from_json,
     matrix_to_json,
@@ -91,8 +91,8 @@ def verify_ueb(basis: UnitaryErrorBasis) -> UebReport:
     def orthogonal(i, j):
         if not conj:
             return hs_inner(members[i], members[j]).is_zero()
-        acc = _dot([(a, b) for s, t, a, b in zip(mono[i][0], mono[j][0],
-                                                  conj[i], mono[j][1]) if s == t])
+        acc = _sumprod([(a, b) for s, t, a, b in zip(
+            mono[i][0], mono[j][0], conj[i], mono[j][1]) if s == t])
         if (acc.terms or (i, j) == (0, 1)) and \
                 hs_inner(members[i], members[j]).is_zero() == bool(acc.terms):
             raise ArithmeticError(

@@ -8,6 +8,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from uebkit.cli import main
 from uebkit.combinat import cyclic_latin, fourier_hadamard, h_alpha
@@ -63,7 +64,7 @@ def test_criterion_01_pauli_display_and_exact_verify(capsys, tmp_path):
     assert main(["construct", "pauli:2", "--out", f]) == 0
     assert main(["verify", "ueb", f]) == 0
     capsys.readouterr()
-    basis = basis_from_json(json.load(open(f)))
+    basis = basis_from_json(json.loads(Path(f).read_text()))
     by_label = dict(zip(basis.labels, basis.members))
     displayed = {
         (0, 0): ExactMatrix.identity(2),
@@ -94,7 +95,7 @@ def test_criterion_03_shift_multiply_d3_entrywise_and_d4(capsys, tmp_path):
     assert main(["construct", "sam", "cyclic:4", "fourier:4",
                  "--out", str(tmp_path / "sam4.json")]) == 0
     capsys.readouterr()
-    basis = basis_from_json(json.load(open(f3)))
+    basis = basis_from_json(json.loads(Path(f3).read_text()))
     by_label = dict(zip(basis.labels, basis.members))
     w = PhasedScalar.zeta(3)
     zero = PhasedScalar.zero(3)

@@ -21,11 +21,12 @@ rational scale), X|j> = |j-1> and Z|j> = zeta_p^j |j>:
    file's action, has order 3 mod p and fixes none of the p + 1 lines of
    F_p^2.
 3. R^3 is a unit-modulus scalar, and it is the file's r_cubed.
+4. Each of the 447 factor pool entries, named "x,y,k" (p = 5, 11) or
+   "x,y" (the untwisted 3-slot), is W(x, y) R^k with W(x, y) = Z^y X^x.
 """
 
 import ast
 import json
-import re
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -143,16 +144,53 @@ def _weyl(A, s):
     return None
 
 
-def _r_cubed(text, p):
-    """The file's r_cubed, repr text such as "Scalar(11; Cyc(11;
-    -1*z^2))", as p Fraction coefficients."""
-    m = re.fullmatch(r"Scalar\((\d+); Cyc\((\d+); (.*)\)\)", text)
-    assert m and int(m[1]) == int(m[2]) == p, text
-    out = [Fraction(0)] * p
-    for term in m[3].split(" + "):
-        c, _, k = term.partition("*z^")
-        out[int(k or 0)] += Fraction(c)
-    return out
+def _residue(v):
+    """v minus its last coefficient times the constant vector, a tuple
+    that equal elements of Q(zeta_p) share."""
+    return tuple(u - v[-1] for u in v)
+
+
+def _pool_failures(p, pool, R):
+    """The names of the p-slot pool entries that are not W(x, y) R^k, for
+    R the file's R_p, or None in the 3-slot, where every k is 0.
+
+    Row i of W(x, y) holds zeta^(y i) in column i + x, so row i of W R^k
+    is zeta^(y i) times row i + x of R^k, and R^2 is the only product.
+    Each row of R^k = s^k M^k (R = s M as _read_matrix reads it) is
+    turned by each power of zeta once, and each distinct entry of a pool
+    entry is read once.  Equal elements get one
+    number, that of their residue, so rows compare as int tuples."""
+    numbers = {}
+
+    def number(v):
+        return numbers.setdefault(_residue(v), len(numbers))
+
+    powers = [[[_rational(p, int(i == j)) for j in range(p)]
+               for i in range(p)]]
+    if R is not None:
+        s, M = _read_matrix(R, p)
+        for c, A in ((s, M), (s * s, _matmul(M, M))):
+            powers.append([[[c * u for u in e] for e in row] for row in A])
+    # turned[k][t][r]: row t of R^k times zeta^r
+    turned = [[[tuple(number(e[-r:] + e[:-r]) for e in row)
+                for r in range(p)] for row in A] for A in powers]
+    seen, failures = {}, []
+    for name, obj in pool.items():
+        x, y, *k = map(int, name.split(","))
+        rows = turned[k[0] if k else 0]
+        values = []
+        for e in obj["entries"]:
+            key = (obj["scale"], e["order"], tuple(e["coeffs"].items()),
+                   tuple(e["symbols"].items()))
+            if key not in seen:
+                scale = Fraction(obj["scale"])
+                seen[key] = number([scale * u for u in _entry(e, p)])
+            values.append(seen[key])
+        if not (obj["rows"] == obj["cols"] == p and len(values) == p * p
+                and all(tuple(values[i * p:i * p + p]) ==
+                        rows[(i + x) % p][y * i % p] for i in range(p))):
+            failures.append(name)
+    return failures
 
 
 def _premise_failures(conj):
@@ -192,7 +230,7 @@ def _premise_failures(conj):
     cube = _scalar(_matmul(_matmul(M, M), M), s ** 3)
     if cube is None or not _unit(cube):
         failures.append("R^3 is not a unit-modulus scalar")
-    elif not _equal(cube, _r_cubed(conj["r_cubed"], p)):
+    elif not _equal(cube, _entry(conj["r_cubed"], p)):
         failures.append("R^3 != r_cubed")
     return failures
 
@@ -209,6 +247,26 @@ def test_bundle_premises_hold(bundle, p, action):
     conj = bundle["conjugators"][str(p)]
     assert conj["p"] == p and conj["action"] == action
     assert _premise_failures(conj) == []
+
+
+@pytest.mark.parametrize(("p", "twists"), [(3, 1), (5, 3), (11, 3)])
+def test_pool_entries_are_weyl_times_twist(bundle, p, twists):
+    pool = bundle["factor_pools"][str(p)]
+    names = {f"{x},{y}" + (f",{k}" if twists > 1 else "")
+             for x in range(p) for y in range(p) for k in range(twists)}
+    assert len(pool) == len(names) == {3: 9, 5: 75, 11: 363}[p]
+    assert set(pool) == names
+    R = bundle["conjugators"][str(p)]["R"] if p != 3 else None
+    assert _pool_failures(p, pool, R) == []
+
+
+def test_a_changed_pool_entry_fails(bundle):
+    pool = dict(bundle["factor_pools"]["11"])
+    pool["4,5,2"] = json.loads(json.dumps(pool["4,5,2"]))
+    coeffs = pool["4,5,2"]["entries"][7]["coeffs"]
+    coeffs["0"] = str(Fraction(coeffs.get("0", "0")) + 1)
+    R = bundle["conjugators"]["11"]["R"]
+    assert _pool_failures(11, pool, R) == ["4,5,2"]
 
 
 def test_a_changed_entry_of_r_fails(bundle):
@@ -233,5 +291,4 @@ def test_premises_share_no_code_with_uebkit():
             names |= {a.name for a in node.names}
         elif isinstance(node, ast.ImportFrom):
             names.add("." * node.level + (node.module or ""))
-    assert names == {"ast", "json", "re", "fractions", "math", "pathlib",
-                     "pytest"}
+    assert names == {"ast", "json", "fractions", "math", "pathlib", "pytest"}

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -75,7 +76,7 @@ def test_constructed_pauli2_members_are_the_displayed_ones(capsys, tmp_path):
     f = str(tmp_path / "pauli2.json")
     assert main(["construct", "pauli:2", "--out", f]) == 0
     capsys.readouterr()
-    basis = basis_from_json(json.load(open(f)))
+    basis = basis_from_json(json.loads(Path(f).read_text()))
     by_label = dict(zip(basis.labels, basis.members))
     x = ExactMatrix.from_rows([[0, 1], [1, 0]])
     z = ExactMatrix.diagonal([ONE, -ONE])
@@ -104,7 +105,7 @@ def test_construct_sam_d3_pins_members(capsys, tmp_path):
     assert checks_by_name(lines)["ueb-definition"]["ok"]
     assert checks_by_name(lines)["construct"]["details"]["spec"] == \
         "sam:cyclic:3,fourier:3"
-    basis = basis_from_json(json.load(open(f)))
+    basis = basis_from_json(json.loads(Path(f).read_text()))
     by_label = dict(zip(basis.labels, basis.members))
     w = PhasedScalar.zeta(3)
     zero = PhasedScalar.zero(3)
@@ -303,9 +304,9 @@ def test_verify_ueb_failure_exits_1(capsys, tmp_path):
     f = str(tmp_path / "pauli2.json")
     assert main(["construct", "pauli:2", "--out", f]) == 0
     capsys.readouterr()
-    obj = json.load(open(f))
+    obj = json.loads(Path(f).read_text())
     obj["members"][1] = obj["members"][2]
-    open(f, "w").write(json.dumps(obj))
+    Path(f).write_text(json.dumps(obj))
     rc, lines, _ = run(capsys, ["verify", "ueb", f])
     assert rc == 1
     details = checks_by_name(lines)["ueb-definition"]["details"]
@@ -569,9 +570,9 @@ def _verify_edited_pauli2(capsys, tmp_path, edit, command=("verify", "ueb")):
     f = str(tmp_path / "pauli2.json")
     assert main(["construct", "pauli:2", "--out", f]) == 0
     capsys.readouterr()
-    obj = json.load(open(f))
+    obj = json.loads(Path(f).read_text())
     edit(obj)
-    open(f, "w").write(json.dumps(obj))
+    Path(f).write_text(json.dumps(obj))
     return run(capsys, [*command, f])
 
 
@@ -810,7 +811,7 @@ def _member_end(text, k):
 def _old_route(path):
     """The basis, or the error line, of json.loads and basis_from_json."""
     try:
-        obj = json.loads(open(path, "rb").read())
+        obj = json.loads(Path(path).read_bytes())
     except json.JSONDecodeError as e:
         return f"{path} is not valid JSON: {e}"
     try:
@@ -822,7 +823,7 @@ def _old_route(path):
 def _streamed(path):
     """The basis in the UTF-8 file at path, checking that its members were
     decoded one at a time by the walk, not by the whole-text fallback."""
-    fields, member = _basis_fields(open(path, "rb").read().decode("utf-8"))
+    fields, member = _basis_fields(Path(path).read_bytes().decode("utf-8"))
     assert member is not matrix_from_json
     assert all(type(m) is ExactMatrix for m in fields["members"])
     return basis_from_fields(fields, member)
@@ -1634,7 +1635,7 @@ def test_jobs_flag_does_not_change_results(capsys):
 
 def test_cli_counterexample_construct(counterexample_bundle, capsys):
     capsys.readouterr()
-    obj = json.load(open(counterexample_bundle))
+    obj = json.loads(Path(counterexample_bundle).read_text())
     assert obj["group_order"] == 4_492_125
     assert obj["center_order"] == 165
     assert "generators_full" not in obj
@@ -1642,7 +1643,7 @@ def test_cli_counterexample_construct(counterexample_bundle, capsys):
     # the bundle's bytes: a change to them must be deliberate
     with open(counterexample_bundle, "rb") as f:
         assert hashlib.sha256(f.read()).hexdigest() == (
-            "b6bf04ca6ef2e8257cff3b4cff46732d4c22b402772a8b0fde38a223cd5a063f")
+            "a7476a69b2583f2dae3fb230b5fd036b663ce06b595804f3dd7f21556da86655")
 
 
 def test_cli_counterexample_verify(counterexample_bundle, capsys):
@@ -1659,7 +1660,7 @@ def test_cli_counterexample_verify(counterexample_bundle, capsys):
 
 def test_cli_counterexample_bundle_missing_key_exits_2(counterexample_bundle,
                                                        capsys, tmp_path):
-    obj = json.load(open(counterexample_bundle))
+    obj = json.loads(Path(counterexample_bundle).read_text())
     del obj["dim"]
     f = tmp_path / "trimmed.json"
     f.write_text(json.dumps(obj))

@@ -1105,7 +1105,7 @@ def test_full_bundle_bytes_are_pinned(built):
     for piece in cli._json_pieces(export_bundle(built, factors_only=False)):
         digest.update(piece.encode())
     assert digest.hexdigest() == (
-        "aa816e35fd794b687838fc335668c28467e57afc26ef3741ff7f356d844f098f")
+        "5657dd5362b6ba768ebb04108e43a3473642258940780a55d5b3c9a6c22c932d")
 
 
 def _bundle_matrices(built):

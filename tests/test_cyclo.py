@@ -425,7 +425,8 @@ def test_integer_form_cancels_denominators():
 
 def _private_cyclo_names(path: Path) -> list[str]:
     """The names starting with _ that path takes from uebkit.cyclo, by a
-    from-import or as an attribute of the module imported under a name."""
+    from-import or as an attribute of the module imported under a name,
+    then its reads of the integer form, ._num and ._den, on any object."""
     tree = ast.parse(path.read_text(), str(path))
     found, aliases = [], set()
     for node in ast.walk(tree):
@@ -439,22 +440,24 @@ def _private_cyclo_names(path: Path) -> list[str]:
         elif isinstance(node, ast.Import):
             aliases |= {a.asname for a in node.names
                         if a.name == "uebkit.cyclo" and a.asname}
-    return found + [node.attr for node in ast.walk(tree)
-                    if isinstance(node, ast.Attribute)
-                    and node.attr.startswith("_")
+    attrs = [n for n in ast.walk(tree) if isinstance(n, ast.Attribute)]
+    return found + [node.attr for node in attrs
+                    if node.attr.startswith("_")
                     and isinstance(node.value, ast.Name)
-                    and node.value.id in aliases]
+                    and node.value.id in aliases] + \
+        [node.attr for node in attrs if node.attr in ("_num", "_den")]
 
 
 def test_only_exactmat_reaches_into_cyclo():
-    # the integer form and its reduction serve ExactMatrix's dot and
-    # tensor products; fastcyc may use them until it moves onto those
+    # only cyclo knows its integer form (_num, _den, _int_form, _reduce):
+    # exactmat takes the one kernel that forms every symbol-free sum of
+    # products, _sumprod, and the other modules use the public API;
+    # fastcyc reads the integer form until it leaves src (ROADMAP item 1)
     src = Path(__file__).resolve().parent.parent / "src" / "uebkit"
-    allowed = {"cyclo", "exactmat", "fastcyc"}
     found = {p.stem: _private_cyclo_names(p) for p in sorted(src.glob("*.py"))
-             if p.stem not in allowed}
+             if p.stem not in ("cyclo", "fastcyc")}
     assert "counterexample165" in found
-    assert {k: v for k, v in found.items() if v} == {}
+    assert {k: v for k, v in found.items() if v} == {"exactmat": ["_sumprod"]}
 
 
 def test_private_cyclo_names_are_found(tmp_path):
@@ -466,3 +469,10 @@ def test_private_cyclo_names_are_found(tmp_path):
                  "x = c._cyc, cy._power, c.Cyclotomic, other._reduce\n")
     assert _private_cyclo_names(f) == ["_reduce", "_int_form", "_cyc",
                                        "_power"]
+
+
+def test_integer_form_reads_are_found(tmp_path):
+    f = tmp_path / "m.py"
+    f.write_text("from .cyclo import _sumprod\n"
+                 "x = c._num, f(c)._den, c.coeffs, c._cyc, c._number\n")
+    assert _private_cyclo_names(f) == ["_sumprod", "_num", "_den"]

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-import uebkit.exactmat as exactmat
+import uebkit.cyclo as cyclo
 from uebkit.cyclo import (
     Cyclotomic,
     PhasedScalar,
@@ -375,8 +375,8 @@ def test_dense_dot_keeps_the_order_of_a_cancelled_sum():
 
 def test_dense_dot_sends_symbols_through_the_chain(monkeypatch):
     calls = []
-    form = exactmat._int_form
-    monkeypatch.setattr(exactmat, "_int_form",
+    form = cyclo._int_form
+    monkeypatch.setattr(cyclo, "_int_form",
                         lambda c, n: calls.append(n) or form(c, n))
     rng = random.Random(7)
     a = _random_exact(rng, 3, 4, 12, symbol=True)
@@ -476,13 +476,16 @@ def test_tensor_keeps_zeros_of_every_order_as_order_1():
 
 
 def test_tensor_sends_symbols_through_the_chain(monkeypatch):
+    # three factors: a tuple of two is one pair, which takes its plain
+    # product as a dot product of one pair does
     calls = []
-    form = exactmat._int_form
-    monkeypatch.setattr(exactmat, "_int_form",
+    form = cyclo._int_form
+    monkeypatch.setattr(cyclo, "_int_form",
                         lambda c, n: calls.append(n) or form(c, n))
     rng = random.Random(8)
     _same_tensor(_random_exact(rng, 2, 2, 12, symbol=True),
-                 _random_exact(rng, 2, 3, 12))
+                 _random_exact(rng, 2, 3, 12), _random_exact(rng, 1, 2, 12))
     assert calls == []
-    _same_tensor(_random_exact(rng, 2, 2, 12), _random_exact(rng, 2, 3, 12))
+    _same_tensor(_random_exact(rng, 2, 2, 12), _random_exact(rng, 2, 3, 12),
+                 _random_exact(rng, 1, 2, 12))
     assert calls
