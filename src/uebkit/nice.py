@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from itertools import chain
 from math import lcm
+from operator import itemgetter
 from typing import Callable
 
 from .cyclo import Cyclotomic, PhasedScalar, roots_of_unity
@@ -113,18 +114,13 @@ def extract_cocycle(rep: ProjectiveRep, g, h, phase=None) -> PhasedScalar:
     G = rep.group
     gh = G.compose(g, h)
     if phase is not None:
-        forms, zetas = phase
-        sg, eg, pg, qg = forms[g]
-        sh, eh, ph, qh = forms[h]
-        sgh, egh, pgh, qgh = forms[gh]
-        # lists: tuple(map(...)) would fill the interpreter's free list of
-        # d-tuples, which peak RSS showed as about 1 MiB over d = 2..12
-        if (pg * ph * qgh == pgh * qg * qh
-                and [sg[k] for k in sh] == sgh):
-            n = len(zetas)
-            shifts = {(eg[s] + e - f) % n for s, e, f in zip(sh, eh, egh)}
-            if len(shifts) == 1:
-                return zetas[shifts.pop()]
+        forms, shifted, zetas = phase
+        tg, _, pg, qg = forms[g]
+        th, gather, ph, qh = forms[h]
+        tgh, _, pgh, qgh = forms[gh]
+        c = (tg[th[0]] - tgh[0]) % len(zetas)
+        if pg * ph * qgh == pgh * qg * qh and gather(tg) == shifted[c](tgh):
+            return zetas[c]
     c = (rep.matrix(g) @ rep.matrix(h)).equal_up_to_phase(rep.matrix(gh))
     if c is None:
         raise CocycleError(f"rho({G.label(g)}) rho({G.label(h)}) is not a unit "
@@ -136,24 +132,32 @@ def extract_cocycle(rep: ProjectiveRep, g, h, phase=None) -> PhasedScalar:
 
 
 def _phase_form(rep: ProjectiveRep, elems: list):
-    """(forms, zetas) when every member is monomial over roots of unity,
-    else None.
+    """(forms, shifted, zetas) when every member is monomial over roots
+    of unity, else None.
 
     Such a member is a d x d ExactMatrix, symbol-free, one nonzero entry
     per row and column, each a root of unity: +-zeta_n^k in Q(zeta_n),
     so zeta_N^j for N = lcm(2, entry orders), as -1 = zeta_N^(N/2).
-    Then rho(g) = a sum_k zeta_N^e[k] |sigma[k]><k| with a = |scale| =
-    p/q and the sign of the scale folded into e; forms[g] is
-    (sigma, e, p, q) and zetas[j] is zeta_N^j.
+    Then rho(g) = a A, A = sum_k zeta_N^e[k] |sigma[k]><k|, with
+    a = |scale| = p/q and the sign of the scale folded into e; zetas[j]
+    is zeta_N^j, and forms[g] is (table, gather, p, q).
 
-    The pair check of extract_cocycle is exact.  A_g A_h |k> =
-    zeta^(e_g[sigma_h[k]] + e_h[k]) |sigma_g(sigma_h(k))> for the
-    monomial parts, so rho(g) rho(h) = c rho(gh) for some c (nonzero, as
-    the product is) exactly when sigma_g o sigma_h = sigma_gh and
-    c = (a_g a_h / a_gh) zeta^(e_g[sigma_h[k]] + e_h[k] - e_gh[k]) for
-    every k, that is, when this exponent is one value mod N for all k
-    (zeta^x = zeta^y iff x = y mod N).  c has unit modulus exactly when
-    a_g a_h = a_gh.  Every test compares ints, so nothing is rounded.
+    table codes A on the d N states zeta^x |j> as ints j N + x, one to
+    one as zeta^x = zeta^y iff x = y mod N: table[j N + x] = sigma[j] N
+    + (x + e[j]) mod N, pointing into one shared list(range(d N)), so no
+    int is made.  gather = itemgetter(*table[::N]) reads a table at the
+    codes of the columns A|k>, shifted[c] at the states zeta^c |k> (for
+    d = 1 both give the one code, not a 1-tuple, and still compare).
+
+    The pair check of extract_cocycle is exact.  gather_h(table_g) codes
+    the columns of A_g A_h and shifted[c](table_gh) those of zeta^c A_gh,
+    so rho(g) rho(h) = w rho(gh) for some w (nonzero, as the product is)
+    exactly when the two are equal for some c, which column 0 fixes as
+    table_g[table_h[0]] - table_gh[0] mod N; then w = (a_g a_h / a_gh)
+    zeta^c, of unit modulus exactly when a_g a_h = a_gh.  Unitarity:
+    a A has unit-modulus entries in distinct rows, so (a A)(a A)^dagger
+    = a^2 I, unitary exactly when a = p/q = 1.  Every test compares
+    ints, so nothing is rounded.
     """
     data, n = [], 2
     for g in elems:
@@ -170,6 +174,7 @@ def _phase_form(rep: ProjectiveRep, elems: list):
         data.append((g, sigma, values, m.scale))
     zetas, power = roots_of_unity(n)
     half = n // 2
+    states = list(range(rep.dim * n))
     forms = {}
     for g, sigma, values, scale in data:
         exps = [power.get(v.terms[()].promote(n).key()) for v in values]
@@ -177,8 +182,12 @@ def _phase_form(rep: ProjectiveRep, elems: list):
             return None
         if scale < 0:
             exps = [(e + half) % n for e in exps]
-        forms[g] = (sigma, exps, abs(scale.numerator), scale.denominator)
-    return forms, zetas
+        table = tuple(chain.from_iterable(
+            states[s * n + e:(s + 1) * n] + states[s * n:s * n + e]
+            for s, e in zip(sigma, exps)))
+        forms[g] = (table, itemgetter(*table[::n]), abs(scale.numerator),
+                    scale.denominator)
+    return forms, [itemgetter(*states[c::n]) for c in range(n)], zetas
 
 
 def cocycle_table(rep: ProjectiveRep) -> dict:
@@ -244,9 +253,9 @@ def verify_nice(rep: ProjectiveRep, pair_mode: str = "all", seed: int | None = N
     pair_mode "all" sweeps every (g, h); "sampled" sweeps generator
     pairs in both orders plus sample_size seeded random pairs.  The
     identity, unitarity and trace conditions are always swept in full.
-    pair_route "phase": every member is monomial over roots of unity and
-    each pair was checked on permutations and exponents (_phase_form),
-    and re-checked densely if rejected; "matrix": products of members,
+    pair_route "phase": every member is monomial over roots of unity,
+    unitary by its scale and each pair checked on state tables
+    (_phase_form), re-checked densely if rejected; "matrix": member products,
     where a member's column_sweep (TensorTriple) checks the generator
     columns whole, and each pair it rejects must fail on the product.
     Failures name elements by G.label.  cocycle_exhaustive: every pair
@@ -266,11 +275,13 @@ def verify_nice(rep: ProjectiveRep, pair_mode: str = "all", seed: int | None = N
     if not identity_ok:
         failures.append(("identity", G.label(G.identity)))
 
+    phase = _phase_form(rep, elems)  # where |scale| = 1 is unitarity
     unitary_ok = True
     trace_ok = True
     for g in elems:
         m = rep.matrix(g)
-        if m.is_scaled_unitary() != 1:
+        if (phase[0][g][2:] != (1, 1) if phase
+                else m.is_scaled_unitary() != 1):
             unitary_ok = False
             failures.append(("unitary", G.label(g)))
         if g != G.identity and not m.trace().is_zero():
@@ -280,7 +291,6 @@ def verify_nice(rep: ProjectiveRep, pair_mode: str = "all", seed: int | None = N
         trace_ok = False
         failures.append(("trace", G.label(G.identity)))
 
-    phase = _phase_form(rep, elems)
     pair_route = "matrix" if phase is None else "phase"
     # (k, (g, h)): the pairs to check, k counting the stream up to (g, h);
     # a column_sweep (TensorTriple) leaves only the column pairs it rejects

@@ -23,6 +23,11 @@ rational scale), X|j> = |j-1> and Z|j> = zeta_p^j |j>:
 3. R^3 is a unit-modulus scalar, and it is the file's r_cubed.
 4. Each of the 447 factor pool entries, named "x,y,k" (p = 5, 11) or
    "x,y" (the untwisted 3-slot), is W(x, y) R^k with W(x, y) = Z^y X^x.
+5. The zero census of the 27,225 members W3(x3, y3) (x) W5(x5, y5) R5^x3
+   (x) W11(x11, y11) R11^y3, up to the unit phases that multiply them:
+   an entry of a tensor product is a product of one entry of each
+   factor, zero exactly when one of them is, so a member's nonzero
+   count is the product of its three pool entries' counts.
 """
 
 import ast
@@ -193,6 +198,38 @@ def _pool_failures(p, pool, R):
     return failures
 
 
+def _nonzero_counts(p, pool):
+    """{name: number of nonzero entries} of each pool entry of the
+    p-slot, each entry read from its coeffs, and each distinct one once."""
+    zero = {}
+    counts = {}
+    for name, obj in pool.items():
+        count = 0
+        for e in obj["entries"]:
+            key = (e["order"], tuple(e["coeffs"].items()))
+            if key not in zero:
+                zero[key] = _is_zero(_entry(e, p))
+            count += not zero[key]
+        counts[name] = count
+    return counts
+
+
+def _census(pools):
+    """{nonzero entries: members} over the members of premise 5."""
+    n3, n5, n11 = (_nonzero_counts(p, pools[str(p)]) for p in (3, 5, 11))
+    # slot[k]: the counts of W(x, y) R^k over every (x, y)
+    slot5, slot11 = ([[n[f"{x},{y},{k}"] for x in range(p) for y in range(p)]
+                      for k in range(3)] for p, n in ((5, n5), (11, n11)))
+    census = {}
+    for x3 in range(3):
+        for y3 in range(3):
+            for a in slot5[x3]:
+                for b in slot11[y3]:
+                    c = n3[f"{x3},{y3}"] * a * b
+                    census[c] = census.get(c, 0) + 1
+    return census
+
+
 def _premise_failures(conj):
     """The premises 1-3 that the conjugator object of one prime fails."""
     p = conj["p"]
@@ -267,6 +304,30 @@ def test_a_changed_pool_entry_fails(bundle):
     coeffs["0"] = str(Fraction(coeffs.get("0", "0")) + 1)
     R = bundle["conjugators"]["11"]["R"]
     assert _pool_failures(11, pool, R) == ["4,5,2"]
+
+
+# item 3's census: 1 of the 9 (x3, y3) is (0, 0), both slots monomial,
+# 2 have only x3 = 0 and 2 only y3 = 0, and 4 twist both slots
+CENSUS = {165: 3_025, 1_815: 6_050, 825: 6_050, 9_075: 12_100}
+
+
+def test_zero_census_of_the_members(bundle):
+    assert _census(bundle["factor_pools"]) == CENSUS
+    assert sum(CENSUS.values()) == 27_225
+
+
+def test_an_extra_nonzero_entry_changes_the_census(bundle):
+    pools = dict(bundle["factor_pools"])
+    pools["5"] = dict(pools["5"])
+    entry = json.loads(json.dumps(pools["5"]["2,3,0"]))
+    idx = next(i for i, e in enumerate(entry["entries"])
+               if _is_zero(_entry(e, 5)))
+    entry["entries"][idx] = {"order": 1, "coeffs": {"0": "1"}, "symbols": {}}
+    pools["5"]["2,3,0"] = entry
+    census = _census(pools)
+    # the 3 * 121 members of that entry move from 5 to 6 in the 5-slot
+    assert census != CENSUS and sum(census.values()) == 27_225
+    assert census[6 * 3 * 11] == 121 and census[165] == 3_025 - 121
 
 
 def test_a_changed_entry_of_r_fails(bundle):

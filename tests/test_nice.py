@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 
@@ -317,44 +318,99 @@ def test_phase_and_matrix_routes_give_the_same_report(monkeypatch):
         assert fast[name] == slow, name
 
 
+def _agrees_pair_by_pair(name, rep, pairs):
+    """Each pair on its own through both routes: the same value, or a
+    CocycleError on both.  (pairs compared, pairs rejected)."""
+    phase = nice._phase_form(rep, list(rep.group.elements()))
+    if phase is None:
+        return 0, 0
+    rejected = 0
+    for g, h in pairs:
+        try:
+            want = extract_cocycle(rep, g, h)
+        except CocycleError:
+            want = None
+        try:
+            got = extract_cocycle(rep, g, h, phase)
+        except CocycleError:
+            got = None
+        assert (got is None) == (want is None), (name, g, h)
+        assert got is None or got == want, (name, g, h)
+        rejected += got is None
+    return len(pairs), rejected
+
+
 def test_phase_route_agrees_with_dense_products_pair_by_pair():
     # each pair on its own, so a check the phase route dropped shows even
     # where another pair of the same rep would still fail
-    checked = 0
+    checked = rejected = 0
     for name, rep, _ in _route_cases():
         elems = list(rep.group.elements())
-        phase = nice._phase_form(rep, elems)
-        if phase is None:
-            continue
-        for g in elems:
-            for h in elems:
-                try:
-                    want = extract_cocycle(rep, g, h)
-                except CocycleError:
-                    want = None
-                try:
-                    got = extract_cocycle(rep, g, h, phase)
-                except CocycleError:
-                    got = None
-                assert (got is None) == (want is None), (name, g, h)
-                assert got is None or got == want, (name, g, h)
-                checked += 1
-    assert checked > 2000
+        c, r = _agrees_pair_by_pair(
+            name, rep, [(g, h) for g in elems for h in elems])
+        checked, rejected = checked + c, rejected + r
+    assert checked > 2000 and rejected > 0
+
+
+def test_phase_route_agrees_pair_by_pair_past_the_small_ints():
+    # d N = 13 * 26 = 338 states: codes above 256 are not cached ints
+    rep = pauli_rep(13)
+    bad = _replace(rep, (1, 0), _swap_columns(rep.matrix((1, 0)), 3, 9))
+    rng = random.Random(13)
+    elems = list(rep.group.elements())
+    pairs = [(rng.choice(elems), rng.choice(elems)) for _ in range(300)]
+    assert _agrees_pair_by_pair("pauli:13", rep, pairs) == (300, 0)
+    bad_pairs = pairs[:40] + [((1, 0), h) for h in elems[1:21]]
+    checked, rejected = _agrees_pair_by_pair("swapped columns", bad,
+                                             bad_pairs)
+    assert checked == 60 and rejected >= 20
 
 
 def test_phase_form_eligibility():
     rep = pauli_rep(4)
     elems = list(rep.group.elements())
-    forms, zetas = nice._phase_form(rep, elems)
+    forms, shifted, zetas = nice._phase_form(rep, elems)
     assert len(zetas) == 4 and zetas[1] == PhasedScalar.zeta(4)
     assert zetas is roots_of_unity(4)[0]  # cyclo's table, not a copy
-    # Z = diag(1, i, -1, -i): identity permutation, exponents 0..3
-    assert forms[(0, 1)] == ([0, 1, 2, 3], [0, 1, 2, 3], 1, 1)
+    # Z = diag(1, i, -1, -i): identity permutation, exponents 0..3, so
+    # state (j, x), coded 4 j + x, goes to (j, x + j mod 4)
+    table, gather, p, q = forms[(0, 1)]
+    assert table == tuple(4 * j + (x + j) % 4
+                          for j in range(4) for x in range(4))
+    assert (p, q) == (1, 1)
+    assert gather(range(16)) == (0, 5, 10, 15)  # the columns Z|k>
+    assert shifted[1](range(16)) == (1, 5, 9, 13)  # the states i|k>
     # odd conductor: -1 needs N = 2 * 3
     p3 = pauli_rep(3)
-    assert len(nice._phase_form(p3, list(p3.group.elements()))[1]) == 6
+    assert len(nice._phase_form(p3, list(p3.group.elements()))[2]) == 6
     dense = _replace(rep, (1, 1), fourier_hadamard(4))
     assert nice._phase_form(dense, elems) is None
+
+
+def test_phase_form_tables_share_one_list_of_ints():
+    rep = pauli_rep(13)
+    forms, _, _ = nice._phase_form(rep, list(rep.group.elements()))
+    codes = [x for table, _, _, _ in forms.values() for x in table]
+    assert len(codes) == 13 ** 2 * 13 * 26
+    assert len({id(x) for x in codes}) == len(set(codes)) == 13 * 26
+    # d = 1: itemgetter gives the one code, on both sides of the check
+    one, shifted, _ = nice._phase_form(pauli_rep(1), [(0, 0)])
+    table, gather, _, _ = one[(0, 0)]
+    assert table == (0, 1) and gather(table) == 0 == shifted[0](table)
+
+
+def test_phase_form_reads_unitarity_as_the_dense_check():
+    seen = set()
+    for name, rep, _ in _route_cases():
+        phase = nice._phase_form(rep, list(rep.group.elements()))
+        if phase is None:
+            continue
+        for g, (_, _, p, q) in phase[0].items():
+            unitary = rep.matrix(g).is_scaled_unitary() == 1
+            assert ((p, q) == (1, 1)) == unitary, (name, g)
+            seen.add((name, unitary))
+    # the mutants reach both answers, and a sign keeps unitarity
+    assert ("scale 2", False) in seen and ("scale -1", False) not in seen
 
 
 def test_failures_match_the_matrix_route(monkeypatch):
@@ -458,14 +514,17 @@ def test_pair_source_streams_the_listed_165_pairs(built):
 
 
 def test_phase_rejection_of_a_good_pair_raises(monkeypatch):
-    # rho((1, 0))'s exponents shifted at one position only, so pairs
-    # through (1, 0) look bad to the phase route but are not
+    # rho((1, 0))'s exponent at column 0 raised by one, so pairs through
+    # (1, 0) look bad to the phase route but are not
     rep = pauli_rep(3)
-    forms, zetas = nice._phase_form(rep, list(rep.group.elements()))
-    sigma, exps, p, q = forms[(1, 0)]
+    forms, shifted, zetas = nice._phase_form(rep, list(rep.group.elements()))
+    table, _, p, q = forms[(1, 0)]
+    n = len(zetas)
+    # state (0, x) goes where (0, x + 1) went
+    table = table[1:n] + table[:1] + table[n:]
     forged = dict(forms)
-    forged[(1, 0)] = (sigma, [(exps[0] + 1) % len(zetas)] + exps[1:], p, q)
-    phase = forged, zetas
+    forged[(1, 0)] = (table, itemgetter(*table[::n]), p, q)
+    phase = forged, shifted, zetas
     with pytest.raises(ArithmeticError, match="dense product accepts"):
         extract_cocycle(rep, (1, 0), (0, 1), phase)
     monkeypatch.setattr(nice, "_phase_form", lambda rep, elems: phase)
