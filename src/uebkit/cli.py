@@ -207,7 +207,7 @@ _HEAD = re.compile(r'\{"cols":([1-9][0-9]*),"entries":\[')
 _TAIL = re.compile(r'}}],"rows":([1-9][0-9]*),"scale":"([^"\\\x00-\x1f]*)"}')
 
 
-def _member_from_text(text: str, i: int, orders: set):
+def _member_from_text(text: str, i: int, orders: set, memo: dict):
     """matrix_from_json(m, orders) and the index past m, for the member m
     at text[i] as the CLI writes it, or None.  Its entries, up to the first
     '}}],"rows":', are split on '}},'; each distinct piece with '}}' put
@@ -217,22 +217,27 @@ def _member_from_text(text: str, i: int, orders: set):
     patterns fix the keys, their order, positive integer shapes and a scale
     string with no escape or control character.  Anything else, or any
     error, gives None: the caller's matrix_from_json then gives the same
-    matrix or error."""
+    matrix or error.  memo maps each piece of the file's members read so
+    far to its scalar; it gains a member's new pieces only once the member
+    is read, when their orders join orders."""
     head = _HEAD.match(text, i)
     end = text.find('}}],"rows":', head.end()) if head else -1
     if end < 0 or not (tail := _TAIL.match(text, end)):
         return None
     pieces = text[head.end():end].split("}},")
-    memo = dict.fromkeys(pieces)
+    new = dict.fromkeys(set(pieces).difference(memo))
     seen = set(orders)  # joins orders only if the member is read here
     try:
-        for piece in memo:
-            memo[piece] = scalar_from_json(_DECODER.decode(piece + "}}"), seen)
-        m = ExactMatrix(int(tail[1]), int(head[1]),
-                        map(memo.__getitem__, pieces), tail[2])
+        for piece in new:
+            new[piece] = scalar_from_json(_DECODER.decode(piece + "}}"), seen)
+        # each piece is in exactly one of memo and new
+        entries = (map(memo.get, pieces, map(new.get, pieces)) if new
+                   else map(memo.__getitem__, pieces))
+        m = ExactMatrix(int(tail[1]), int(head[1]), entries, tail[2])
     except _INPUT_ERRORS:
         return None
     orders |= seen
+    memo.update(new)
     return m, tail.end()
 
 
@@ -249,9 +254,9 @@ def _basis_fields(text: str):
             _, i = _expect(text, i, ":")
             if key == "members":
                 c, i = _expect(text, i, "[")
-                fields[key], orders, got = [], set(), True
+                fields[key], orders, memo, got = [], set(), {}, True
                 while c != "]":
-                    got = got and _member_from_text(text, i, orders)
+                    got = got and _member_from_text(text, i, orders, memo)
                     item, i = got or _DECODER.raw_decode(text, i)
                     fields[key].append(
                         item if got else matrix_from_json(item, orders))

@@ -131,16 +131,42 @@ def extract_cocycle(rep: ProjectiveRep, g, h, phase=None) -> PhasedScalar:
     return c
 
 
-def _phase_form(rep: ProjectiveRep, elems: list):
-    """(forms, shifted, zetas) when every member is monomial over roots
-    of unity, else None.
+def _phase_data(members, d: int):
+    """(N, rows), rows[k] = (sigma, e, p, q) for the k-th member, when
+    every member is a symbol-free d x d ExactMatrix, monomial over roots
+    of unity, else None.  Each entry is then +-zeta_n^k in Q(zeta_n), so
+    zeta_N^j for N = lcm(2, entry orders), as -1 = zeta_N^(N/2), and the
+    member is a A, A = sum_c zeta_N^e[c] |sigma[c]><c|, with a = |scale|
+    = p/q and the sign of the scale folded into e.  A has unit-modulus
+    entries in distinct rows, so (a A)(a A)^dagger = a^2 I: the member is
+    unitary exactly when p = q = 1."""
+    data, n = [], 2
+    for m in members:
+        if not isinstance(m, ExactMatrix):
+            return None
+        mono = m.monomial_data()
+        if mono is None or len(mono[0]) != d:
+            return None
+        sigma, values = mono
+        if not all(v.is_symbol_free() for v in values):
+            return None
+        n = lcm(n, *(v.order for v in values))
+        data.append((sigma, values, m.scale))
+    power, half, rows = roots_of_unity(n)[1], n // 2, []
+    for sigma, values, scale in data:
+        exps = [power.get(v.terms[()].promote(n).key()) for v in values]
+        if None in exps:
+            return None
+        if scale < 0:
+            exps = [(e + half) % n for e in exps]
+        rows.append((sigma, exps, abs(scale.numerator), scale.denominator))
+    return n, rows
 
-    Such a member is a d x d ExactMatrix, symbol-free, one nonzero entry
-    per row and column, each a root of unity: +-zeta_n^k in Q(zeta_n),
-    so zeta_N^j for N = lcm(2, entry orders), as -1 = zeta_N^(N/2).
-    Then rho(g) = a A, A = sum_k zeta_N^e[k] |sigma[k]><k|, with
-    a = |scale| = p/q and the sign of the scale folded into e; zetas[j]
-    is zeta_N^j, and forms[g] is (table, gather, p, q).
+
+def _phase_form(rep: ProjectiveRep, elems: list):
+    """(forms, shifted, zetas) when _phase_data reads every member, else
+    None: rho(g) = a A as there, zetas[j] is zeta_N^j, and forms[g] is
+    (table, gather, p, q).
 
     table codes A on the d N states zeta^x |j> as ints j N + x, one to
     one as zeta^x = zeta^y iff x = y mod N: table[j N + x] = sigma[j] N
@@ -154,40 +180,21 @@ def _phase_form(rep: ProjectiveRep, elems: list):
     so rho(g) rho(h) = w rho(gh) for some w (nonzero, as the product is)
     exactly when the two are equal for some c, which column 0 fixes as
     table_g[table_h[0]] - table_gh[0] mod N; then w = (a_g a_h / a_gh)
-    zeta^c, of unit modulus exactly when a_g a_h = a_gh.  Unitarity:
-    a A has unit-modulus entries in distinct rows, so (a A)(a A)^dagger
-    = a^2 I, unitary exactly when a = p/q = 1.  Every test compares
-    ints, so nothing is rounded.
+    zeta^c, of unit modulus exactly when a_g a_h = a_gh.  Every test
+    compares ints, so nothing is rounded.
     """
-    data, n = [], 2
-    for g in elems:
-        m = rep.matrix(g)
-        if not isinstance(m, ExactMatrix):
-            return None
-        mono = m.monomial_data()
-        if mono is None or len(mono[0]) != rep.dim:
-            return None
-        sigma, values = mono
-        if not all(v.is_symbol_free() for v in values):
-            return None
-        n = lcm(n, *(v.order for v in values))
-        data.append((g, sigma, values, m.scale))
-    zetas, power = roots_of_unity(n)
-    half = n // 2
+    if (data := _phase_data(map(rep.matrix, elems), rep.dim)) is None:
+        return None
+    n, rows = data
     states = list(range(rep.dim * n))
     forms = {}
-    for g, sigma, values, scale in data:
-        exps = [power.get(v.terms[()].promote(n).key()) for v in values]
-        if None in exps:
-            return None
-        if scale < 0:
-            exps = [(e + half) % n for e in exps]
+    for g, (sigma, exps, p, q) in zip(elems, rows):
         table = tuple(chain.from_iterable(
             states[s * n + e:(s + 1) * n] + states[s * n:s * n + e]
             for s, e in zip(sigma, exps)))
-        forms[g] = (table, itemgetter(*table[::n]), abs(scale.numerator),
-                    scale.denominator)
-    return forms, [itemgetter(*states[c::n]) for c in range(n)], zetas
+        forms[g] = (table, itemgetter(*table[::n]), p, q)
+    return (forms, [itemgetter(*states[c::n]) for c in range(n)],
+            roots_of_unity(n)[0])
 
 
 def cocycle_table(rep: ProjectiveRep) -> dict:

@@ -5,25 +5,26 @@ A unitary error basis on C^d is a set of d^2 unitaries, pairwise
 orthogonal under the trace inner product.  Two routes produce them
 here: group-indexed representations (nice module) and Latin square
 plus Hadamard data (shift_and_multiply).  verify_ueb checks the bare
-definition and is kept independent of either construction.
+definition: it reads members as verify_nice does (_phase_data), but its
+trace sums are its own, and every pair they reject is re-checked densely.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
 from .combinat import LatinSquare, check_complex_hadamard, validate_latin
-from .cyclo import PhasedScalar, json_int
+from .cyclo import Cyclotomic, PhasedScalar, json_int
 from .exactmat import (
     ExactMatrix,
-    _sumprod,
     hs_inner,
     matrix_from_json,
     matrix_to_json,
     monomiality_report,
 )
-from .nice import ProjectiveRep, pauli_rep
+from .nice import ProjectiveRep, _phase_data, pauli_rep
 
 
 @dataclass
@@ -65,10 +66,11 @@ def verify_ueb(basis: UnitaryErrorBasis) -> UebReport:
     """The definition, with zero tolerance: d^2 unitary members, pairwise
     trace-orthogonal.  Pairs are compared only if every member is d x d.
 
-    pair_route "monomial": every member is unitary and monomial, E[sigma_E[c],
-    c] = s_E v_E[c] with s_E its scale.  Then tr(E^dagger F) = s_E s_F sum
-    conj(v_E[c]) v_F[c] over the columns c with sigma_E[c] == sigma_F[c],
-    the only entries where both are nonzero.  The pair (0, 1) and every pair
+    pair_route "phase": _phase_data reads every member as a A, unitary
+    exactly when a = p/q = 1, and tr(E^dagger F) = a_E a_F sum
+    zeta_N^(e_F[c] - e_E[c]) over the columns c with sigma_E[c] ==
+    sigma_F[c], the only entries where both are nonzero, decided by one
+    Cyclotomic per multiset of exponents.  The pair (0, 1) and every pair
     this rejects are re-checked densely, so failures are the dense route's.
     """
     d, members, labels = basis.d, basis.members, basis.labels
@@ -78,27 +80,37 @@ def verify_ueb(basis: UnitaryErrorBasis) -> UebReport:
     if not cardinality_ok:
         failures.append(("cardinality", len(members)))
 
+    phase = square and members and _phase_data(members, d)
+    n, rows = phase or (0, ())
     unitary_ok = True
     for idx, m in enumerate(members):
-        if m.is_scaled_unitary() != 1:
+        if rows[idx][2:] != (1, 1) if phase else m.is_scaled_unitary() != 1:
             unitary_ok = False
             failures.append(("unitary", labels[idx]))
 
-    mono = [m.monomial_data() for m in members] if unitary_ok else [None]
-    route = "monomial" if square and mono and all(mono) else "matrix"
-    conj = route == "monomial" and [[v.conj() for v in vs] for _, vs in mono]
+    # permutations as small ints, the columns where two of them agree, and
+    # whether the sum over a multiset of exponents is zero
+    perms, agree, zero = {}, {}, {}
+    ids = [perms.setdefault(tuple(r[0]), len(perms)) for r in rows]
 
     def orthogonal(i, j):
-        if not conj:
+        if not phase:
             return hs_inner(members[i], members[j]).is_zero()
-        acc = _sumprod([(a, b) for s, t, a, b in zip(
-            mono[i][0], mono[j][0], conj[i], mono[j][1]) if s == t])
-        if (acc.terms or (i, j) == (0, 1)) and \
-                hs_inner(members[i], members[j]).is_zero() == bool(acc.terms):
+        if (cols := agree.get(pair := (ids[i], ids[j]))) is None:
+            cols = agree[pair] = [c for c, (s, t) in enumerate(
+                zip(rows[i][0], rows[j][0])) if s == t]
+        if not cols and (i, j) != (0, 1):
+            return True
+        ei, ej = rows[i][1], rows[j][1]
+        key = tuple(sorted([(ej[c] - ei[c]) % n for c in cols]))
+        if (z := zero.get(key)) is None:
+            z = zero[key] = Cyclotomic(n, Counter(key)).is_zero()
+        if (not z or (i, j) == (0, 1)) and \
+                hs_inner(members[i], members[j]).is_zero() != z:
             raise ArithmeticError(
-                "monomial data disagrees with the dense inner product of "
+                "the phase form disagrees with the dense inner product of "
                 f"members {labels[i]} and {labels[j]}")
-        return not acc.terms
+        return z
 
     orthogonality_ok = square
     pairs = 0
@@ -110,7 +122,7 @@ def verify_ueb(basis: UnitaryErrorBasis) -> UebReport:
             if len(failures) > 32:
                 break
     return UebReport(d, cardinality_ok, unitary_ok, orthogonality_ok,
-                     pairs, tuple(failures), route)
+                     pairs, tuple(failures), "phase" if phase else "matrix")
 
 
 def basis_from_rep(rep: ProjectiveRep) -> UnitaryErrorBasis:
@@ -291,12 +303,17 @@ def wickedness_witness(basis: UnitaryErrorBasis, assume_verified: bool = False):
     sigma[c].  A pair with one monomial member is never diagonal: E F^dagger
     = D forces F^dagger = E^-1 D, D invertible as the members are unitary.
     A witness from monomial data is re-checked against the dense product.
+    When _phase_data reads every member, each v is a power of zeta_N and
+    each scale rational, so every diagonal ratio is a power of zeta_N, of
+    finite order: there is no witness, and no pair is searched.
     """
     if not assume_verified:
         rep = verify_ueb(basis)
         if not rep.ok:
             raise ValueError("wickedness search expects a verified basis")
     members = basis.members
+    if _phase_data(members, basis.d) is not None:
+        return None
     mono = [m.monomial_data() for m in members]
     conj = [data and [v.conj() for v in data[1]] for data in mono]
     n = len(members)

@@ -775,10 +775,10 @@ def test_read_json_keeps_the_callers_gc_state(capsys, tmp_path, enabled,
 
         member_from_text = cli._member_from_text
 
-        def raise_on_member_2(text, i, orders):
+        def raise_on_member_2(text, i, *read):
             if json.JSONDecoder().raw_decode(text, i)[0] == member_2:
                 raise RuntimeError("member 2")
-            return member_from_text(text, i, orders)
+            return member_from_text(text, i, *read)
 
         monkeypatch.setattr(cli, "_member_from_text", raise_on_member_2)
         with pytest.raises(RuntimeError, match="member 2"):
@@ -933,6 +933,78 @@ def test_near_canonical_file_tries_the_text_route_once(tmp_path,
     got = _read_basis(str(g), RunReport(command=[], seed=0, jobs=1))
     assert _same_basis(got, basis)
     assert len(calls) == 1
+
+
+def test_each_distinct_entry_is_decoded_once_per_file(capsys, tmp_path,
+                                                     monkeypatch):
+    f = _pauli_file(capsys, tmp_path, 5)
+    obj = json.loads(f.read_text())
+    entries = [cli._DUMPS(e) for m in obj["members"] for e in m["entries"]]
+    decoded = []
+    real = cli.scalar_from_json
+    monkeypatch.setattr(cli, "scalar_from_json", lambda e, orders: (
+        decoded.append(cli._DUMPS(e)) or real(e, orders)))
+    got = _streamed(f)
+    assert _same_basis(got, basis_from_json(obj))
+    # 625 entries, 7 distinct: zero, 1 at order 1 (in the permutation
+    # members) and the five fifth roots of unity at order 5
+    assert len(entries) == 625
+    assert sorted(decoded) == sorted(set(entries)) and len(decoded) == 7
+    assert len({id(e) for m in got.members for e in m.entries}) == 7
+
+
+def _first_two_members(text):
+    """_member_from_text on members 0 and 1 of text with one orders set
+    and one memo: member 1's result, and both after each member."""
+    orders, memo, states = set(), {}, []
+    i = text.index('"members":[') + len('"members":[')
+    for _ in range(2):
+        got = cli._member_from_text(text, i, orders, memo)
+        states.append((set(orders), dict(memo)))
+        i = got and got[1] + 1
+    return got, states
+
+
+@pytest.mark.parametrize("edit", ["entry-count", "order-4099", "scale-1/0"])
+def test_a_refused_second_member_leaves_the_memo_unchanged(capsys, tmp_path,
+                                                           edit):
+    text = _pauli_file(capsys, tmp_path, 3).read_text()
+    # unedited, member 1 (Z) brings its order-3 entries to the memo
+    got, (first, second) = _first_two_members(text)
+    assert got and first[0] == {1} and second[0] == {1, 3}
+    assert len(second[1]) > len(first[1])
+    # member 1 decodes its new pieces, then is refused: nothing joins
+    edited = _edit_member(text, 1, _TEXT_ROUTE_EDITS[edit])
+    got, (first, second) = _first_two_members(edited)
+    assert got is None and first == second
+    g = tmp_path / "edited.json"
+    g.write_text(edited)
+    want = _old_route(g)
+    try:
+        got = _read_basis(str(g), RunReport(command=[], seed=0, jobs=1))
+    except InputError as e:
+        assert str(e) == want
+    else:
+        assert _same_basis(got, want)
+
+
+def test_an_lcm_a_later_member_brings_is_refused(tmp_path, monkeypatch):
+    # member 2 meets the memoised order-1 piece and a new order-2029 one
+    members = [_diag_of_orders(1, 2039), _diag_of_orders(2039, 1),
+               _diag_of_orders(1, 2029), _diag_of_orders(1, 1)]
+    g = tmp_path / "late-lcm.json"
+    g.write_text(cli._DUMPS({"d": 2, "members": members, "labels": [
+        [0, 0], [0, 1], [1, 0], [1, 1]]}))
+    calls = []
+    member_from_text = cli._member_from_text
+    monkeypatch.setattr(cli, "_member_from_text", lambda *a: calls.append(
+        a[1]) or member_from_text(*a))
+    with pytest.raises(InputError) as e:
+        _read_basis(str(g), RunReport(command=[], seed=0, jobs=1))
+    assert str(e.value) == _old_route(g) == (
+        f"cannot interpret basis file: entry orders have lcm {_LCM}, above "
+        f"{MAX_JSON_ORDER}")
+    assert len(calls) == 3  # members 0 and 1 read from their text
 
 
 _LAYOUTS = {
@@ -1227,8 +1299,8 @@ def test_zero_padded_exponent_key_exits_2(capsys, tmp_path):
         {"cols": 1, "entries": [entry], "rows": 1, "scale": "1"}]}
     text = cli._DUMPS(obj)
     i = text.index('{"cols"')
-    assert cli._member_from_text(text.replace('"00"', '"1"'), i, set())
-    assert cli._member_from_text(text, i, set()) is None
+    assert cli._member_from_text(text.replace('"00"', '"1"'), i, set(), {})
+    assert cli._member_from_text(text, i, set(), {}) is None
     g = tmp_path / "padded.json"
     for layout in (text + "\n", json.dumps(obj, indent=1)):
         g.write_text(layout)
@@ -1444,9 +1516,9 @@ def test_members_are_decoded_before_a_later_syntax_error(capsys, tmp_path,
     seen = []
     member_from_text = cli._member_from_text
 
-    def hook(text, i, orders):
+    def hook(text, i, *read):
         seen.append(json.JSONDecoder().raw_decode(text, i)[0])
-        return member_from_text(text, i, orders)
+        return member_from_text(text, i, *read)
 
     monkeypatch.setattr(cli, "_member_from_text", hook)
     rc, lines, _ = run(capsys, ["verify", "ueb", str(g)])

@@ -438,7 +438,7 @@ def test_wickedness_recheck_without_verify_ueb(monkeypatch):
         wickedness_witness(basis, assume_verified=True)
 
 
-# -- verify_ueb: the monomial pair route against the dense one ----------------
+# -- verify_ueb: the phase pair route against the dense one -------------------
 
 
 def _edit_member(basis, k, f):
@@ -472,24 +472,44 @@ def _heisenberg3_section():
         labels)
 
 
+def _partial_agreement():
+    """Not Latin: P_sigma diag(w) for w a row of the 4 x 4 Walsh matrix and
+    sigma in (id, (0 1), s, s^2), s the 4-cycle.  id and (0 1) agree on
+    columns 2 and 3, where half their sums vanish; (0 1) and s agree on
+    column 0 only, so none of theirs does."""
+    walsh = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
+    perms = [[0, 1, 2, 3], [1, 0, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1]]
+    members = [ExactMatrix.monomial(p, w) for p in perms for w in walsh]
+    return UnitaryErrorBasis(4, members, [(a, b) for a in range(4)
+                                          for b in range(4)])
+
+
 def _ueb_route_cases():
     """(name, basis, the route verify_ueb should report)."""
     p3, p5 = pauli_basis(3), pauli_basis(5)
     one_plus_zeta = PhasedScalar.of(Cyclotomic.one(5) + Cyclotomic.zeta(5))
     return [
-        *[(f"pauli:{d}", pauli_basis(d), "monomial") for d in range(2, 7)],
-        ("heisenberg:3", _heisenberg3_section(), "monomial"),
+        *[(f"pauli:{d}", pauli_basis(d), "phase") for d in range(2, 7)],
+        ("heisenberg:3", _heisenberg3_section(), "phase"),
         ("sam:cyclic:5,fourier:5",
-         shift_and_multiply(cyclic_latin(5), fourier_hadamard(5)), "monomial"),
-        ("sam:cyclic:4,alpha",
-         shift_and_multiply(cyclic_latin(4), h_alpha()), "monomial"),
+         shift_and_multiply(cyclic_latin(5), fourier_hadamard(5)), "phase"),
+        ("partial agreement", _partial_agreement(), "phase"),
+        # the sign of the scale is folded into the exponents
+        ("scale -1", _edit_member(p3, 4, lambda m: m.scalar_mul(-1)),
+         "phase"),
+        # an order-4 entry among order-3 ones: N = 12
+        ("entry zeta_4", _edit_member(p3, 1, _set_first_nonzero(
+            lambda e: PhasedScalar.zeta(4))), "phase"),
         # still unitary and monomial: the rejected pairs are re-checked
         ("swapped columns",
-         _edit_member(p3, 1, lambda m: _swap_columns(m, 0, 1)), "monomial"),
+         _edit_member(p3, 1, lambda m: _swap_columns(m, 0, 1)), "phase"),
         ("entry times zeta", _edit_member(p3, 1, _set_first_nonzero(
-            lambda e: e * PhasedScalar.zeta(3))), "monomial"),
-        # a member that is not unitary sends the pairs to the dense route
-        ("scale 2", _edit_member(p3, 4, lambda m: m.scalar_mul(2)), "matrix"),
+            lambda e: e * PhasedScalar.zeta(3))), "phase"),
+        # not unitary, as p = 2, but the pairs keep the phase route
+        ("scale 2", _edit_member(p3, 4, lambda m: m.scalar_mul(2)), "phase"),
+        # monomial, but not over roots of unity: the dense route
+        ("sam:cyclic:4,alpha",
+         shift_and_multiply(cyclic_latin(4), h_alpha()), "matrix"),
         ("entry 1+zeta_5", _edit_member(p5, 1, _set_first_nonzero(
             lambda e: one_plus_zeta)), "matrix"),
         # no members, so none is monomial: all([]) would say otherwise
@@ -504,6 +524,13 @@ def test_ueb_routes_give_the_same_report(monkeypatch):
         report = verify_ueb(basis)
         assert report.pair_route == route, name
         fast[name] = report
+    named = {name: basis for name, basis, _ in cases}
+    assert ueb._phase_data(named["entry zeta_4"].members, 3)[0] == 12
+    # -1 = zeta_6^3: member 4's exponents move by 3, and |scale| stays 1
+    _, (plus, minus) = ueb._phase_data(
+        [p.members[4] for p in (pauli_basis(3), named["scale -1"])], 3)
+    assert minus[1] == [(e + 3) % 6 for e in plus[1]]
+    assert plus[2:] == minus[2:] == (1, 1)
     monkeypatch.setattr(ExactMatrix, "monomial_data", lambda self: None)
     for name, basis, _ in cases:
         slow = verify_ueb(basis)
@@ -515,6 +542,10 @@ def test_ueb_routes_give_the_same_report(monkeypatch):
         assert want == got, name
     assert not fast["swapped columns"].orthogonality_ok
     assert not fast["entry times zeta"].orthogonality_ok
+    assert not fast["entry zeta_4"].orthogonality_ok
+    assert fast["scale -1"].ok and not fast["scale 2"].unitary_ok
+    # 8 of the 16 pairs of id and (0 1) fail, and all 16 of (0 1) and s
+    assert len(fast["partial agreement"].failures) == 24
 
 
 def test_ueb_failures_past_the_cap_match(monkeypatch):
@@ -525,7 +556,7 @@ def test_ueb_failures_past_the_cap_match(monkeypatch):
     fast = verify_ueb(basis)
     monkeypatch.setattr(ExactMatrix, "monomial_data", lambda self: None)
     slow = verify_ueb(basis)
-    assert fast.pair_route == "monomial" and slow.pair_route == "matrix"
+    assert fast.pair_route == "phase" and slow.pair_route == "matrix"
     assert len(fast.failures) > 32
     assert (fast.failures, fast.pairs_checked) == \
         (slow.failures, slow.pairs_checked)
@@ -541,7 +572,7 @@ def test_monomial_route_takes_one_dense_inner_product(monkeypatch):
 
     monkeypatch.setattr(ueb, "hs_inner", counting)
     report = verify_ueb(pauli_basis(5))
-    assert report.ok and report.pair_route == "monomial"
+    assert report.ok and report.pair_route == "phase"
     assert report.pairs_checked == 300
     assert len(calls) == 1
 
@@ -560,5 +591,38 @@ def test_monomial_route_sample_pair_is_rechecked(monkeypatch):
         return (sigma[::-1], values) if self is second else (sigma, values)
 
     monkeypatch.setattr(ExactMatrix, "monomial_data", wrong)
-    with pytest.raises(ArithmeticError, match="monomial data disagrees"):
+    with pytest.raises(ArithmeticError, match="phase form disagrees"):
         verify_ueb(basis)
+
+
+# -- wickedness: no search on the phase form ---------------------------------
+
+
+def test_wickedness_early_exit_agrees_with_the_search(monkeypatch):
+    phase = [(name, basis) for name, basis, route in _ueb_route_cases()
+             if route == "phase"]
+    assert len(phase) == 13
+    early = {name: wickedness_witness(basis, assume_verified=True)
+             for name, basis in phase}
+    monkeypatch.setattr(ueb, "_phase_data", lambda members, d: None)
+    for name, basis in phase:
+        assert early[name] is None, name
+        assert wickedness_witness(basis, assume_verified=True) is None, name
+        assert _dense_witness(basis) is None, name
+
+
+def test_wickedness_on_the_phase_form_reads_no_ratio(monkeypatch):
+    calls = []
+    real = PhasedScalar.root_of_unity_order
+
+    def counting(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(PhasedScalar, "root_of_unity_order", counting)
+    assert wickedness_witness(pauli_basis(5)) is None
+    assert calls == []
+    # the search, which the phase form skips, reads ratios of pauli:5
+    monkeypatch.setattr(ueb, "_phase_data", lambda members, d: None)
+    assert wickedness_witness(pauli_basis(5)) is None
+    assert len(calls) > 0
