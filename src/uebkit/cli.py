@@ -225,19 +225,18 @@ def _member_from_text(text: str, i: int, orders: set, memo: dict):
     if end < 0 or not (tail := _TAIL.match(text, end)):
         return None
     pieces = text[head.end():end].split("}},")
-    new = dict.fromkeys(set(pieces).difference(memo))
+    local = dict.fromkeys(pieces)
     seen = set(orders)  # joins orders only if the member is read here
     try:
-        for piece in new:
-            new[piece] = scalar_from_json(_DECODER.decode(piece + "}}"), seen)
-        # each piece is in exactly one of memo and new
-        entries = (map(memo.get, pieces, map(new.get, pieces)) if new
-                   else map(memo.__getitem__, pieces))
-        m = ExactMatrix(int(tail[1]), int(head[1]), entries, tail[2])
+        for piece in local:
+            local[piece] = memo[piece] if piece in memo else scalar_from_json(
+                _DECODER.decode(piece + "}}"), seen)
+        m = ExactMatrix(int(tail[1]), int(head[1]),
+                        map(local.__getitem__, pieces), tail[2])
     except _INPUT_ERRORS:
         return None
     orders |= seen
-    memo.update(new)
+    memo.update(local)
     return m, tail.end()
 
 

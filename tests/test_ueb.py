@@ -401,8 +401,10 @@ def test_wickedness_on_monomial_members_forms_no_product(monkeypatch):
 
 def test_monomial_route_witness_is_rechecked(monkeypatch):
     # a sign flipped in the data of member (0, 0) leaves the (1, -1, t, -t)
-    # witness in place but with the wrong diagonal; the dense product of the
-    # pair catches it
+    # witness in place but with the wrong diagonal.  h_alpha's entries are
+    # not roots of unity, so verify_ueb takes the dense route and passes;
+    # the witness re-check inside wickedness_witness, on the dense product
+    # of the pair, catches it
     basis = shift_and_multiply(cyclic_latin(4), h_alpha())
     target = basis.members[0]
     real = ExactMatrix.monomial_data
@@ -415,13 +417,15 @@ def test_monomial_route_witness_is_rechecked(monkeypatch):
         return data
 
     monkeypatch.setattr(ExactMatrix, "monomial_data", wrong)
+    rep = verify_ueb(basis)
+    assert rep.ok and rep.pair_route == "matrix"
     with pytest.raises(ArithmeticError, match="monomial data"):
         wickedness_witness(basis)
 
 
 def test_wickedness_recheck_without_verify_ueb(monkeypatch):
-    # the case above with the definition check skipped, so the witness
-    # re-check of wickedness_witness itself raises
+    # the case above with the definition check skipped: the same re-check
+    # raises
     basis = shift_and_multiply(cyclic_latin(4), h_alpha())
     target = basis.members[0]
     real = ExactMatrix.monomial_data
