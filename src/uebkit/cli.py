@@ -65,6 +65,7 @@ from .nice import (
     weyl_matrix,
 )
 from .ueb import (
+    UebReport,
     UnitaryErrorBasis,
     basis_from_fields,
     basis_from_rep,
@@ -484,10 +485,11 @@ def _pair_indexed_rep(basis: UnitaryErrorBasis, label: str) -> ProjectiveRep:
     return ProjectiveRep(group, d, table.__getitem__, label=label)
 
 
-def _ueb_check(basis: UnitaryErrorBasis, report: RunReport) -> bool:
+def _ueb_check(basis: UnitaryErrorBasis, report: RunReport) -> UebReport:
     t0 = time.perf_counter()
     ub = verify_ueb(basis)
-    return report.check("ueb-definition", ub.ok, t0, details=ub.summary())
+    report.check("ueb-definition", ub.ok, t0, details=ub.summary())
+    return ub
 
 
 def _full_sweep(rep: ProjectiveRep) -> ProjectiveRep:
@@ -656,10 +658,10 @@ def cmd_analyze(args, report: RunReport) -> None:
             "max_zero_fraction": max(fractions),
             "per_member": [str(f) for f in fractions]})
     elif args.kind == "wickedness":
-        if not _ueb_check(basis, report):
+        if not (ub := _ueb_check(basis, report)).ok:
             return
         t0 = time.perf_counter()
-        w = wickedness_witness(basis, assume_verified=True)
+        w = wickedness_witness(basis, ub)
         details = {"witness_found": w is not None}
         if w is not None:
             details.update(w.summary())

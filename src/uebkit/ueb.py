@@ -7,6 +7,8 @@ here: group-indexed representations (nice module) and Latin square
 plus Hadamard data (shift_and_multiply).  verify_ueb checks the bare
 definition: it reads members as verify_nice does (_phase_data), but its
 trace sums are its own, and every pair they reject is re-checked densely.
+wickedness_witness reads verify_ueb's report: a basis on its phase route
+has no witness, and every other basis is searched by exact products.
 """
 
 from __future__ import annotations
@@ -290,46 +292,31 @@ class WickednessWitness:
                 "ratio_position": self.ratio_position}
 
 
-def wickedness_witness(basis: UnitaryErrorBasis, assume_verified: bool = False):
+def wickedness_witness(basis: UnitaryErrorBasis, report: UebReport | None = None):
     """Search member pairs for a diagonal E F^dagger whose diagonal-entry
     ratios include a value of infinite multiplicative order.
 
     One-sided: a witness certifies the basis is not equivalent to any
     group-indexed one; absence of a witness certifies nothing.
 
-    Monomial pairs need no product: E F^dagger = s_E s_F sum_c v_E[c]
-    conj(v_F[c]) |sigma_E[c]><sigma_F[c]| (all terms nonzero) is diagonal
-    exactly when sigma_E = sigma_F, with the dense route's operands at row
-    sigma[c].  A pair with one monomial member is never diagonal: E F^dagger
-    = D forces F^dagger = E^-1 D, D invertible as the members are unitary.
-    A witness from monomial data is re-checked against the dense product.
-    When _phase_data reads every member, each v is a power of zeta_N and
-    each scale rational, so every diagonal ratio is a power of zeta_N, of
-    finite order: there is no witness, and no pair is searched.
+    report is verify_ueb(basis), which is run here when it is not given.
+    On its phase route every member is sigma times powers of zeta_N with a
+    rational scale, so E F^dagger is diagonal only when sigma_E = sigma_F,
+    and then each diagonal ratio is a power of zeta_N, of finite order:
+    there is no witness, and no pair is searched.  Any other basis takes
+    the exact product of each ordered pair.
     """
-    if not assume_verified:
-        rep = verify_ueb(basis)
-        if not rep.ok:
-            raise ValueError("wickedness search expects a verified basis")
-    members = basis.members
-    if _phase_data(members, basis.d) is not None:
+    if report is None:
+        report = verify_ueb(basis)
+    if not report.ok:
+        raise ValueError("wickedness search expects a verified basis")
+    if report.pair_route == "phase":
         return None
-    mono = [m.monomial_data() for m in members]
-    conj = [data and [v.conj() for v in data[1]] for data in mono]
-    n = len(members)
-    for j in range(n):
-        for i in range(n):
-            mi, mj = mono[i], mono[j]
-            if i == j or (mi is None) != (mj is None):
-                continue
-            if mi:
-                if mi[0] != mj[0]:
-                    continue
-                scale = members[i].scale * members[j].scale
-                diag = [None] * len(mi[0])
-                for s, a, b in zip(mi[0], mi[1], conj[j]):
-                    diag[s] = a * b if scale == 1 else (a * b) * scale
-            elif (diag := _diagonal(members[i] @ members[j].dagger())) is None:
+    members = basis.members
+    for j in range(len(members)):
+        anchor = members[j].dagger()
+        for i in range(len(members)):
+            if i == j or (diag := _diagonal(members[i] @ anchor)) is None:
                 continue
             try:
                 inv = diag[0].inverse()
@@ -338,10 +325,6 @@ def wickedness_witness(basis: UnitaryErrorBasis, assume_verified: bool = False):
             for k in range(1, len(diag)):
                 r = diag[k] * inv
                 if r.root_of_unity_order() is None:
-                    if mi and _diagonal(members[i] @ members[j].dagger()) != diag:
-                        raise ArithmeticError(
-                            "monomial data disagrees with the product of "
-                            f"members {basis.labels[i]} and {basis.labels[j]}")
                     return WickednessWitness(
                         pair=(basis.labels[i], basis.labels[j]),
                         diagonal=tuple(diag), ratio=r, ratio_position=k)

@@ -28,6 +28,15 @@ rational scale), X|j> = |j-1> and Z|j> = zeta_p^j |j>:
    an entry of a tensor product is a product of one entry of each
    factor, zero exactly when one of them is, so a member's nonzero
    count is the product of its three pool entries' counts.
+6. No element of order 3 fixes a line of F5^2 and a line of F11^2, in
+   Q = (F5^2 x F11^2) : F3^2 composed by the law written here from the
+   two actions A_p alone:
+   (n5, n11, x3, y3) (m5, m11, u3, v3)
+     = (n5 + A5^x3 m5, n11 + A11^y3 m11, x3 + u3, y3 + v3).
+   Each t of order 3 conjugates P5 and P11 into themselves, with
+   t^-1 = t t.  Of the 12,392 such t, the 242 with x3 = 0 fix a line of
+   F5^2, the 50 with y3 = 0 fix a line of F11^2, and no other t fixes a
+   line.  A subgroup of order 165 or 495 would need a t fixing both.
 """
 
 import ast
@@ -251,25 +260,89 @@ def _premise_failures(conj):
         gamma = [[a1, a2], [b1, b2]]
         if gamma != conj["action"]:
             failures.append("gamma != action")
-        power, one = gamma, [[1, 0], [0, 1]]
-        for _ in range(2):
-            power = [[sum(power[i][k] * gamma[k][j] for k in range(2)) % p
-                      for j in range(2)] for i in range(2)]
-        if gamma == one or power != one:
+        power = _powers(gamma, p)[2]
+        if gamma == ONE or _mul2(power, gamma, p) != ONE:
             failures.append("gamma does not have order 3")
-        # gamma fixes the line of (u, v) when (u, v) and its image (x, y)
-        # are dependent: u y - v x = 0 mod p
-        for u, v in [(1, t) for t in range(p)] + [(0, 1)]:
-            x = gamma[0][0] * u + gamma[0][1] * v
-            y = gamma[1][0] * u + gamma[1][1] * v
-            if (u * y - v * x) % p == 0:
-                failures.append(f"gamma fixes the line of {(u, v)}")
+        failures += [f"gamma fixes the line of {line}"
+                     for line in _fixed_lines(gamma, p)]
     cube = _scalar(_matmul(_matmul(M, M), M), s ** 3)
     if cube is None or not _unit(cube):
         failures.append("R^3 is not a unit-modulus scalar")
     elif not _equal(cube, _entry(conj["r_cubed"], p)):
         failures.append("R^3 != r_cubed")
     return failures
+
+
+ONE = [[1, 0], [0, 1]]
+
+
+def _mul2(A, B, p):
+    """A B for 2 x 2 matrices over F_p."""
+    return [[sum(A[i][k] * B[k][j] for k in range(2)) % p for j in range(2)]
+            for i in range(2)]
+
+
+def _powers(A, p):
+    """[I, A, A^2] over F_p."""
+    out = [ONE]
+    for _ in range(2):
+        out.append(_mul2(out[-1], A, p))
+    return out
+
+
+def _fixed_lines(A, p):
+    """The lines of F_p^2 that A maps to themselves.  A fixes the line of
+    (u, v) when (u, v) and its image (x, y) are dependent: u y - v x = 0
+    mod p."""
+    out = []
+    for u, v in [(1, t) for t in range(p)] + [(0, 1)]:
+        x = A[0][0] * u + A[0][1] * v
+        y = A[1][0] * u + A[1][1] * v
+        if (u * y - v * x) % p == 0:
+            out.append((u, v))
+    return out
+
+
+def _order3_elements(actions):
+    """[(t, fixes a line of F5^2, fixes a line of F11^2)] over the t of
+    order 3 in Q, composed by premise 6's law from actions {p: A_p}.  An
+    element is (n5, n11, x3, y3), each n_p a vector over F_p."""
+    powers = {p: _powers(A, p) for p, A in actions.items()}
+
+    def step(p, n, k, m):  # n + A_p^k m
+        A = powers[p][k]
+        return tuple((n[i] + A[i][0] * m[0] + A[i][1] * m[1]) % p
+                     for i in range(2))
+
+    def compose(s, t):
+        (n5, n11, x3, y3), (m5, m11, u3, v3) = s, t
+        return (step(5, n5, x3, m5), step(11, n11, y3, m11),
+                (x3 + u3) % 3, (y3 + v3) % 3)
+
+    e = ((0, 0), (0, 0), 0, 0)
+    units = {5: [((1, 0), (0, 0), 0, 0), ((0, 1), (0, 0), 0, 0)],
+             11: [((0, 0), (1, 0), 0, 0), ((0, 0), (0, 1), 0, 0)]}
+    vectors = {p: [(a, b) for a in range(p) for b in range(p)] for p in units}
+    found = []
+    for x3 in range(3):
+        for y3 in range(3):
+            for n5 in vectors[5]:
+                for n11 in vectors[11]:
+                    t = (n5, n11, x3, y3)
+                    tt = compose(t, t)
+                    if t == e or compose(tt, t) != e:
+                        continue
+                    fixes = []
+                    for slot, p in ((0, 5), (1, 11)):
+                        # t g t^-1 for the two unit vectors g of P_p: the
+                        # columns of the action, and still in P_p
+                        images = [compose(compose(t, g), tt) for g in units[p]]
+                        assert all(c[1 - slot] == (0, 0) and c[2:] == (0, 0)
+                                   for c in images)
+                        (a, c), (b, d) = (g[slot] for g in images)
+                        fixes.append(bool(_fixed_lines([[a, b], [c, d]], p)))
+                    found.append((t, *fixes))
+    return found
 
 
 @pytest.fixture(scope="module")
@@ -341,6 +414,29 @@ def test_a_changed_action_fails(bundle):
     conj = json.loads(json.dumps(bundle["conjugators"]["11"]))
     conj["action"][1][0] += 1
     assert _premise_failures(conj) == ["gamma != action"]
+
+
+def _actions(bundle):
+    return {p: bundle["conjugators"][str(p)]["action"] for p in (5, 11)}
+
+
+def test_no_element_of_order_3_fixes_two_lines(bundle):
+    found = _order3_elements(_actions(bundle))
+    assert len(found) == 12_392
+    fix5 = [t for t, f5, _ in found if f5]
+    fix11 = [t for t, _, f11 in found if f11]
+    assert len(fix5) == 242 and fix5 == [t for t, *_ in found if t[2] == 0]
+    assert len(fix11) == 50 and fix11 == [t for t, *_ in found if t[3] == 0]
+    assert not set(fix5) & set(fix11)
+
+
+def test_an_identity_action_changes_the_order_3_counts(bundle):
+    actions = {**_actions(bundle), 5: ONE}
+    found = _order3_elements(actions)
+    counts = (len(found), sum(f5 for _, f5, _ in found),
+              sum(f11 for *_, f11 in found),
+              sum(f5 and f11 for _, f5, f11 in found))
+    assert counts != (12_392, 242, 50, 0)
 
 
 def test_premises_share_no_code_with_uebkit():

@@ -10,12 +10,14 @@ from uebkit.combinat import (
     h_alpha,
 )
 from uebkit import ueb
+from uebkit.cli import main
 from uebkit.cyclo import Cyclotomic, PhasedScalar
 from uebkit.exactmat import ExactMatrix, matrix_to_json
 from uebkit.groups import HeisenbergElement
 from uebkit.nice import heisenberg_rep
 from uebkit.ueb import (
     NormalizationError,
+    UebReport,
     UnitaryErrorBasis,
     WickednessWitness,
     apply_equivalence,
@@ -274,12 +276,12 @@ def test_basis_json_roundtrip():
         assert all(x == y for x, y in zip(back.members, basis.members))
 
 
-# -- wickedness: the monomial route against the dense search -----------------
+# -- wickedness: the search against a reference -------------------------------
 
 
 def _dense_witness(basis):
-    """The search as one dense product per ordered pair, kept as the
-    reference for wickedness_witness's monomial route."""
+    """The search as one dense product per ordered pair, written apart from
+    wickedness_witness as its reference."""
     n = len(basis.members)
     for j in range(n):
         anchor = basis.members[j].dagger()
@@ -308,7 +310,8 @@ def _dense_witness(basis):
 def _mixed_d2():
     """U P U^dagger over the four Paulis for U = H T, with H the Hadamard
     gate (entries +-1/sqrt(2) in Q(zeta_8)) and T = diag(1, zeta_8): the
-    images of I and Z (U Z U^dagger = X) are monomial, the other two dense."""
+    images of I and Z (U Z U^dagger = X) are monomial, the other two dense,
+    so verify_ueb takes the matrix route."""
     a = (PhasedScalar.zeta(8) + PhasedScalar.zeta(8, 7)) * Fraction(1, 2)
     u = ExactMatrix.from_rows([[a, a], [a, -a]]) @ \
         ExactMatrix.diagonal([ONE, PhasedScalar.zeta(8)])
@@ -385,26 +388,29 @@ def test_wickedness_cases_reach_every_route(monkeypatch):
         [True, True, False, False]
     assert not any(m.is_monomial() for m in _alpha_times_hadamard().members)
     assert wickedness_witness(_alpha_times_hadamard()) is not None
-    # only the two ordered pairs of dense members form a product
+    # off the phase route every ordered pair forms its product, monomial
+    # members too: n (n - 1) = 12
+    report = verify_ueb(mixed)
+    assert report.ok and report.pair_route == "matrix"
     calls = _count_products(monkeypatch)
-    assert wickedness_witness(mixed, assume_verified=True) is None
-    assert len(calls) == 2
+    assert wickedness_witness(mixed, report) is None
+    assert len(calls) == 12
 
 
 def test_wickedness_on_monomial_members_forms_no_product(monkeypatch):
     basis = shift_and_multiply(cyclic_latin(7), fourier_hadamard(7))
-    assert verify_ueb(basis).ok
+    report = verify_ueb(basis)
+    assert report.ok
     calls = _count_products(monkeypatch)
-    assert wickedness_witness(basis, assume_verified=True) is None
+    assert wickedness_witness(basis, report) is None
     assert len(calls) == 0
 
 
-def test_monomial_route_witness_is_rechecked(monkeypatch):
-    # a sign flipped in the data of member (0, 0) leaves the (1, -1, t, -t)
-    # witness in place but with the wrong diagonal.  h_alpha's entries are
-    # not roots of unity, so verify_ueb takes the dense route and passes;
-    # the witness re-check inside wickedness_witness, on the dense product
-    # of the pair, catches it
+def test_wickedness_reads_no_monomial_data(monkeypatch):
+    # a sign flipped in the monomial data of member (0, 0) would move the
+    # diagonal of the (1, -1, t, -t) witness.  h_alpha's entries are not
+    # roots of unity, so verify_ueb takes the matrix route and passes, and
+    # the search forms each product from the members themselves
     basis = shift_and_multiply(cyclic_latin(4), h_alpha())
     target = basis.members[0]
     real = ExactMatrix.monomial_data
@@ -419,27 +425,10 @@ def test_monomial_route_witness_is_rechecked(monkeypatch):
     monkeypatch.setattr(ExactMatrix, "monomial_data", wrong)
     rep = verify_ueb(basis)
     assert rep.ok and rep.pair_route == "matrix"
-    with pytest.raises(ArithmeticError, match="monomial data"):
-        wickedness_witness(basis)
-
-
-def test_wickedness_recheck_without_verify_ueb(monkeypatch):
-    # the case above with the definition check skipped: the same re-check
-    # raises
-    basis = shift_and_multiply(cyclic_latin(4), h_alpha())
-    target = basis.members[0]
-    real = ExactMatrix.monomial_data
-
-    def wrong(self):
-        data = real(self)
-        if self is target:
-            sigma, values = data
-            return sigma, [-values[0]] + values[1:]
-        return data
-
-    monkeypatch.setattr(ExactMatrix, "monomial_data", wrong)
-    with pytest.raises(ArithmeticError, match="product of members"):
-        wickedness_witness(basis, assume_verified=True)
+    w = wickedness_witness(basis, rep)
+    t = PhasedScalar.symbol("t")
+    assert w.pair == ((2, 0), (0, 0))
+    assert list(w.diagonal) == [ONE, -ONE, t, -t]
 
 
 # -- verify_ueb: the phase pair route against the dense one -------------------
@@ -602,16 +591,31 @@ def test_monomial_route_sample_pair_is_rechecked(monkeypatch):
 # -- wickedness: no search on the phase form ---------------------------------
 
 
+def _passed(basis, route):
+    """A passing report of verify_ueb on route, whether or not basis passes."""
+    return UebReport(basis.d, True, True, True, 0, (), route)
+
+
+def _never(*args):
+    raise AssertionError("wickedness_witness made a call it should not")
+
+
 def test_wickedness_early_exit_agrees_with_the_search(monkeypatch):
+    # five of these bases fail the definition on purpose; the phase form
+    # has no witness whether or not a basis passes, so each is handed a
+    # passing report of either route
     phase = [(name, basis) for name, basis, route in _ueb_route_cases()
              if route == "phase"]
     assert len(phase) == 13
-    early = {name: wickedness_witness(basis, assume_verified=True)
+    # the report alone picks the route
+    monkeypatch.setattr(ueb, "_phase_data", _never)
+    monkeypatch.setattr(ExactMatrix, "monomial_data", _never)
+    early = {name: wickedness_witness(basis, _passed(basis, "phase"))
              for name, basis in phase}
-    monkeypatch.setattr(ueb, "_phase_data", lambda members, d: None)
     for name, basis in phase:
         assert early[name] is None, name
-        assert wickedness_witness(basis, assume_verified=True) is None, name
+        assert wickedness_witness(basis, _passed(basis, "matrix")) is None, \
+            name
         assert _dense_witness(basis) is None, name
 
 
@@ -630,3 +634,24 @@ def test_wickedness_on_the_phase_form_reads_no_ratio(monkeypatch):
     monkeypatch.setattr(ueb, "_phase_data", lambda members, d: None)
     assert wickedness_witness(pauli_basis(5)) is None
     assert len(calls) > 0
+
+
+def test_analyze_wickedness_reads_the_phase_form_once(monkeypatch, capsys):
+    calls = []
+    real = ueb._phase_data
+
+    def counting(members, d):
+        calls.append(1)
+        return real(members, d)
+
+    monkeypatch.setattr(ueb, "_phase_data", counting)
+    assert main(["analyze", "wickedness", "sam:cyclic:5,fourier:5"]) == 0
+    assert len(calls) == 1
+
+
+def test_wickedness_refuses_a_failed_report_without_verifying(monkeypatch):
+    basis = pauli_basis(2)
+    failed = UebReport(2, True, False, True, 6, (("unitary", (0, 1)),))
+    monkeypatch.setattr(ueb, "verify_ueb", _never)
+    with pytest.raises(ValueError, match="verified basis"):
+        wickedness_witness(basis, failed)
