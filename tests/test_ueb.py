@@ -406,7 +406,7 @@ def test_wickedness_on_monomial_members_forms_no_product(monkeypatch):
     assert len(calls) == 0
 
 
-def test_wickedness_reads_no_monomial_data(monkeypatch):
+def _corrupt_monomial_data(monkeypatch):
     # a sign flipped in the monomial data of member (0, 0) would move the
     # diagonal of the (1, -1, t, -t) witness.  h_alpha's entries are not
     # roots of unity, so verify_ueb takes the matrix route and passes, and
@@ -423,12 +423,29 @@ def test_wickedness_reads_no_monomial_data(monkeypatch):
         return data
 
     monkeypatch.setattr(ExactMatrix, "monomial_data", wrong)
-    rep = verify_ueb(basis)
-    assert rep.ok and rep.pair_route == "matrix"
-    w = wickedness_witness(basis, rep)
+    return basis
+
+
+def _assert_halpha_witness(w):
     t = PhasedScalar.symbol("t")
     assert w.pair == ((2, 0), (0, 0))
     assert list(w.diagonal) == [ONE, -ONE, t, -t]
+
+
+def test_monomial_route_witness_is_rechecked(monkeypatch):
+    # the witness is read from the exact product, so corrupted monomial
+    # data neither fails verify_ueb nor moves the witness
+    basis = _corrupt_monomial_data(monkeypatch)
+    rep = verify_ueb(basis)
+    assert rep.ok and rep.pair_route == "matrix"
+    _assert_halpha_witness(wickedness_witness(basis, rep))
+
+
+def test_wickedness_recheck_without_verify_ueb(monkeypatch):
+    # the same with no report given: wickedness_witness runs verify_ueb
+    # itself, and its search still reads no monomial data
+    basis = _corrupt_monomial_data(monkeypatch)
+    _assert_halpha_witness(wickedness_witness(basis))
 
 
 # -- verify_ueb: the phase pair route against the dense one -------------------
